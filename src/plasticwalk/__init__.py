@@ -25,12 +25,11 @@ from .errors import (
     SizeError,
     SolverError,
 )
-from .fields import CProfile, Spinor2, SpinorField
+from .fields import CProfile, SpinorField
 from .scaling import ScalingParams, derive_angles
 from .walk import (
     coin_matrix,
     evolve_walk,
-    is_hermitian,
     is_unitary,
     lambda_matrix,
     lambda_power,
@@ -43,12 +42,12 @@ from .hamiltonians import (
     DiracPropagator,
     LatticeHamiltonian,
     curved_dirac_reference,
-    default_cn_steps,
     dirac_propagator,
     evolve_crank_nicolson,
     evolve_exact,
     lattice_hamiltonian_curved,
     lattice_hamiltonian_flat,
+    lattice_propagator,
     trig_interpolate,
 )
 from .qca import (
@@ -58,7 +57,6 @@ from .qca import (
     extract_one_particle,
     gate_U,
     gate_V,
-    kogut_susskind_matrix,
     one_particle_matrix,
     qca_step,
     slater_determinant_state,
@@ -93,13 +91,11 @@ __all__ = [
     "SizeError",
     "SolverError",
     "CProfile",
-    "Spinor2",
     "SpinorField",
     "ScalingParams",
     "derive_angles",
     "coin_matrix",
     "evolve_walk",
-    "is_hermitian",
     "is_unitary",
     "lambda_matrix",
     "lambda_power",
@@ -110,12 +106,12 @@ __all__ = [
     "DiracPropagator",
     "LatticeHamiltonian",
     "curved_dirac_reference",
-    "default_cn_steps",
     "dirac_propagator",
     "evolve_crank_nicolson",
     "evolve_exact",
     "lattice_hamiltonian_curved",
     "lattice_hamiltonian_flat",
+    "lattice_propagator",
     "trig_interpolate",
     "QcaState",
     "SlaterState",
@@ -123,7 +119,6 @@ __all__ = [
     "extract_one_particle",
     "gate_U",
     "gate_V",
-    "kogut_susskind_matrix",
     "one_particle_matrix",
     "qca_step",
     "slater_determinant_state",

@@ -21,7 +21,13 @@ import numpy as np
 
 from .errors import ConfigError, PlasticWalkError
 from .fields import CProfile
-from .harness import ExperimentSpec, dispersion_scan, make_wavepacket, run_convergence_sweep
+from .harness import (
+    ExperimentSpec,
+    _snap_epsilon,
+    dispersion_scan,
+    make_wavepacket,
+    run_convergence_sweep,
+)
 from .qca import dense_step_operator, verify_encoding
 from .scaling import ScalingParams
 from .walk import qw_step
@@ -111,6 +117,8 @@ class RunConfig:
                 f"field 'profile.name': got {self.profile.get('name') if isinstance(self.profile, dict) else self.profile!r}, "
                 f"must be one of {PROFILE_NAMES}"
             )
+        if not isinstance(self.initial, dict):
+            raise ConfigError(f"field 'initial': got {self.initial!r}, must be a JSON object")
         mix = self.initial.get("chirality_mix", 0.5)
         if not 0.0 <= mix <= 1.0:
             raise ConfigError(f"field 'initial.chirality_mix': got {mix}, valid range is [0, 1]")
@@ -141,6 +149,8 @@ class RunConfig:
             )
         except PlasticWalkError as exc:
             raise ConfigError(f"field 'profile': {exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"field 'profile' has the wrong type: {exc}") from exc
 
 
 def _fmt(v: float) -> str:
@@ -160,17 +170,8 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _snap_grid(cfg: RunConfig) -> tuple[float, int]:
-    """Grid-compatible epsilon and site count for a single trajectory."""
-    if cfg.alpha == 1.0:
-        return cfg.epsilon, max(2, int(round(cfg.length)))
-    dx = cfg.epsilon ** (1.0 - cfg.alpha)
-    n = max(2, int(round(cfg.length / dx)))
-    return (cfg.length / n) ** (1.0 / (1.0 - cfg.alpha)), n
-
-
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    eps, n = _snap_grid(cfg)
+    eps, n, _ = _snap_epsilon(cfg.alpha, cfg.length, cfg.epsilon)
     params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
     ini = cfg.initial
     field = make_wavepacket(
@@ -281,7 +282,7 @@ def cmd_dispersion(cfg: RunConfig, out_dir: Path) -> int:
     profile = cfg.build_profile()
     if not profile.homogeneous:
         raise ConfigError("field 'profile': dispersion requires a homogeneous profile")
-    eps, _ = _snap_grid(cfg)
+    eps, _, _ = _snap_epsilon(cfg.alpha, cfg.length, cfg.epsilon)
     params = ScalingParams(m=cfg.m, cprofile=profile, epsilon=eps, alpha=cfg.alpha)
     table = dispersion_scan(params, cfg.k_count)
     atomic_write(out_dir / "dispersion.csv", table.to_csv())

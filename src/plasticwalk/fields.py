@@ -7,18 +7,11 @@ component) and ``minus`` (right-moving component), as an (N, 2) array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-
-
-class Spinor2(NamedTuple):
-    """Amplitude pair at one lattice site."""
-
-    plus: complex
-    minus: complex
 
 
 @dataclass
@@ -67,10 +60,6 @@ class SpinorField:
 
     def positions(self) -> np.ndarray:
         return np.arange(self.n_sites) * self.dx
-
-    def site(self, l: int) -> Spinor2:
-        l = l % self.n_sites
-        return Spinor2(complex(self.data[l, 0]), complex(self.data[l, 1]))
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.data) ** 2))

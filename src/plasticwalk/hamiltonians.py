@@ -6,8 +6,14 @@ The discrete-space references are nearest-neighbour lattice Hamiltonians
                 - m * sigma_z * psi_l
 
 with the speed sampled at half-sites (bond midpoints), which makes H
-Hermitian term by term. The continuous-space reference propagates each
-ring momentum with the 2x2 block exp(-i (c k sigma_x - m sigma_z) T).
+Hermitian term by term.
+
+A translation-invariant (constant-speed) operator is diagonal in ring
+momentum: mode k evolves by the closed-form 2x2 block
+exp(-i (c q sigma_x - m sigma_z) T), with effective momentum q = k for the
+continuum and q = sin(k dx)/dx for the lattice. Both propagators are built
+from ``dirac_block``. Dense diagonalization (``evolve_exact``) and Cayley
+stepping serve only inhomogeneous grids.
 """
 
 from __future__ import annotations
@@ -59,9 +65,6 @@ class LatticeHamiltonian:
         mass[:, 0] = -self.m * data[:, 0]
         mass[:, 1] = +self.m * data[:, 1]
         return hop + mass
-
-    def apply_field(self, field: SpinorField) -> SpinorField:
-        return field.with_data(self.apply(field.data))
 
     def dense(self) -> np.ndarray:
         n = self.n_sites
@@ -170,19 +173,14 @@ def evolve_crank_nicolson(
     return psi0.with_data(v.reshape(-1, 2))
 
 
-def default_cn_steps(dx: float, T: float) -> int:
-    """Step count from the default spacing rule tau = min(dx/4, T/256)."""
-    tau = min(dx / 4.0, T / 256.0)
-    return max(1, int(np.ceil(T / tau)))
-
-
 @dataclass
 class DiracPropagator:
-    """Momentum-resolved continuum propagator over the ring modes.
+    """Momentum-resolved propagator of a translation-invariant operator.
 
-    ``blocks[i]`` is exp(-i (c k_i sigma_x - m sigma_z) T) for the FFT-ordered
-    momentum k_i; fields are propagated by transforming each component,
-    applying the block, and transforming back.
+    ``blocks[i]`` is exp(-i (c q_i sigma_x - m sigma_z) T) for the FFT-ordered
+    ring momentum k_i and its effective momentum q_i; fields are propagated
+    by transforming each component, applying the block, and transforming
+    back.
     """
 
     ks: np.ndarray
@@ -199,26 +197,49 @@ class DiracPropagator:
         return field.with_data(np.fft.ifft(ph, axis=0))
 
 
-def dirac_block(k: float, c: float, m: float, T: float) -> np.ndarray:
-    """Closed-form exp(-i (c k sigma_x - m sigma_z) T)."""
-    e = np.hypot(c * k, m)
-    if e == 0.0:
-        return np.eye(2, dtype=np.complex128)
-    h = np.array([[-m, c * k], [c * k, m]], dtype=np.complex128)
-    return np.cos(e * T) * np.eye(2) - 1j * np.sin(e * T) / e * h
+def dirac_block(q, c: float, m: float, T: float) -> np.ndarray:
+    """Closed-form exp(-i (c q sigma_x - m sigma_z) T), vectorized over q.
+
+    Returns one 2x2 block per entry of ``q`` (shape ``q.shape + (2, 2)``),
+    so a scalar q gives a single 2x2 matrix.
+    """
+    q = np.asarray(q, dtype=float)
+    e = np.hypot(c * q, m)
+    zero = e == 0.0  # sin(e T)/e -> T; the block is the identity there
+    sinc = np.where(zero, T, np.sin(e * T) / np.where(zero, 1.0, e))
+    cos = np.cos(e * T)
+    blocks = np.empty(q.shape + (2, 2), dtype=np.complex128)
+    blocks[..., 0, 0] = cos + 1j * sinc * m
+    blocks[..., 1, 1] = cos - 1j * sinc * m
+    blocks[..., 0, 1] = blocks[..., 1, 0] = -1j * sinc * (c * q)
+    return blocks
 
 
-def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPropagator:
-    """Continuum propagator table over the N ring momenta."""
+def _momentum_propagator(
+    ks: np.ndarray, q: np.ndarray, m: float, c: float, T: float
+) -> DiracPropagator:
+    """Table of ``dirac_block(q_i)`` over the ring momenta k_i."""
     if not 0.0 <= c <= 1.0:
         raise DomainError(f"c must lie in [0, 1], got {c}")
     if m < 0:
         raise DomainError(f"mass must be nonnegative, got {m}")
+    return DiracPropagator(ks=ks, blocks=dirac_block(q, c, m, T), m=m, c=c, T=T)
+
+
+def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPropagator:
+    """Continuum propagator over the N ring momenta (q = k)."""
     ks = ring_momenta(N, dx)
-    blocks = np.empty((N, 2, 2), dtype=np.complex128)
-    for i, k in enumerate(ks):
-        blocks[i] = dirac_block(float(k), c, m, T)
-    return DiracPropagator(ks=ks, blocks=blocks, m=m, c=c, T=T)
+    return _momentum_propagator(ks, ks, m, c, T)
+
+
+def lattice_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPropagator:
+    """exp(-i H T) for the homogeneous lattice Hamiltonian (q = sin(k dx)/dx).
+
+    Equal to ``evolve_exact`` on ``lattice_hamiltonian_flat(N, dx, m, c)``
+    up to roundoff, without a dense matrix or a size budget.
+    """
+    ks = ring_momenta(N, dx)
+    return _momentum_propagator(ks, np.sin(ks * dx) / dx, m, c, T)
 
 
 def trig_interpolate(field: SpinorField, refinement: int) -> SpinorField:

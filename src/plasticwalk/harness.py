@@ -2,9 +2,14 @@
 
 For each epsilon in a sweep the walk is run to the target time and compared
 against the reference evolution appropriate to the scaling exponent: the
-lattice Hamiltonian on the same grid (alpha = 1), the momentum-space
-continuum propagator (alpha < 1, homogeneous speed), or a fine-grid
-method-of-lines evolution (alpha < 1, inhomogeneous speed).
+lattice Hamiltonian on the same grid (alpha = 1), the continuum Dirac
+evolution (alpha < 1, homogeneous speed), or a fine-grid method-of-lines
+evolution (alpha < 1, inhomogeneous speed). A homogeneous speed makes
+either reference translation-invariant, so it is propagated per ring
+momentum with closed-form 2x2 blocks; dense diagonalization serves only the
+inhomogeneous lattice reference. At alpha = 0 the two homogeneous
+references are cross-validated: the lattice one on an 8x refined grid must
+agree with the continuum one.
 
 Comparison frame. The walk does not converge to the references in the raw
 component basis: its step operator is a frame conjugation of the reference
@@ -43,12 +48,11 @@ from . import __version__ as _code_version
 from .errors import DegenerateError, DomainError, ResolutionError
 from .fields import CProfile, SpinorField
 from .hamiltonians import (
-    DENSE_DIM_BUDGET,
     curved_dirac_reference,
     dirac_propagator,
     evolve_exact,
     lattice_hamiltonian_curved,
-    lattice_hamiltonian_flat,
+    lattice_propagator,
     restrict,
     trig_interpolate,
 )
@@ -58,7 +62,6 @@ from .walk import (
     evolve_walk,
     momentum_block,
     ring_momenta,
-    shift_plus,
     lambda_power_array,
 )
 
@@ -248,11 +251,6 @@ class ComparisonFrame:
     pointwise: np.ndarray  # (N, 2, 2)
     with_encoding: bool    # apply the plus-component advance E first
 
-    def apply(self, data: np.ndarray) -> np.ndarray:
-        if self.with_encoding:
-            data = shift_plus(data)
-        return np.einsum("lij,lj->li", self.pointwise, data)
-
     def apply_adjoint(self, data: np.ndarray) -> np.ndarray:
         out = np.einsum("lji,lj->li", self.pointwise.conj(), data)
         if self.with_encoding:
@@ -286,15 +284,15 @@ def comparison_frame(params: ScalingParams, xs: np.ndarray, t0: float = 0.0) -> 
 # sweep machinery
 
 
-def _snap_epsilon(spec: ExperimentSpec, eps: float) -> tuple[float, int, list[str]]:
+def _snap_epsilon(alpha: float, length: float, eps: float) -> tuple[float, int, list[str]]:
     """Grid-compatible epsilon and site count; records any adjustment."""
     notes = []
-    if spec.alpha == 1.0:
-        n = int(round(spec.length))  # dx = 1 by construction of the scaling
+    if alpha == 1.0:
+        n = int(round(length))  # dx = 1 by construction of the scaling
         return eps, n, notes
-    dx = eps ** (1.0 - spec.alpha)
-    n = max(2, int(round(spec.length / dx)))
-    eps_adj = (spec.length / n) ** (1.0 / (1.0 - spec.alpha))
+    dx = eps ** (1.0 - alpha)
+    n = max(2, int(round(length / dx)))
+    eps_adj = (length / n) ** (1.0 / (1.0 - alpha))
     if abs(eps_adj - eps) > 1e-12 * eps:
         notes.append(f"epsilon {eps:.17g} snapped to {eps_adj:.17g} (N = {n})")
     return eps_adj, n, notes
@@ -305,11 +303,11 @@ def _reference_evolution(
 ) -> SpinorField:
     if kind == "lattice_exact":
         if params.cprofile.homogeneous:
-            h = lattice_hamiltonian_flat(
-                psi0.n_sites, psi0.dx, params.m, params.cprofile(0.0, 0.0)
+            prop = lattice_propagator(
+                psi0.n_sites, psi0.dx, params.m, params.cprofile(0.0, 0.0), t_reach
             )
-        else:
-            h = lattice_hamiltonian_curved(psi0.n_sites, psi0.dx, params.m, params.cprofile, 0.0)
+            return prop.apply(psi0)
+        h = lattice_hamiltonian_curved(psi0.n_sites, psi0.dx, params.m, params.cprofile, 0.0)
         return evolve_exact(h, psi0, t_reach)
     if kind == "dirac_momentum":
         prop = dirac_propagator(
@@ -323,7 +321,7 @@ def _reference_evolution(
 
 def _run_row(spec: ExperimentSpec, eps: float) -> tuple[SweepRow, list[str]]:
     t_start = time.perf_counter()
-    eps_adj, n, notes = _snap_epsilon(spec, eps)
+    eps_adj, n, notes = _snap_epsilon(spec.alpha, spec.length, eps)
     params = ScalingParams(m=spec.m, cprofile=spec.cprofile, epsilon=eps_adj, alpha=spec.alpha)
     steps = max(1, int(round(spec.T / (2.0 * eps_adj))))
     t_reach = 2.0 * eps_adj * steps
@@ -356,18 +354,15 @@ def _run_row(spec: ExperimentSpec, eps: float) -> tuple[SweepRow, list[str]]:
 
 
 def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> list[str]:
-    """Lattice reference on a refined grid must agree with the momentum one."""
+    """Lattice reference on an 8x refined grid must agree with the continuum one."""
     flags = []
     base = rows[0]  # largest epsilon: coarsest grid
     refinement = 8
-    if 2 * base.N * refinement > DENSE_DIM_BUDGET:
-        refinement = max(2, DENSE_DIM_BUDGET // (2 * base.N))
-        flags.append(f"cross-validation refinement reduced to {refinement} (dense budget)")
     psi0 = make_wavepacket(base.N, base.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
     c0 = spec.cprofile(0.0, 0.0)
     fine = trig_interpolate(psi0, refinement)
-    h = lattice_hamiltonian_flat(fine.n_sites, fine.dx, spec.m, c0)
-    lattice_side = restrict(evolve_exact(h, fine, base.time_reached), refinement)
+    prop = lattice_propagator(fine.n_sites, fine.dx, spec.m, c0, base.time_reached)
+    lattice_side = restrict(prop.apply(fine), refinement)
     dirac_side = dirac_propagator(base.N, base.dx, spec.m, c0, base.time_reached).apply(psi0)
     gap = float(np.linalg.norm(lattice_side.data - dirac_side.data))
     smallest = min(r.error_l2 for r in rows if r.failure is None)

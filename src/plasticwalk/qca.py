@@ -22,8 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetError, DomainError, OrthogonalityError, SectorError
-from .fields import CProfile, SpinorField
-from .hamiltonians import LatticeHamiltonian, lattice_hamiltonian_curved
+from .fields import SpinorField
 from .walk import coin_matrix, shift_minus, shift_plus
 
 QUBIT_BUDGET = 24
@@ -316,16 +315,6 @@ def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
     if nrm == 0.0:
         raise DomainError("determinant vanishes; orbitals are linearly dependent")
     return QcaState(amp / nrm, n_cells)
-
-
-def kogut_susskind_matrix(N: int, dx: float, m: float, cprofile: CProfile) -> LatticeHamiltonian:
-    """Single-particle matrix of the quadratic mass-and-hopping form.
-
-    Identical to the curved lattice Hamiltonian; exposed separately to
-    record that the automaton's number-conserving structure second
-    quantizes it.
-    """
-    return lattice_hamiltonian_curved(N, dx, m, cprofile, t0=0.0)
 
 
 def dense_step_operator(n_cells: int, theta, zeta, chiral_y: bool = False) -> np.ndarray:

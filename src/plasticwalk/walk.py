@@ -33,11 +33,6 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def coin_matrix(theta: float, zeta: float) -> np.ndarray:
     """2x2 coin [[-cos t, e^{-iz} sin t], [e^{iz} sin t, cos t]].
 

@@ -96,6 +96,16 @@ def test_simulate_identity_case(tmp_path, capsys):
     assert summary["norm_drift"] <= 1e-10
 
 
+def test_simulate_single_site_ring_exits_one(tmp_path, capsys):
+    # alpha = 1 fixes dx = 1, so length 1 snaps to a one-site ring, as in sweep
+    path, _ = write_config(
+        tmp_path, command="simulate", out=str(tmp_path / "o"), alpha=1.0, length=1.0, T=0.5,
+        initial={"x0": 0.5, "w": 4.0, "k0": 0.0, "chirality_mix": 0.5},
+    )
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert "at least 2 sites" in capsys.readouterr().err
+
+
 def test_simulate_flag_overrides_out(tmp_path):
     path, _ = write_config(
         tmp_path,
@@ -215,8 +225,19 @@ def test_no_subcommand_exits_two(capsys):
     assert main([]) == 2
 
 
-def test_config_wrong_type_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        ({"alpha": "one"}, "type"),
+        ({"initial": []}, "'initial'"),
+        ({"profile": {"name": "flat", "c0": "x"}}, "'profile'"),
+    ],
+    ids=["alpha", "initial", "profile"],
+)
+def test_config_wrong_type_exits_two(tmp_path, capsys, raw, named):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"alpha": "one"}))
-    assert main(["sweep", "--config", str(path)]) == 2
-    assert "type" in capsys.readouterr().err
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert named in err

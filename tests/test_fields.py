@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plasticwalk import CProfile, DomainError, ScalingParams, Spinor2, SpinorField
+from plasticwalk import CProfile, DomainError, ScalingParams, SpinorField
 
 
 def test_field_validation():
@@ -24,8 +24,6 @@ def test_field_accessors():
     f = SpinorField(data, 0.5)
     assert f.n_sites == 4
     assert f.length == 2.0
-    assert f.site(1) == Spinor2(2.0 + 0j, 3.0 + 0j)
-    assert f.site(-1) == f.site(3)
     assert f.norm_sq() == pytest.approx(np.sum(np.abs(data) ** 2))
     np.testing.assert_allclose(f.density(), np.sum(np.abs(data) ** 2, axis=1))
 

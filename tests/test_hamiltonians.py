@@ -14,6 +14,7 @@ from plasticwalk import (
     evolve_exact,
     lattice_hamiltonian_curved,
     lattice_hamiltonian_flat,
+    lattice_propagator,
     make_wavepacket,
     ring_momenta,
     trig_interpolate,
@@ -244,6 +245,30 @@ def test_dirac_propagator_zero_momentum_block():
     np.testing.assert_allclose(prop.blocks[i0], expected, atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "n, dx, m, c",
+    [(64, 1.0, 0.2, 0.5), (33, 0.5, 0.0, 1.0), (128, 0.25, 0.7, 0.3), (16, 2.0, 0.0, 0.0)],
+)
+def test_lattice_propagator_matches_dense_evolution(n, dx, m, c):
+    # odd N and m = 0 included: there the k = 0 block has zero energy
+    rng = np.random.default_rng(n)
+    f = random_field(n, rng, dx)
+    dense = evolve_exact(lattice_hamiltonian_flat(n, dx, m, c), f, 2.3)
+    out = lattice_propagator(n, dx, m, c, 2.3).apply(f)
+    assert np.max(np.abs(out.data - dense.data)) <= 1e-13
+
+
+def test_dirac_block_vectorizes_scalar_blocks():
+    from plasticwalk.hamiltonians import dirac_block
+
+    qs = np.array([-1.3, 0.0, 0.4, 2.0])
+    blocks = dirac_block(qs, 0.6, 0.2, 1.7)
+    assert blocks.shape == (4, 2, 2)
+    for q, b in zip(qs, blocks):
+        assert np.array_equal(dirac_block(float(q), 0.6, 0.2, 1.7), b)
+    np.testing.assert_array_equal(dirac_block(0.0, 0.6, 0.0, 1.7), np.eye(2))
+
+
 def test_dirac_propagator_blocks_unitary():
     prop = dirac_propagator(32, 0.5, 0.3, 0.9, T=2.0)
     for b in prop.blocks:
@@ -340,14 +365,6 @@ def test_trig_interpolation_exact_on_band_limited():
         [np.exp(1j * 2 * np.pi * 2 * xf / (n * dx)), np.cos(2 * np.pi * 3 * xf / (n * dx))], axis=1
     )
     np.testing.assert_allclose(fine.data, expected, atol=1e-12)
-
-
-def test_default_cn_steps_rule():
-    from plasticwalk import default_cn_steps
-
-    # tau = min(dx/4, T/256)
-    assert default_cn_steps(0.01, 2.0) == 800       # dx/4 = 0.0025 binds
-    assert default_cn_steps(10.0, 2.0) == 256       # T/256 binds
 
 
 def test_restrict_inverts_interpolation_on_grid_points():

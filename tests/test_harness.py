@@ -124,6 +124,26 @@ def test_sweep_alpha_one_first_order():
     assert not report.flags
 
 
+def test_sweep_alpha_one_beyond_dense_budget():
+    # the homogeneous lattice reference is propagated per momentum, so a
+    # 3000-site ring (2N = 6000 > DENSE_DIM_BUDGET) completes every row
+    spec = ExperimentSpec(
+        alpha=1.0,
+        m=0.2,
+        cprofile=CProfile.constant(0.5),
+        length=3000.0,
+        T=2.0,
+        epsilon_list=[0.2, 0.1, 0.05],
+        x0=1500.0,
+        w=8.0,
+        k0=float(np.pi / 8),
+    )
+    report = run_convergence_sweep(spec)
+    assert all(r.failure is None for r in report.rows)
+    assert [r.N for r in report.rows] == [3000] * 3
+    assert report.fitted_order is not None and report.fitted_order >= 0.9
+
+
 def test_sweep_alpha_half_against_continuum():
     # harness workhorse: intermediate scaling against the momentum propagator
     eps_list = [(32.0 / n) ** 2 for n in (64, 128, 256, 512)]

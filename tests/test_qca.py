@@ -15,8 +15,7 @@ from plasticwalk import (
     extract_one_particle,
     gate_U,
     gate_V,
-    kogut_susskind_matrix,
-    lattice_hamiltonian_flat,
+    lattice_hamiltonian_curved,
     one_particle_matrix,
     qca_step,
     slater_determinant_state,
@@ -303,14 +302,6 @@ def test_det_consistent_variant_with_seam_twist_is_free():
 # quadratic correspondence
 
 
-def test_kogut_susskind_delegates():
-    flat = lattice_hamiltonian_flat(10, 1.0, 0.3, 0.6)
-    kg = kogut_susskind_matrix(10, 1.0, 0.3, CProfile.constant(0.6))
-    assert np.array_equal(flat.dense(), kg.dense())
-    dense = kg.dense()
-    assert np.max(np.abs(dense - dense.conj().T)) <= 1e-13
-
-
 def _jw_lowering(mode, nq):
     """c_mode as a dense matrix with string over lower modes."""
     dim = 2 ** nq
@@ -340,7 +331,7 @@ def test_continuous_time_two_particle_matches_orbital_evolution():
 
     n = 4
     # mode 2l is the plus component at site l, matching the walk layout
-    h_field = kogut_susskind_matrix(n, 1.0, 0.4, CProfile.constant(0.7))
+    h_field = lattice_hamiltonian_curved(n, 1.0, 0.4, CProfile.constant(0.7))
     h_single = np.zeros((2 * n, 2 * n), dtype=complex)
     for mode in range(2 * n):
         e = np.zeros((n, 2), dtype=complex)
