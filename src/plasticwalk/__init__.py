@@ -36,7 +36,6 @@ from .walk import (
     momentum_block,
     qw_step,
     ring_momenta,
-    shift_full,
 )
 from .hamiltonians import (
     DiracPropagator,
@@ -102,7 +101,6 @@ __all__ = [
     "momentum_block",
     "qw_step",
     "ring_momenta",
-    "shift_full",
     "DiracPropagator",
     "LatticeHamiltonian",
     "curved_dirac_reference",

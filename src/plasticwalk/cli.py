@@ -119,6 +119,9 @@ class RunConfig:
             )
         if not isinstance(self.initial, dict):
             raise ConfigError(f"field 'initial': got {self.initial!r}, must be a JSON object")
+        for key in ("x0", "w", "k0", "chirality_mix"):
+            if key in self.initial:
+                _require_real(f"initial.{key}", self.initial[key])
         mix = self.initial.get("chirality_mix", 0.5)
         if not 0.0 <= mix <= 1.0:
             raise ConfigError(f"field 'initial.chirality_mix': got {mix}, valid range is [0, 1]")
@@ -126,8 +129,12 @@ class RunConfig:
             raise ConfigError("field 'epsilon_list': must not be empty")
         if any(not 0.0 < e <= 1.0 for e in self.epsilon_list):
             raise ConfigError("field 'epsilon_list': every value must lie in (0, 1]")
+        if not isinstance(self.qca_cells, int):
+            raise ConfigError(f"field 'qca_cells': got {self.qca_cells!r}, must be an integer")
         if self.qca_cells < 2 or self.qca_cells > 12:
             raise ConfigError(f"field 'qca_cells': got {self.qca_cells}, valid range is [2, 12]")
+        _require_real("qca_theta", self.qca_theta)
+        _require_real("qca_zeta", self.qca_zeta)
         if self.min_order is not None and self.min_order < 0:
             raise ConfigError(f"field 'min_order': got {self.min_order}, must be >= 0 or null")
 
@@ -151,6 +158,11 @@ class RunConfig:
             raise ConfigError(f"field 'profile': {exc}") from exc
         except TypeError as exc:
             raise ConfigError(f"field 'profile' has the wrong type: {exc}") from exc
+
+
+def _require_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{name}': got {value!r}, must be a real number")
 
 
 def _fmt(v: float) -> str:
@@ -312,14 +324,8 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
 
     ncons_cells = min(cfg.qca_cells, 5)
     g = dense_step_operator(ncons_cells, cfg.qca_theta, cfg.qca_zeta)
-    dim = g.shape[0]
-    weights = np.array([bin(i).count("1") for i in range(dim)])
-    off_sector = 0.0
-    for n_val in range(2 * ncons_cells + 1):
-        rows = weights == n_val
-        block = g[np.ix_(~rows, rows)]
-        if block.size:
-            off_sector = max(off_sector, float(np.max(np.abs(block))))
+    w = np.array([bin(i).count("1") for i in range(g.shape[0])])
+    off_sector = float(np.max(np.abs(g[w[:, None] != w[None, :]])))
     conservation_exact = off_sector == 0.0
 
     report = {

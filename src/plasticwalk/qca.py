@@ -19,6 +19,9 @@ whose qubits 2N-1 and 0 are not neighbours in the mode order, carries the
 Jordan-Wigner sign (-1)^(occupation of modes 1..2N-2) on its hopping
 entries.
 
+Every path that steps the automaton goes through one in-place gate kernel
+on a bit-pair view of the amplitudes, which applies that sign.
+
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover; basis-state index bit q is the occupation of qubit q, which is
 also fermionic mode q of the ordered-mode (Jordan-Wigner) encoding used by
@@ -113,22 +116,8 @@ class QcaState:
 
     def occupations(self) -> np.ndarray:
         """Expectation of the occupation of each qubit (mode)."""
-        nq = 2 * self.n_cells
         probs = np.abs(self.amplitudes) ** 2
-        idx = np.arange(len(probs))
-        return np.array([probs[(idx >> q) & 1 == 1].sum() for q in range(nq)])
-
-
-def _apply_two_qubit(amp: np.ndarray, gate: np.ndarray, q1: int, q2: int, nq: int) -> np.ndarray:
-    """Apply a 4x4 gate; in the gate basis |ab>, a is qubit q1, b is q2."""
-    psi = amp.reshape([2] * nq)
-    # reshape axis for qubit q is nq-1-q (bit q of the index)
-    a1, a2 = nq - 1 - q1, nq - 1 - q2
-    psi = np.moveaxis(psi, (a1, a2), (0, 1))
-    shape = psi.shape
-    psi = (gate @ psi.reshape(4, -1)).reshape(shape)
-    psi = np.moveaxis(psi, (0, 1), (a1, a2))
-    return psi.reshape(-1)
+        return np.array([probs.reshape(-1, 2, 2 ** q)[:, 1].sum() for q in range(2 * self.n_cells)])
 
 
 @lru_cache(maxsize=None)
@@ -141,62 +130,67 @@ def _parity_sign(n_bits: int) -> np.ndarray:
     return sign
 
 
-def _seam_sign(amp: np.ndarray, nq: int) -> np.ndarray:
-    """Apply Z on qubit 0 to basis states with odd occupation of qubits 1..nq-2.
+def _apply_gate(amp: np.ndarray, gate: np.ndarray, q_a: int, q_b: int, nq: int, seam: bool) -> None:
+    """Apply a number-conserving 4x4 gate in place; in its basis |ab>, a is qubit q_a.
 
-    Conjugating the ring-seam crossing gate (qubits 0 and nq-1) with this
-    flips the sign of its hopping entries exactly where the Jordan-Wigner
-    string over the modes between them is odd; diagonal entries and the
-    one-particle sector are untouched. Works in place where it can.
+    ``amp`` is contiguous, shaped (2^nq,) or (2^nq, B). The view (higher
+    bits, qubit hi, bits between, qubit lo, lower bits, batch) exposes the
+    |01>, |10> and |11> slices; |00> has gate entry 1. With ``seam``
+    (qubits 0 and nq-1) the hopping terms carry the Jordan-Wigner sign of
+    the bits between, the view's middle axis.
     """
-    psi = amp.reshape(2, 2 ** (nq - 2), 2)   # (qubit nq-1, qubits 1..nq-2, qubit 0)
-    occupied = psi[:, :, 1]
-    occupied *= _parity_sign(nq - 2)
-    return psi.reshape(-1)
+    lo, hi = sorted((q_a, q_b))
+    view = amp.reshape(2 ** (nq - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2 ** lo, -1)
+    a01, a10, a11 = view[:, 0, :, 1], view[:, 1, :, 0], view[:, 1, :, 1]   # labelled as if q_a = hi
+    if q_a == lo:
+        a01, a10 = a10, a01
+    into_01 = gate[1, 2] * a10
+    into_10 = gate[2, 1] * a01
+    if seam:
+        sign = _parity_sign(nq - 2)[:, None, None]
+        into_01 *= sign
+        into_10 *= sign
+    a01 *= gate[1, 1]
+    a01 += into_01
+    a10 *= gate[2, 2]
+    a10 += into_10
+    if gate[3, 3] != 1.0:
+        a11 *= gate[3, 3]
 
 
-def _as_crossing_arrays(n_cells: int, theta, zeta) -> tuple[np.ndarray, np.ndarray]:
-    th = np.broadcast_to(np.asarray(theta, dtype=float), (n_cells,)).copy()
-    ze = np.broadcast_to(np.asarray(zeta, dtype=float), (n_cells,)).copy()
-    return th, ze
+def _step(amp: np.ndarray, gates: list[np.ndarray]) -> np.ndarray:
+    """One automaton step in place on contiguous amplitudes; returns ``amp``.
+
+    ``gates[l]`` is the crossing gate between cells l and l+1; the cell
+    count is ``len(gates)``. Layers, right to left: U, V, U*, V.
+    """
+    n = len(gates)
+    nq = 2 * n
+    v = gate_V()
+    for conj in (False, True):
+        for l, u in enumerate(gates):
+            # left-mover subcell of cell l+1, right-mover subcell of cell l
+            _apply_gate(amp, u.conj() if conj else u, (2 * l + 2) % nq, 2 * l + 1, nq, l == n - 1)
+        for l in range(n):
+            _apply_gate(amp, v, 2 * l, 2 * l + 1, nq, False)
+    return amp
+
+
+def _crossing_gates(n_cells: int, theta, zeta, chiral_y: bool) -> list[np.ndarray]:
+    th, ze = (np.broadcast_to(np.asarray(x, dtype=float), (n_cells,)) for x in (theta, zeta))
+    return [gate_U(t, z, chiral_y) for t, z in zip(th, ze)]
 
 
 def qca_step(state: QcaState, theta, zeta, chiral_y: bool = False) -> QcaState:
     """Advance the automaton by one step (duration 2*dt).
 
     ``theta`` and ``zeta`` may be scalars or length-N arrays indexed by the
-    crossing between cells l and l+1 (periodic). The crossing between cell
-    N-1 and cell 0 carries the Jordan-Wigner parity of the modes between
-    its two qubits (see the module docstring).
+    crossing between cells l and l+1 (periodic). The gate kernel gives the
+    crossing between cell N-1 and cell 0 the Jordan-Wigner parity of the
+    modes between its two qubits (see the module docstring).
     """
     n = state.n_cells
-    nq = 2 * n
-    th, ze = _as_crossing_arrays(n, theta, zeta)
-    amp = state.amplitudes.copy()
-    v = gate_V()
-
-    def crossing_layer(a: np.ndarray, conj: bool) -> np.ndarray:
-        for l in range(n):
-            u = gate_U(th[l], ze[l], chiral_y)
-            if conj:
-                u = u.conj()
-            q_left = (2 * l + 2) % nq   # left-mover subcell of cell l+1
-            q_right = 2 * l + 1         # right-mover subcell of cell l
-            if l < n - 1:
-                a = _apply_two_qubit(a, u, q_left, q_right, nq)
-            else:
-                a = _seam_sign(_apply_two_qubit(_seam_sign(a, nq), u, q_left, q_right, nq), nq)
-        return a
-
-    def swap_layer(a: np.ndarray) -> np.ndarray:
-        for l in range(n):
-            a = _apply_two_qubit(a, v, 2 * l, 2 * l + 1, nq)
-        return a
-
-    amp = crossing_layer(amp, conj=False)
-    amp = swap_layer(amp)
-    amp = crossing_layer(amp, conj=True)
-    amp = swap_layer(amp)
+    amp = _step(state.amplitudes.copy(), _crossing_gates(n, theta, zeta, chiral_y))
     return QcaState(amp, n)
 
 
@@ -236,14 +230,18 @@ def one_particle_matrix(n_cells: int, theta, zeta, chiral_y: bool = False) -> np
     """2N x 2N matrix of one automaton step on the one-particle sector.
 
     Mode index 2l is the left-mover (plus) at cell l, 2l+1 the right-mover.
+    Steps one embedded basis state at a time, so memory stays at one
+    statevector.
     """
-    dim = 2 * n_cells
-    w1 = np.zeros((dim, dim), dtype=np.complex128)
-    for mode in range(dim):
-        psi = np.zeros((n_cells, 2), dtype=np.complex128)
-        psi[mode // 2, mode % 2] = 1.0
-        out = extract_one_particle(qca_step(embed_one_particle(SpinorField(psi, 1.0)), theta, zeta, chiral_y))
-        w1[:, mode] = out.data.reshape(-1)
+    if 2 * n_cells > QUBIT_BUDGET:
+        raise BudgetError(f"{2 * n_cells} qubits exceed the statevector budget of {QUBIT_BUDGET}")
+    gates = _crossing_gates(n_cells, theta, zeta, chiral_y)
+    one_particle = 1 << np.arange(2 * n_cells)
+    w1 = np.empty((2 * n_cells, 2 * n_cells), dtype=np.complex128)
+    for mode in range(2 * n_cells):
+        amp = np.zeros(4 ** n_cells, dtype=np.complex128)
+        amp[one_particle[mode]] = 1.0
+        w1[:, mode] = _step(amp, gates)[one_particle]
     return w1
 
 
@@ -264,24 +262,21 @@ def verify_encoding(theta: float, zeta: float, N: int) -> float:
     The automaton restricted to one particle equals the composition of
     partial shifts and coins W' = (S^- C(-zeta) S^+)(S^- C(zeta) S^+),
     which is the walk step (mixing power set to the identity) conjugated
-    by the encoding E = S^+. Residuals at roundoff certify the sector
-    equivalence.
+    by the encoding E = S^+. Each column of :func:`one_particle_matrix` is
+    compared with E^dag W E applied to the same basis mode; the residual
+    is the largest column 2-norm difference, and values at roundoff
+    certify the sector equivalence.
     """
     if N > 12:
         raise BudgetError(f"verify_encoding limited to 12 cells, got {N}")
+    w1 = one_particle_matrix(N, theta, zeta)
     worst = 0.0
-    for comp in range(2):
-        for l in range(N):
-            data = np.zeros((N, 2), dtype=np.complex128)
-            data[l, comp] = 1.0
-            psi = SpinorField(data, 1.0)
-            via_qca = extract_one_particle(qca_step(embed_one_particle(psi), theta, zeta))
-            # E^dag W E with E = S^+ (plus component advanced one site)
-            encoded = shift_plus(psi.data)
-            walked = _walk_no_mixing(encoded, theta, zeta)
-            decoded = walked.copy()
-            decoded[:, 0] = np.roll(walked[:, 0], +1)
-            worst = max(worst, float(np.linalg.norm(via_qca.data - decoded)))
+    for mode in range(2 * N):
+        data = np.zeros((N, 2), dtype=np.complex128)
+        data[mode // 2, mode % 2] = 1.0
+        walked = _walk_no_mixing(shift_plus(data), theta, zeta)
+        walked[:, 0] = np.roll(walked[:, 0], +1)  # E^dag: plus component back one site
+        worst = max(worst, float(np.linalg.norm(w1[:, mode].reshape(N, 2) - walked)))
     return worst
 
 
@@ -366,13 +361,12 @@ def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
 
 
 def dense_step_operator(n_cells: int, theta, zeta, chiral_y: bool = False) -> np.ndarray:
-    """Dense matrix of one automaton step (for sector-structure checks)."""
+    """Dense matrix of one automaton step (for sector-structure checks).
+
+    One batched step of the identity: at the 5-cell limit the batch is a
+    1024 x 1024 complex matrix (16 MB).
+    """
     if n_cells > 5:
         raise BudgetError("dense step operator limited to 5 cells")
-    dim = 2 ** (2 * n_cells)
-    g = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        amp = np.zeros(dim, dtype=np.complex128)
-        amp[j] = 1.0
-        g[:, j] = qca_step(QcaState(amp, n_cells), theta, zeta, chiral_y).amplitudes
-    return g
+    eye = np.eye(4 ** n_cells, dtype=np.complex128)
+    return _step(eye, _crossing_gates(n_cells, theta, zeta, chiral_y))

@@ -109,11 +109,6 @@ def shift_minus(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def shift_full(field: SpinorField) -> SpinorField:
-    """Full shift: output site l holds (plus_{l+1}, minus_{l-1}), periodic."""
-    return field.with_data(shift_minus(shift_plus(field.data)))
-
-
 def _apply_pointwise(mats: np.ndarray, data: np.ndarray) -> np.ndarray:
     if mats.ndim == 2:
         return data @ mats.T

@@ -231,8 +231,11 @@ def test_no_subcommand_exits_two(capsys):
         ({"alpha": "one"}, "type"),
         ({"initial": []}, "'initial'"),
         ({"profile": {"name": "flat", "c0": "x"}}, "'profile'"),
+        ({"qca_theta": "x"}, "'qca_theta'"),
+        ({"qca_cells": 2.5}, "'qca_cells'"),
+        ({"initial": {"x0": "a"}}, "'initial.x0'"),
     ],
-    ids=["alpha", "initial", "profile"],
+    ids=["alpha", "initial", "profile", "qca_theta", "qca_cells", "initial_x0"],
 )
 def test_config_wrong_type_exits_two(tmp_path, capsys, raw, named):
     path = tmp_path / "bad.json"

@@ -24,6 +24,7 @@ from plasticwalk import (
     slater_evolve,
     verify_encoding,
 )
+from plasticwalk import qca
 from plasticwalk.qca import dense_step_operator
 
 
@@ -124,6 +125,18 @@ def test_step_unitary_norm():
     amp /= np.linalg.norm(amp)
     out = qca_step(QcaState(amp, n), 0.7, -0.1)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+
+
+def test_occupations_match_bit_formula():
+    rng = np.random.default_rng(45)
+    n = 4
+    amp = rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n)
+    state = QcaState(amp / np.linalg.norm(amp), n)
+    probs = np.abs(state.amplitudes) ** 2
+    idx = np.arange(4 ** n)
+    # every qubit, the lowest (q = 0) and the highest (q = 2n - 1) included
+    expected = [np.sum(probs * ((idx >> q) & 1)) for q in range(2 * n)]
+    np.testing.assert_allclose(state.occupations(), expected, rtol=0, atol=1e-14)
 
 
 def test_budget_guard():
@@ -229,34 +242,14 @@ def test_determinant_overlap_phase_invariance():
     assert abs(np.linalg.det(a_phased.conj().T @ b)) == pytest.approx(base, abs=1e-12)
 
 
-def _apply_two_qubit(amp, gate, q1, q2, nq):
-    psi = amp.reshape([2] * nq)
-    a1, a2 = nq - 1 - q1, nq - 1 - q2
-    psi = np.moveaxis(psi, (a1, a2), (0, 1))
-    shape = psi.shape
-    psi = (gate @ psi.reshape(4, -1)).reshape(shape)
-    return np.moveaxis(psi, (0, 1), (a1, a2)).reshape(-1)
-
-
-def _step_with_gates(amp, n, u_bulk, u_boundary, v):
-    nq = 2 * n
-    for conj in (False, True):
-        for l in range(n):
-            u = u_boundary if l == n - 1 else u_bulk
-            g = u.conj() if conj else u
-            amp = _apply_two_qubit(amp, g, (2 * l + 2) % nq, 2 * l + 1, nq)
-        for l in range(n):
-            amp = _apply_two_qubit(amp, v, 2 * l, 2 * l + 1, nq)
-    return amp
-
-
 def _seam_twisted(u):
     """The gate with its hopping entries negated.
 
-    On a two-particle state this is the ring-seam gate that qca_step
-    applies: when the seam moves one particle between qubits 0 and 2N-1,
-    the other sits in one of the modes 1..2N-2 between them, so the
-    Jordan-Wigner string is odd.
+    Passed as the seam gate, it cancels the Jordan-Wigner sign that the
+    stepper adds wherever that sign is -1. On a two-particle state it
+    always is: when the seam moves one particle between qubits 0 and 2N-1,
+    the other sits in one of the modes 1..2N-2 between them. On a
+    one-particle state the sign is +1, so the twist acts unopposed.
     """
     twisted = u.copy()
     twisted[1, 2] *= -1.0
@@ -280,7 +273,7 @@ def test_two_particle_dynamics_is_not_a_determinant_evolution():
     phi[2 * 4 + 1, 1] = 1.0
     amp = slater_determinant_state(SlaterState(phi), n).amplitudes
     for _ in range(4):
-        amp = _step_with_gates(amp, n, contact, _seam_twisted(contact), gate_V())
+        qca._step(amp, [contact] * n)
     slater = slater_evolve(SlaterState(phi), one_particle_step(theta, zeta), 4)
     gap = np.max(np.abs(QcaState(amp, n).occupations() - slater.occupations()))
     assert gap > 0.1
@@ -294,28 +287,24 @@ def test_det_consistent_variant_with_seam_twist_is_free():
     # encoding turns an untwisted qubit seam into an antiperiodic fermion
     # seam for an even particle number. This is why qca_step multiplies the
     # seam gate's hopping entries by the parity of the modes between its
-    # qubits.
+    # qubits. A twisted seam gate cancels that parity on two-particle states
+    # (a plain seam) and acts alone on one-particle states (a twisted seam).
     n, theta, zeta = 6, 1.0, 0.3
     u = gate_U(theta, zeta)
-    u_seam = _seam_twisted(u)
-    v = gate_V()
+    gates = [u] * (n - 1) + [_seam_twisted(u)]
 
     phi = np.zeros((2 * n, 2), dtype=complex)
     phi[2 * 1 + 0, 0] = 1.0
     phi[2 * 4 + 1, 1] = 1.0
-    state = slater_determinant_state(SlaterState(phi), n)
-    amp = state.amplitudes.copy()
-    # twisted one-particle operator: same layers acting on mode vectors
-    w1 = np.zeros((2 * n, 2 * n), dtype=complex)
-    for mode in range(2 * n):
-        e = np.zeros(4 ** n, dtype=complex)
-        e[1 << mode] = 1.0
-        out = _step_with_gates(e, n, u, u_seam, v)
-        for target in range(2 * n):
-            w1[target, mode] = out[1 << target]
+    amp = slater_determinant_state(SlaterState(phi), n).amplitudes
+    # twisted one-particle operator: the same layers on the embedded modes
+    one_particle = 1 << np.arange(2 * n)
+    embedded = np.zeros((4 ** n, 2 * n), dtype=complex)
+    embedded[one_particle, np.arange(2 * n)] = 1.0
+    w1 = qca._step(embedded, gates)[one_particle]
     orb = phi.copy()
     for _ in range(4):
-        amp = _step_with_gates(amp, n, u, u, v)
+        qca._step(amp, gates)
         orb = w1 @ orb
     occ_slater = np.sum(np.abs(orb) ** 2, axis=1)
     assert np.max(np.abs(QcaState(amp, n).occupations() - occ_slater)) <= 1e-12
@@ -342,6 +331,45 @@ def test_many_particle_step_is_determinant_evolution(n_particles, n_cells, chira
     predicted = slater_determinant_state(slater, n_cells).amplitudes
     overlap = np.vdot(predicted, state.amplitudes)
     assert abs(abs(overlap) - 1.0) <= 1e-12
+
+
+def _dense_gate(gate, q_a, q_b, nq, seam):
+    """A 4x4 gate on qubits (q_a, q_b) as a 2^nq matrix, by an index loop.
+
+    The seam gate's hopping entries carry (-1)^popcount(bits 1..nq-2).
+    """
+    dim = 2 ** nq
+    op = np.zeros((dim, dim), dtype=complex)
+    for idx in range(dim):
+        a, b = (idx >> q_a) & 1, (idx >> q_b) & 1
+        rest = idx & ~((1 << q_a) | (1 << q_b))
+        jw = (-1) ** bin(idx & ((1 << (nq - 1)) - 2)).count("1") if seam else 1
+        for out in range(4):
+            entry = gate[out, 2 * a + b]
+            if seam and {out, 2 * a + b} == {1, 2}:
+                entry = entry * jw
+            op[rest | ((out >> 1) << q_a) | ((out & 1) << q_b), idx] = entry
+    return op
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("chiral_y", [False, True])
+def test_dense_step_operator_matches_gate_by_gate_product(n, chiral_y):
+    # an independent reference for the whole stepper: the four layers as
+    # products of dense gate matrices, right to left U, V, U*, V
+    rng = np.random.default_rng(79 + n)
+    theta = rng.uniform(0.3, 2.8, size=n)
+    zeta = rng.uniform(-0.6, 0.6, size=n)
+    nq = 2 * n
+    step = np.eye(4 ** n, dtype=complex)
+    for conj in (False, True):
+        for l in range(n):
+            u = gate_U(theta[l], zeta[l], chiral_y)
+            u = u.conj() if conj else u
+            step = _dense_gate(u, (2 * l + 2) % nq, 2 * l + 1, nq, l == n - 1) @ step
+        for l in range(n):
+            step = _dense_gate(gate_V(), 2 * l, 2 * l + 1, nq, False) @ step
+    assert np.max(np.abs(dense_step_operator(n, theta, zeta, chiral_y) - step)) <= 1e-13
 
 
 def test_two_particle_step_approaches_identity_in_continuous_time_limit():
