@@ -26,7 +26,7 @@ from .errors import (
     SolverError,
 )
 from .fields import CProfile, SpinorField
-from .scaling import ScalingParams, derive_angles
+from .scaling import ScalingParams
 from .walk import (
     coin_matrix,
     evolve_walk,
@@ -92,7 +92,6 @@ __all__ = [
     "CProfile",
     "SpinorField",
     "ScalingParams",
-    "derive_angles",
     "coin_matrix",
     "evolve_walk",
     "is_unitary",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PlasticWalkError
+from .errors import ConfigError, DomainError, PlasticWalkError
 from .fields import CProfile
 from .harness import (
     ExperimentSpec,
@@ -194,23 +194,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     norm0 = field.norm()
     xs = field.positions()
 
+    row_fmt = ",".join(["%.17g"] * 6)  # the bytes of _fmt, one format per row
+
     def write_snapshot(idx: int, fld) -> None:
+        cols = (xs, fld.plus.real, fld.plus.imag, fld.minus.real, fld.minus.imag, fld.density())
         lines = ["x,re_plus,im_plus,re_minus,im_minus,density"]
-        dens = fld.density()
-        for l in range(fld.n_sites):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        xs[l],
-                        fld.data[l, 0].real,
-                        fld.data[l, 0].imag,
-                        fld.data[l, 1].real,
-                        fld.data[l, 1].imag,
-                        dens[l],
-                    )
-                )
-            )
+        lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
         atomic_write(out_dir / f"snapshot_{idx:06d}.csv", "\n".join(lines) + "\n")
 
     write_snapshot(0, field)
@@ -242,19 +231,22 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     ini = cfg.initial
-    spec = ExperimentSpec(
-        alpha=cfg.alpha,
-        m=cfg.m,
-        cprofile=cfg.build_profile(),
-        length=cfg.length,
-        T=cfg.T,
-        epsilon_list=sorted(cfg.epsilon_list, reverse=True),
-        x0=ini.get("x0", cfg.length / 2),
-        w=ini.get("w", 8.0),
-        k0=ini.get("k0", 0.0),
-        chirality_mix=ini.get("chirality_mix", 0.5),
-        reference=cfg.reference,
-    )
+    try:
+        spec = ExperimentSpec(
+            alpha=cfg.alpha,
+            m=cfg.m,
+            cprofile=cfg.build_profile(),
+            length=cfg.length,
+            T=cfg.T,
+            epsilon_list=sorted(cfg.epsilon_list, reverse=True),
+            x0=ini.get("x0", cfg.length / 2),
+            w=ini.get("w", 8.0),
+            k0=ini.get("k0", 0.0),
+            chirality_mix=ini.get("chirality_mix", 0.5),
+            reference=cfg.reference,
+        )
+    except DomainError as exc:
+        raise ConfigError(f"sweep spec: {exc}") from exc
     report = run_convergence_sweep(spec, threads=cfg.threads)
     atomic_write(out_dir / "sweep.csv", report.to_csv())
 

@@ -57,13 +57,7 @@ from .hamiltonians import (
     trig_interpolate,
 )
 from .scaling import ScalingParams
-from .walk import (
-    SIGMA_Y,
-    evolve_walk,
-    momentum_block,
-    ring_momenta,
-    lambda_power_array,
-)
+from .walk import SIGMA_Y, evolve_walk, lambda_power, momentum_block, ring_momenta
 
 REFERENCES = ("auto", "lattice_exact", "dirac_momentum", "curved_fine_grid")
 
@@ -99,6 +93,10 @@ class ExperimentSpec:
             raise DomainError("every epsilon must lie in (0, 1]")
         if sorted(self.epsilon_list, reverse=True) != list(self.epsilon_list):
             raise DomainError("epsilon_list must be sorted in descending order")
+        if self.reference == "dirac_momentum" and not self.cprofile.homogeneous:
+            raise DomainError(
+                f"reference 'dirac_momentum' needs a homogeneous profile; got {self.cprofile.name!r}"
+            )
         if self.alpha == 1.0 and abs(self.length - round(self.length)) > 1e-9:
             raise DomainError(
                 f"alpha = 1 fixes the spacing at 1, so length must be an integer; got {self.length}"
@@ -157,6 +155,7 @@ class SweepReport:
     code_version: str
     adjustments: list[str] = dc_field(default_factory=list)
     flags: list[str] = dc_field(default_factory=list)
+    crossval_gap: float | None = None  # alpha = 0 homogeneous sweeps only
 
     CSV_HEADER = "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
 
@@ -191,6 +190,7 @@ class SweepReport:
             "exact": self.exact,
             "adjustments": self.adjustments,
             "flags": self.flags,
+            "crossval_gap": self.crossval_gap,
             "rows": [
                 {
                     "epsilon": r.epsilon,
@@ -272,7 +272,7 @@ def comparison_frame(params: ScalingParams, xs: np.ndarray, t0: float = 0.0) -> 
         pw[:, 1, 0] = -cs
         pw[:, 1, 1] = s
         return ComparisonFrame("polarization-rotation", pw, with_encoding=False)
-    lam_inv = lambda_power_array(cs, -params.kappa)
+    lam_inv = lambda_power(cs, -params.kappa)
     half = 0.5 * cs * params.kappa
     eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2))
     dress = np.cos(half)[:, None, None] * eye - 1j * np.sin(half)[:, None, None] * SIGMA_Y
@@ -353,9 +353,8 @@ def _run_row(spec: ExperimentSpec, eps: float) -> tuple[SweepRow, list[str]]:
     return row, notes
 
 
-def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> list[str]:
-    """Lattice reference on an 8x refined grid must agree with the continuum one."""
-    flags = []
+def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> float:
+    """L2 gap between the lattice reference on an 8x refined grid and the continuum one."""
     base = rows[0]  # largest epsilon: coarsest grid
     refinement = 8
     psi0 = make_wavepacket(base.N, base.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
@@ -364,14 +363,7 @@ def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> li
     prop = lattice_propagator(fine.n_sites, fine.dx, spec.m, c0, base.time_reached)
     lattice_side = restrict(prop.apply(fine), refinement)
     dirac_side = dirac_propagator(base.N, base.dx, spec.m, c0, base.time_reached).apply(psi0)
-    gap = float(np.linalg.norm(lattice_side.data - dirac_side.data))
-    smallest = min(r.error_l2 for r in rows if r.failure is None)
-    if gap > smallest / 10.0:
-        flags.append(
-            f"reference cross-validation gap {gap:.3e} exceeds smallest error/10 "
-            f"({smallest / 10.0:.3e}); sweep flagged invalid"
-        )
-    return flags
+    return float(np.linalg.norm(lattice_side.data - dirac_side.data))
 
 
 def run_convergence_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepReport:
@@ -439,8 +431,16 @@ def run_convergence_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepReport
         exact = True
 
     ref_kind = spec.resolved_reference()
+    gap: float | None = None
     if spec.alpha == 0.0 and spec.cprofile.homogeneous and good:
-        flags.extend(_cross_validate_references(spec, good))
+        # the two references must agree well below the walk's smallest error
+        gap = _cross_validate_references(spec, good)
+        smallest = min(r.error_l2 for r in good)
+        if gap > smallest / 10.0:
+            flags.append(
+                f"reference cross-validation gap {gap:.3e} exceeds smallest error/10 "
+                f"({smallest / 10.0:.3e}); sweep flagged invalid"
+            )
 
     frame_name = "polarization-rotation" if spec.alpha == 0.0 else "dressed-encoding"
     return SweepReport(
@@ -454,6 +454,7 @@ def run_convergence_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepReport
         code_version=_code_version,
         adjustments=adjustments,
         flags=flags,
+        crossval_gap=gap,
     )
 
 
@@ -529,10 +530,7 @@ def dispersion_scan(params: ScalingParams, k_count: int) -> DispersionTable:
     """
     c0 = params.cprofile(0.0, 0.0)  # raises through profile if not evaluable
     ks = np.sort(ring_momenta(k_count, params.dx))
-    phases = np.empty((k_count, 2))
-    for i, k in enumerate(ks):
-        w = momentum_block(params, float(k))
-        phases[i] = np.sort(np.angle(np.linalg.eigvals(w)))
+    phases = np.sort(np.angle(np.linalg.eigvals(momentum_block(params, ks))), axis=1)
     lat = np.sqrt((c0 * np.sin(ks * params.dx) / params.dx) ** 2 + params.m ** 2)
     cont = np.sqrt((c0 * ks) ** 2 + params.m ** 2)
     return DispersionTable(ks=ks, walk_phases=phases, lattice_energy=lat, continuum_energy=cont)

@@ -45,8 +45,10 @@ class ScalingParams:
         self.kappa = self.epsilon ** self.alpha
 
 
-def derive_angles(params: ScalingParams, t: float, x: float) -> tuple[float, float]:
-    """Coin angles (theta, zeta) at spacetime point (t, x).
+def derive_angle_arrays(
+    params: ScalingParams, t: float, xs: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coin angles (theta, zeta) at time t and positions xs (a scalar or an array).
 
     theta = arccos(c(t, x) * kappa). For positive mass,
     zeta = m * cos(pi * kappa) * epsilon / sin(theta); the cos(pi*kappa)
@@ -54,35 +56,17 @@ def derive_angles(params: ScalingParams, t: float, x: float) -> tuple[float, flo
     equal to -1 at kappa = 1 and 1 + O(kappa^2) as kappa -> 0. Massless
     walks take zeta = 0 identically, which removes the 0/0 at sin(theta)=0.
     """
-    c = params.cprofile(t, x)
-    ck = c * params.kappa
-    if ck > 1.0:
-        raise DomainError(f"c*kappa = {ck} > 1 at (t={t}, x={x}); arccos undefined")
-    theta = float(np.arccos(ck))
-    if params.m == 0.0:
-        return theta, 0.0
-    st = np.sin(theta)
-    if st == 0.0:
-        raise SingularMassError(
-            f"sin(theta) = 0 at (t={t}, x={x}) with m = {params.m} > 0"
-        )
-    zeta = params.m * np.cos(np.pi * params.kappa) * params.epsilon / st
-    return theta, float(zeta)
-
-
-def derive_angle_arrays(
-    params: ScalingParams, t: float, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`derive_angles` over an array of positions."""
-    cs = params.cprofile.sample(t, xs)
-    ck = cs * params.kappa
+    xs = np.asarray(xs, dtype=float)
+    ck = params.cprofile.sample(t, xs) * params.kappa
     if np.any(ck > 1.0):
-        raise DomainError(f"c*kappa exceeds 1 at t={t}; arccos undefined")
+        i = np.argmax(ck > 1.0)
+        raise DomainError(f"c*kappa = {ck.flat[i]} > 1 at (t={t}, x={xs.flat[i]}); arccos undefined")
     theta = np.arccos(ck)
     if params.m == 0.0:
         return theta, np.zeros_like(theta)
     st = np.sin(theta)
     if np.any(st == 0.0):
-        raise SingularMassError(f"sin(theta) = 0 somewhere at t={t} with m = {params.m} > 0")
+        x = xs.flat[np.argmax(st == 0.0)]
+        raise SingularMassError(f"sin(theta) = 0 at (t={t}, x={x}) with m = {params.m} > 0")
     zeta = params.m * np.cos(np.pi * params.kappa) * params.epsilon / st
     return theta, zeta

@@ -7,10 +7,16 @@ One walk step advances a spinor field by 2*dt and factorizes as
 applied right to left: a pointwise mixing power Lambda^kappa, a pointwise
 coin, the full shift, the conjugate coin, the shift again, and the inverse
 mixing power. All factors are unitary, so the step preserves the norm
-exactly up to roundoff. With an inhomogeneous speed profile the coin
-angles are sampled at the crossing midpoints x + dx/2 and the mixing
-matrices at the cell centers x; all samples are taken at the step's start
-time.
+exactly up to roundoff.
+
+The builders ``coin_matrix``, ``lambda_matrix`` and ``lambda_power`` take
+scalars or arrays: a scalar gives one 2x2 matrix, an array gives a stack of
+shape ``shape + (2, 2)``. One step is one set of four such stacks: coins
+sampled at the crossing midpoints x + dx/2, mixing powers at the cell
+centers x, all at the step's start time (a homogeneous profile is sampled
+at one point and broadcast over the ring). ``qw_step`` builds them and
+applies them by component arithmetic on the plus and minus arrays, and
+``evolve_walk`` is the one stepping loop, one ``qw_step`` per step.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InhomogeneousError
 from .fields import SpinorField
-from .scaling import ScalingParams, derive_angle_arrays, derive_angles
+from .scaling import ScalingParams, derive_angle_arrays
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -33,32 +39,43 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
-def coin_matrix(theta: float, zeta: float) -> np.ndarray:
-    """2x2 coin [[-cos t, e^{-iz} sin t], [e^{iz} sin t, cos t]].
+def coin_matrix(theta, zeta) -> np.ndarray:
+    """Coin [[-cos t, e^{-iz} sin t], [e^{iz} sin t, cos t]], stacked over the angle shape.
 
-    Unitary with determinant -1 for all real angles.
+    Unitary with determinant -1 for all real angles; C(-zeta) = C(zeta)^T.
     """
+    theta, zeta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(zeta, dtype=float))
     ct, st = np.cos(theta), np.sin(theta)
-    return np.array(
-        [[-ct, np.exp(-1j * zeta) * st], [np.exp(1j * zeta) * st, ct]],
-        dtype=np.complex128,
-    )
+    phase = np.exp(1j * zeta)
+    out = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = -ct
+    out[..., 0, 1] = phase.conj() * st
+    out[..., 1, 0] = phase * st
+    out[..., 1, 1] = ct
+    return out
 
 
-def lambda_matrix(c: float) -> np.ndarray:
+def lambda_matrix(c) -> np.ndarray:
     """Real symmetric involution (1/2)[[-f-, f+], [f+, f-]], f+- = sqrt(1-c) +- sqrt(1+c).
 
-    Equals sigma_x at c = 0 and the Hadamard matrix at c = 1.
+    Stacked over the shape of c. Equals sigma_x at c = 0 and the Hadamard
+    matrix at c = 1.
     """
-    if not 0.0 <= c <= 1.0:
+    c = np.asarray(c, dtype=float)
+    if not np.all((0.0 <= c) & (c <= 1.0)):
         raise DomainError(f"lambda_matrix needs c in [0, 1], got {c}")
-    fp = np.sqrt(1.0 - c) + np.sqrt(1.0 + c)
-    fm = np.sqrt(1.0 - c) - np.sqrt(1.0 + c)
-    return 0.5 * np.array([[-fm, fp], [fp, fm]], dtype=np.complex128)
+    root_m, root_p = np.sqrt(1.0 - c), np.sqrt(1.0 + c)
+    fp, fm = root_m + root_p, root_m - root_p
+    out = np.empty(c.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = -0.5 * fm
+    out[..., 0, 1] = 0.5 * fp
+    out[..., 1, 0] = 0.5 * fp
+    out[..., 1, 1] = 0.5 * fm
+    return out
 
 
-def lambda_power(c: float, kappa: float) -> np.ndarray:
-    """Principal spectral power Lambda^kappa.
+def lambda_power(c, kappa: float) -> np.ndarray:
+    """Principal spectral power Lambda(c)^kappa, stacked over the shape of c.
 
     Lambda is a traceless involution, so its eigenvalues are exactly +-1
     with spectral projectors (I +- Lambda)/2, and
@@ -67,32 +84,10 @@ def lambda_power(c: float, kappa: float) -> np.ndarray:
 
     The result is unitary for every real kappa, reduces to I at kappa = 0
     and to Lambda at kappa = 1, and satisfies the group law in kappa.
+    Lambda is real, so Lambda^(-kappa) is the complex conjugate.
     """
     lam = lambda_matrix(c)
     return 0.5 * (ID2 + lam) + 0.5 * np.exp(1j * np.pi * kappa) * (ID2 - lam)
-
-
-def lambda_power_array(cs: np.ndarray, kappa: float) -> np.ndarray:
-    """(N, 2, 2) stack of Lambda(c_l)^kappa for an array of speeds."""
-    cs = np.asarray(cs, dtype=float)
-    fp = np.sqrt(1.0 - cs) + np.sqrt(1.0 + cs)
-    fm = np.sqrt(1.0 - cs) - np.sqrt(1.0 + cs)
-    lam = 0.5 * np.stack(
-        [np.stack([-fm, fp], axis=-1), np.stack([fp, fm], axis=-1)], axis=-2
-    ).astype(np.complex128)
-    eye = np.broadcast_to(ID2, lam.shape)
-    return 0.5 * (eye + lam) + 0.5 * np.exp(1j * np.pi * kappa) * (eye - lam)
-
-
-def _coin_array(theta: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """(N, 2, 2) stack of coins for per-site angles."""
-    ct, st = np.cos(theta), np.sin(theta)
-    out = np.empty(theta.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = -ct
-    out[..., 0, 1] = np.exp(-1j * zeta) * st
-    out[..., 1, 0] = np.exp(1j * zeta) * st
-    out[..., 1, 1] = ct
-    return out
 
 
 def shift_plus(data: np.ndarray) -> np.ndarray:
@@ -109,10 +104,27 @@ def shift_minus(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_pointwise(mats: np.ndarray, data: np.ndarray) -> np.ndarray:
-    if mats.ndim == 2:
-        return data @ mats.T
-    return np.einsum("lij,lj->li", mats, data)
+def _step_operators(params: ScalingParams, t: float, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four pointwise stacks of one step at start time t, in order of application.
+
+    Returns (Lambda^kappa, C(zeta), C(-zeta), Lambda^(-kappa)); coins are
+    sampled at the crossings xs + dx/2, mixing powers at the sites xs. A
+    homogeneous profile is sampled at one point, giving (1, 2, 2) stacks.
+    """
+    if params.cprofile.homogeneous:
+        xs = xs[:1]
+    lam = lambda_power(params.cprofile.sample(t, xs), params.kappa)
+    coin = coin_matrix(*derive_angle_arrays(params, t, xs + 0.5 * params.dx))
+    return lam, coin, coin.swapaxes(-1, -2), lam.conj()
+
+
+def _mix(mat: np.ndarray, p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return mat[:, 0, 0] * p + mat[:, 0, 1] * m, mat[:, 1, 0] * p + mat[:, 1, 1] * m
+
+
+def _shift(p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full shift: np.roll(p, -1) and np.roll(m, 1), without np.roll's per-call overhead."""
+    return np.concatenate((p[1:], p[:1])), np.concatenate((m[-1:], m[:-1]))
 
 
 def qw_step(field: SpinorField, params: ScalingParams, t: float = 0.0) -> SpinorField:
@@ -135,44 +147,25 @@ def qw_step(field: SpinorField, params: ScalingParams, t: float = 0.0) -> Spinor
     """
     if abs(field.dx - params.dx) > 1e-12 * max(field.dx, params.dx):
         raise DomainError(f"field.dx = {field.dx} does not match params.dx = {params.dx}")
-    xs = field.positions()
-    if params.cprofile.homogeneous:
-        c0 = params.cprofile(t, 0.0)
-        theta, zeta = derive_angles(params, t, 0.0)
-        lam_p = lambda_power(c0, params.kappa)
-        lam_m = lambda_power(c0, -params.kappa)
-        coin_p = coin_matrix(theta, zeta)
-        coin_m = coin_matrix(theta, -zeta)
-    else:
-        cs = params.cprofile.sample(t, xs)
-        # coin angles live on the crossings between sites, mixing powers on sites
-        theta, zeta = derive_angle_arrays(params, t, xs + 0.5 * params.dx)
-        lam_p = lambda_power_array(cs, params.kappa)
-        lam_m = lambda_power_array(cs, -params.kappa)
-        coin_p = _coin_array(theta, zeta)
-        coin_m = _coin_array(theta, -zeta)
-
-    data = _apply_pointwise(lam_p, field.data)
-    data = _apply_pointwise(coin_p, data)
-    data = shift_minus(shift_plus(data))
-    data = _apply_pointwise(coin_m, data)
-    data = shift_minus(shift_plus(data))
-    data = _apply_pointwise(lam_m, data)
-    return field.with_data(data)
+    lam, coin, coin_t, lam_inv = _step_operators(params, t, field.positions())
+    p, m = _mix(coin, *_mix(lam, field.plus, field.minus))
+    p, m = _mix(coin_t, *_shift(p, m))
+    p, m = _mix(lam_inv, *_shift(p, m))
+    return field.with_data(np.stack([p, m], axis=1))
 
 
 def evolve_walk(
     field: SpinorField, params: ScalingParams, steps: int, t0: float = 0.0
 ) -> SpinorField:
-    """Apply ``steps`` walk steps, threading the start time of each."""
+    """Apply ``steps`` walk steps; step j starts at t0 + 2*dt*j."""
     out = field
     for j in range(steps):
         out = qw_step(out, params, t0 + 2.0 * params.epsilon * j)
     return out
 
 
-def momentum_block(params: ScalingParams, k: float, t: float = 0.0) -> np.ndarray:
-    """2x2 block of one walk step on the plane wave e^{ikx}.
+def momentum_block(params: ScalingParams, k, t: float = 0.0) -> np.ndarray:
+    """Block of one walk step on the plane wave e^{ikx}, stacked over the shape of k.
 
     Only defined for homogeneous profiles, where the step commutes with
     translations. Constructed as
@@ -181,18 +174,12 @@ def momentum_block(params: ScalingParams, k: float, t: float = 0.0) -> np.ndarra
     """
     if not params.cprofile.homogeneous:
         raise InhomogeneousError("momentum_block requires a homogeneous profile")
-    c0 = params.cprofile(t, 0.0)
-    theta, zeta = derive_angles(params, t, 0.0)
-    phase = np.exp(1j * k * params.dx)
-    d = np.array([[phase, 0.0], [0.0, np.conj(phase)]], dtype=np.complex128)
-    return (
-        lambda_power(c0, -params.kappa)
-        @ d
-        @ coin_matrix(theta, -zeta)
-        @ d
-        @ coin_matrix(theta, zeta)
-        @ lambda_power(c0, params.kappa)
-    )
+    lam, coin, coin_t, lam_inv = (op[0] for op in _step_operators(params, t, np.zeros(1)))
+    phase = np.exp(1j * np.asarray(k, dtype=float) * params.dx)
+    d = np.zeros(phase.shape + (2, 2), dtype=np.complex128)
+    d[..., 0, 0] = phase
+    d[..., 1, 1] = phase.conj()
+    return lam_inv @ d @ coin_t @ d @ coin @ lam
 
 
 def ring_momenta(n_sites: int, dx: float) -> np.ndarray:

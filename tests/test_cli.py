@@ -96,6 +96,24 @@ def test_simulate_identity_case(tmp_path, capsys):
     assert summary["norm_drift"] <= 1e-10
 
 
+def test_simulate_snapshot_fields_round_trip(tmp_path):
+    out = tmp_path / "run"
+    path, _ = write_config(
+        tmp_path, command="simulate", out=str(out), alpha=0.5, length=16.0, T=1.0,
+        epsilon=0.0625, snapshot_stride=4,
+        profile={"name": "gaussian-well", "c0": 0.8, "depth": 0.3, "center": 8.0, "width": 2.0},
+        initial={"x0": 8.0, "w": 2.0, "k0": 0.5, "chirality_mix": 0.3},
+    )
+    assert main(["simulate", "--config", str(path)]) == 0
+    snaps = sorted(out.glob("snapshot_*.csv"))
+    assert len(snaps) >= 2
+    for snap in snaps:
+        rows = snap.read_text().splitlines()[1:]
+        assert len(rows) == 64
+        for field in (s for row in rows for s in row.split(",")):
+            assert f"{float(field):.17g}" == field
+
+
 def test_simulate_single_site_ring_exits_one(tmp_path, capsys):
     # alpha = 1 fixes dx = 1, so length 1 snaps to a one-site ring, as in sweep
     path, _ = write_config(
@@ -148,6 +166,24 @@ def test_sweep_outputs_and_exit(tmp_path):
     payload = json.loads((out / "sweep.json").read_text())
     assert payload["fitted_order"] >= 0.9
     assert all(chk["passed"] for chk in payload["checks"])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"reference": "bogus"},
+        {"alpha": 1.0, "length": 64.5},
+        {"alpha": 0.0, "reference": "dirac_momentum",
+         "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 64.0}},
+    ],
+    ids=["unknown_reference", "fractional_length", "dirac_momentum_on_bump"],
+)
+def test_sweep_invalid_spec_exits_two(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_min_order_failure_exits_one(tmp_path):

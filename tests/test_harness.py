@@ -101,6 +101,7 @@ def _spec(alpha, profile, eps_list, m=0.2, reference="auto", length=32.0, T=2.0,
         w=length / 8,
         k0=k0,
         chirality_mix=0.5,
+        reference=reference,
     )
 
 
@@ -122,6 +123,7 @@ def test_sweep_alpha_one_first_order():
     errs = [r.error_l2 for r in report.rows]
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert not report.flags
+    assert report.crossval_gap is None  # cross-validation runs at alpha = 0 only
 
 
 def test_sweep_alpha_one_beyond_dense_budget():
@@ -160,6 +162,9 @@ def test_sweep_alpha_zero_polarization_frame():
     assert report.fitted_order is not None and report.fitted_order >= 0.9
     # cross-validation of the two references ran and did not flag
     assert not any("cross-validation" in f for f in report.flags)
+    assert isinstance(report.crossval_gap, float)
+    assert report.crossval_gap <= min(r.error_l2 for r in report.rows) / 10.0
+    assert report.to_json_dict()["crossval_gap"] == report.crossval_gap
 
 
 def test_sweep_threads_match_serial():
@@ -210,6 +215,7 @@ def test_sweep_csv_shape():
     assert len(lines) == 1 + len(report.rows)
     payload = report.to_json_dict()
     assert payload["reference"] == "lattice_exact"
+    assert payload["crossval_gap"] is None
     assert payload["rows"][0]["N"] == 32
 
 
@@ -223,6 +229,8 @@ def test_spec_validation():
             alpha=1.0, m=0.1, cprofile=CProfile.constant(0.5), length=32.0, T=1.0,
             epsilon_list=[0.1], x0=0.0, w=8.0, k0=0.0, reference="bogus",
         )
+    with pytest.raises(DomainError):  # the continuum propagator needs a constant speed
+        _spec(0.0, CProfile.sine_bump(0.5, 0.3, 32.0), [0.5], reference="dirac_momentum")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from plasticwalk import (
     SectorError,
     SlaterState,
     SpinorField,
-    derive_angles,
     embed_one_particle,
     extract_one_particle,
     gate_U,
@@ -26,6 +25,7 @@ from plasticwalk import (
 )
 from plasticwalk import qca
 from plasticwalk.qca import dense_step_operator
+from plasticwalk.scaling import derive_angle_arrays
 
 
 def one_particle_step(theta, zeta, chiral_y=False):
@@ -380,7 +380,7 @@ def test_two_particle_step_approaches_identity_in_continuous_time_limit():
     two = weights == 2
     for eps in (0.1, 0.01, 0.001):
         params = ScalingParams(m=0.2, cprofile=CProfile.constant(0.5), epsilon=eps, alpha=1.0)
-        theta, zeta = derive_angles(params, 0.0, 0.0)
+        theta, zeta = derive_angle_arrays(params, 0.0, 0.0)
         block = dense_step_operator(n, theta, zeta)[np.ix_(two, two)]
         assert np.linalg.norm(block - np.eye(block.shape[0]), 2) <= 2.0 * eps
 

@@ -11,13 +11,14 @@ from plasticwalk import (
     SingularMassError,
     SpinorField,
     coin_matrix,
-    derive_angles,
+    evolve_walk,
     lambda_matrix,
     lambda_power,
     momentum_block,
     qw_step,
     ring_momenta,
 )
+from plasticwalk.scaling import derive_angle_arrays
 from plasticwalk.walk import shift_minus, shift_plus
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,12 +34,12 @@ def params_for(c, m, eps, alpha):
 
 
 # ---------------------------------------------------------------------------
-# derive_angles
+# derive_angle_arrays
 
 
 def test_angles_massless_unit_speed_kappa_one():
     p = params_for(1.0, 0.0, 1.0, 0.5)  # kappa = 1
-    theta, zeta = derive_angles(p, 0.0, 0.0)
+    theta, zeta = derive_angle_arrays(p, 0.0, 0.0)
     assert theta == 0.0
     assert zeta == 0.0
 
@@ -46,7 +47,7 @@ def test_angles_massless_unit_speed_kappa_one():
 def test_angles_zero_speed_kappa_one_mass_sign():
     # at kappa = 1 the alternating factor equals cos(pi) = -1
     p = params_for(0.0, 0.5, 1.0, 1.0)
-    theta, zeta = derive_angles(p, 0.0, 0.0)
+    theta, zeta = derive_angle_arrays(p, 0.0, 0.0)
     assert theta == pytest.approx(np.pi / 2, abs=1e-15)
     assert zeta == pytest.approx(-0.5, abs=1e-15)
 
@@ -54,7 +55,7 @@ def test_angles_zero_speed_kappa_one_mass_sign():
 def test_angles_high_precision_fixture():
     # frozen from a 40-digit evaluation of the closed forms
     p = params_for(0.5, 0.2, 0.01, 1.0)
-    theta, zeta = derive_angles(p, 0.0, 0.0)
+    theta, zeta = derive_angle_arrays(p, 0.0, 0.0)
     assert theta == pytest.approx(1.5657963059613289, abs=1e-15)
     assert zeta == pytest.approx(0.0019990381088640007, abs=1e-17)
 
@@ -62,7 +63,14 @@ def test_angles_high_precision_fixture():
 def test_angles_singular_mass():
     p = params_for(1.0, 0.3, 1.0, 0.5)  # c*kappa = 1 and m > 0
     with pytest.raises(SingularMassError):
-        derive_angles(p, 0.0, 0.0)
+        derive_angle_arrays(p, 0.0, 0.0)
+
+
+def test_angle_errors_name_the_position():
+    prof = CProfile.from_function(lambda t, x: np.where(x == 2.0, 1.0, 0.5))
+    p = ScalingParams(m=0.3, cprofile=prof, epsilon=1.0, alpha=0.5)  # kappa = 1
+    with pytest.raises(SingularMassError, match=r"x=2\.0\)"):
+        derive_angle_arrays(p, 0.0, np.arange(4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +152,20 @@ def test_lambda_power_group_law_and_adjoint():
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-14)
 
 
+def test_walk_builders_vectorize_scalar_calls():
+    rng = np.random.default_rng(41)
+    theta, zeta = rng.uniform(-np.pi, np.pi, size=(2, 3, 4))
+    stacked = np.array([[coin_matrix(t, z) for t, z in zip(*row)] for row in zip(theta, zeta)])
+    assert np.array_equal(coin_matrix(theta, zeta), stacked)
+    cs = rng.uniform(0.0, 1.0, size=7)
+    assert np.array_equal(lambda_power(cs, 0.3), np.array([lambda_power(c, 0.3) for c in cs]))
+    prof = CProfile.from_function(lambda t, x: 0.5 + 0.3 * np.sin(x + t))
+    p = ScalingParams(m=0.2, cprofile=prof, epsilon=0.05, alpha=0.5)
+    xs = rng.uniform(0.0, 10.0, size=9)
+    scalar = np.array([derive_angle_arrays(p, 0.7, x) for x in xs])
+    assert np.array_equal(np.stack(derive_angle_arrays(p, 0.7, xs), axis=1), scalar)
+
+
 # ---------------------------------------------------------------------------
 # shifts
 
@@ -211,6 +233,21 @@ def test_step_rejects_wrong_spacing():
         qw_step(f, p)
 
 
+def explicit_momentum_block(p, k):
+    """Lambda^(-kappa) D C(-zeta) D C(zeta) Lambda^kappa, each factor from its own scalar call."""
+    c = p.cprofile(0.0, 0.0)
+    theta, zeta = derive_angle_arrays(p, 0.0, 0.0)
+    d = np.diag([np.exp(1j * k * p.dx), np.exp(-1j * k * p.dx)])
+    return (
+        lambda_power(c, -p.kappa)
+        @ d
+        @ coin_matrix(theta, -zeta)
+        @ d
+        @ coin_matrix(theta, zeta)
+        @ lambda_power(c, p.kappa)
+    )
+
+
 def test_step_matches_momentum_block_on_every_ring_mode():
     p = params_for(0.5, 0.2, 0.05, 1.0)
     n = 16
@@ -223,7 +260,18 @@ def test_step_matches_momentum_block_on_every_ring_mode():
         f = SpinorField(data / np.linalg.norm(data), p.dx)
         stepped = qw_step(f, p)
         expected = f.data @ momentum_block(p, float(k)).T
+        np.testing.assert_allclose(momentum_block(p, float(k)), explicit_momentum_block(p, k), atol=1e-14)
         np.testing.assert_allclose(stepped.data, expected, atol=1e-12)
+
+
+def test_uniform_profile_steps_like_homogeneous():
+    # one point broadcast over the ring gives the bits of a per-site build
+    flat = ScalingParams(m=0.3, cprofile=CProfile.constant(0.5), epsilon=0.0625, alpha=0.5)
+    uniform = ScalingParams(
+        m=0.3, cprofile=CProfile.from_function(lambda t, x: 0.5), epsilon=0.0625, alpha=0.5
+    )
+    f = random_field(32, np.random.default_rng(43), dx=flat.dx)
+    assert np.array_equal(evolve_walk(f, flat, 20).data, evolve_walk(f, uniform, 20).data)
 
 
 def test_step_translation_covariance():
@@ -271,6 +319,16 @@ def test_momentum_block_requires_homogeneous():
         momentum_block(p, 0.1)
 
 
+def test_momentum_block_vectorizes_scalar_blocks():
+    p = params_for(0.6, 0.3, 0.05, 0.5)
+    ks = ring_momenta(16, p.dx)
+    blocks = momentum_block(p, ks)
+    assert blocks.shape == (16, 2, 2)
+    assert momentum_block(p, float(ks[3])).shape == (2, 2)
+    scalar = np.array([momentum_block(p, float(k)) for k in ks])
+    assert np.max(np.abs(blocks - scalar)) <= 1e-15
+
+
 def test_momentum_block_eigenphase_expansion_halving():
     # phases approach -+2 eps sqrt(c^2 sin^2(k dx) + m^2); residual is O(eps^2)
     c, m, k = 0.5, 0.2, 0.9
@@ -285,10 +343,12 @@ def test_momentum_block_eigenphase_expansion_halving():
     assert fit >= 1.8
 
 
-def test_evolve_walk_threads_step_start_times():
-    from plasticwalk import evolve_walk
-
-    prof = CProfile.from_function(lambda t, x: 0.4 + 0.2 * np.sin(t))
+@pytest.mark.parametrize(
+    "prof",
+    [CProfile.from_function(lambda t, x: 0.4 + 0.2 * np.sin(t)), CProfile.constant(0.4)],
+    ids=["inhomogeneous", "homogeneous"],
+)
+def test_evolve_walk_threads_step_start_times(prof):
     p = ScalingParams(m=0.1, cprofile=prof, epsilon=0.25, alpha=0.5)
     rng = np.random.default_rng(29)
     f = random_field(8, rng, dx=p.dx)
@@ -308,4 +368,5 @@ def test_step_matches_momentum_block_intermediate_scaling():
         data = np.exp(1j * k * x)[:, None] * u[None, :]
         f = SpinorField(data / np.linalg.norm(data), p.dx)
         expected = f.data @ momentum_block(p, float(k)).T
+        np.testing.assert_allclose(momentum_block(p, float(k)), explicit_momentum_block(p, k), atol=1e-14)
         np.testing.assert_allclose(qw_step(f, p).data, expected, atol=1e-12)
