@@ -30,7 +30,6 @@ from .scaling import ScalingParams
 from .walk import (
     coin_matrix,
     evolve_walk,
-    is_unitary,
     lambda_matrix,
     lambda_power,
     momentum_block,
@@ -94,7 +93,6 @@ __all__ = [
     "ScalingParams",
     "coin_matrix",
     "evolve_walk",
-    "is_unitary",
     "lambda_matrix",
     "lambda_power",
     "momentum_block",

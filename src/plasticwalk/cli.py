@@ -23,6 +23,7 @@ from .errors import ConfigError, DomainError, PlasticWalkError
 from .fields import CProfile
 from .harness import (
     ExperimentSpec,
+    _grid,
     _snap_epsilon,
     dispersion_scan,
     make_wavepacket,
@@ -42,7 +43,7 @@ class RunConfig:
 
     command: str = "simulate"
     out: str = "runs"
-    threads: int = 1
+    threads: int = 1  # accepted and validated; sweeps run serially, so it has no effect
     seed: int = 0
     alpha: float = 1.0
     m: float = 0.2
@@ -122,7 +123,7 @@ class RunConfig:
         for key in ("x0", "w", "k0", "chirality_mix"):
             if key in self.initial:
                 _require_real(f"initial.{key}", self.initial[key])
-        mix = self.initial.get("chirality_mix", 0.5)
+        mix = self._packet()[3]
         if not 0.0 <= mix <= 1.0:
             raise ConfigError(f"field 'initial.chirality_mix': got {mix}, valid range is [0, 1]")
         if not self.epsilon_list:
@@ -137,6 +138,16 @@ class RunConfig:
         _require_real("qca_zeta", self.qca_zeta)
         if self.min_order is not None and self.min_order < 0:
             raise ConfigError(f"field 'min_order': got {self.min_order}, must be >= 0 or null")
+
+    def _packet(self) -> tuple[float, float, float, float]:
+        """Initial packet (x0, w, k0, chirality_mix); a missing key takes its default."""
+        ini = self.initial
+        return (
+            ini.get("x0", self.length / 2),
+            ini.get("w", 8.0),
+            ini.get("k0", float(np.pi / 8)),
+            ini.get("chirality_mix", 0.5),
+        )
 
     def build_profile(self) -> CProfile:
         p = dict(self.profile)
@@ -183,14 +194,9 @@ def atomic_write(path: Path, text: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    eps, n, _ = _snap_epsilon(cfg.alpha, cfg.length, cfg.epsilon)
+    eps, n, steps, t_reach, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
     params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
-    ini = cfg.initial
-    field = make_wavepacket(
-        n, params.dx, ini.get("x0", cfg.length / 2), ini.get("w", 8.0),
-        ini.get("k0", 0.0), ini.get("chirality_mix", 0.5),
-    )
-    steps = max(1, int(round(cfg.T / (2.0 * eps))))
+    field = make_wavepacket(n, params.dx, *cfg._packet())
     norm0 = field.norm()
     xs = field.positions()
 
@@ -209,9 +215,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
             write_snapshot(j + 1, field)
 
     drift = abs(field.norm() - norm0)
-    cs = params.cprofile.sample(2.0 * eps * steps, xs)
+    cs = params.cprofile.sample(t_reach, xs)
     current = float(np.sum(cs * (np.abs(field.minus) ** 2 - np.abs(field.plus) ** 2)))
-    print(f"simulate: N={n} epsilon={_fmt(eps)} steps={steps} t={_fmt(2 * eps * steps)}")
+    print(f"simulate: N={n} epsilon={_fmt(eps)} steps={steps} t={_fmt(t_reach)}")
     print(f"final norm = {_fmt(field.norm())}  (drift {drift:.3e})")
     print(f"probability current (rightward, summed) = {_fmt(current)}")
     summary = {
@@ -230,7 +236,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    ini = cfg.initial
+    x0, w, k0, chirality_mix = cfg._packet()
     try:
         spec = ExperimentSpec(
             alpha=cfg.alpha,
@@ -239,15 +245,15 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
             length=cfg.length,
             T=cfg.T,
             epsilon_list=sorted(cfg.epsilon_list, reverse=True),
-            x0=ini.get("x0", cfg.length / 2),
-            w=ini.get("w", 8.0),
-            k0=ini.get("k0", 0.0),
-            chirality_mix=ini.get("chirality_mix", 0.5),
+            x0=x0,
+            w=w,
+            k0=k0,
+            chirality_mix=chirality_mix,
             reference=cfg.reference,
         )
     except DomainError as exc:
         raise ConfigError(f"sweep spec: {exc}") from exc
-    report = run_convergence_sweep(spec, threads=cfg.threads)
+    report = run_convergence_sweep(spec)
     atomic_write(out_dir / "sweep.csv", report.to_csv())
 
     checks = []
@@ -354,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: PLASTICWALK_THREADS)")
+                       help="accepted for compatibility; sweeps run serially")
         p.add_argument("--seed", type=int, default=None,
                        help="seed recorded in outputs; main path is deterministic")
     return parser
@@ -375,12 +381,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raw["out"] = args.out
     if args.threads is not None:
         raw["threads"] = args.threads
-    elif os.environ.get("PLASTICWALK_THREADS"):
-        # the environment variable stands in for the missing flag
-        try:
-            raw["threads"] = int(os.environ["PLASTICWALK_THREADS"])
-        except ValueError as exc:
-            raise ConfigError("field 'threads': PLASTICWALK_THREADS is not an integer") from exc
     if args.seed is not None:
         raw["seed"] = args.seed
     return RunConfig.from_dict(raw)

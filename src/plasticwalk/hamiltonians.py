@@ -67,16 +67,16 @@ class LatticeHamiltonian:
         return hop + mass
 
     def dense(self) -> np.ndarray:
+        """The (2N, 2N) matrix, site-major: row 2l + a is component a of site l."""
         n = self.n_sites
-        h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        sites = np.arange(n)
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        for l in range(n):
-            lm, lp = (l - 1) % n, (l + 1) % n
-            h[2 * l : 2 * l + 2, 2 * lm : 2 * lm + 2] += (0.5j / self.dx) * self.c_minus[l] * sx
-            h[2 * l : 2 * l + 2, 2 * lp : 2 * lp + 2] += (-0.5j / self.dx) * self.c_plus[l] * sx
-            h[2 * l, 2 * l] += -self.m
-            h[2 * l + 1, 2 * l + 1] += +self.m
-        return h
+        h = np.zeros((n, 2, n, 2), dtype=np.complex128)
+        # separate statements, so the two hops add up on a two-site ring
+        h[sites, :, (sites - 1) % n, :] += ((0.5j / self.dx) * self.c_minus)[:, None, None] * sx
+        h[sites, :, (sites + 1) % n, :] += ((-0.5j / self.dx) * self.c_plus)[:, None, None] * sx
+        h[sites, :, sites, :] += np.diag([-self.m, self.m])
+        return h.reshape(2 * n, 2 * n)
 
     def sparse(self) -> sp.csc_matrix:
         n = self.n_sites
@@ -100,16 +100,7 @@ class LatticeHamiltonian:
 def lattice_hamiltonian_flat(N: int, dx: float, m: float, c: float) -> LatticeHamiltonian:
     """Homogeneous lattice Hamiltonian; momentum blocks have eigenvalues
     +- sqrt(c^2 sin^2(k dx)/dx^2 + m^2)."""
-    if N < 2:
-        raise DomainError(f"need N >= 2 sites, got {N}")
-    if dx <= 0:
-        raise DomainError(f"dx must be positive, got {dx}")
-    if not 0.0 <= c <= 1.0:
-        raise DomainError(f"c must lie in [0, 1], got {c}")
-    if m < 0:
-        raise DomainError(f"mass must be nonnegative, got {m}")
-    cs = np.full(N, float(c))
-    return LatticeHamiltonian(c_minus=cs, c_plus=cs.copy(), dx=dx, m=m)
+    return lattice_hamiltonian_curved(N, dx, m, CProfile.constant(c))
 
 
 def lattice_hamiltonian_curved(

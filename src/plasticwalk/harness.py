@@ -39,8 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -83,24 +82,47 @@ class ExperimentSpec:
     reference: str = "auto"
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
+        """Refuse a spec whose rows would all fail or whose order fit would."""
         if self.reference not in REFERENCES:
             raise DomainError(f"unknown reference {self.reference!r}; pick from {REFERENCES}")
         if len(self.epsilon_list) < 1:
             raise DomainError("epsilon_list must not be empty")
-        if any(e <= 0 or e > 1 for e in self.epsilon_list):
-            raise DomainError("every epsilon must lie in (0, 1]")
-        if sorted(self.epsilon_list, reverse=True) != list(self.epsilon_list):
-            raise DomainError("epsilon_list must be sorted in descending order")
         if self.reference == "dirac_momentum" and not self.cprofile.homogeneous:
             raise DomainError(
                 f"reference 'dirac_momentum' needs a homogeneous profile; got {self.cprofile.name!r}"
             )
+        if self.reference == "dirac_momentum" and self.alpha == 1.0:
+            raise DomainError(
+                "reference 'dirac_momentum' is the continuum limit, but at alpha = 1 the grid "
+                "stays fixed and the walk tends to the lattice Hamiltonian; use 'lattice_exact'"
+            )
+        _check_chirality_mix(self.chirality_mix)
         if self.alpha == 1.0 and abs(self.length - round(self.length)) > 1e-9:
             raise DomainError(
                 f"alpha = 1 fixes the spacing at 1, so length must be an integer; got {self.length}"
             )
+        snapped = [row.epsilon for _, row, _ in self._plan()]
+        if any(b >= a for a, b in zip(snapped, snapped[1:])):
+            raise DomainError(
+                f"epsilon_list must be strictly decreasing on the grid; it snaps to {snapped}"
+            )
+
+    def _plan(self) -> list[tuple[ScalingParams, SweepRow, list[str]]]:
+        """Each epsilon's snapped scaling, its row before it runs, and the snapping notes.
+
+        ``ScalingParams`` holds the alpha, epsilon and mass rule. It checks
+        each epsilon as given (snapping is undefined for epsilon <= 0, and an
+        epsilon just above 1 can snap back inside) and again once snapped.
+        """
+        plan = []
+        for eps in self.epsilon_list:
+            ScalingParams(m=self.m, cprofile=self.cprofile, epsilon=eps, alpha=self.alpha)
+            eps_adj, n, steps, t_reach, notes = _grid(self.alpha, self.length, self.T, eps)
+            params = ScalingParams(m=self.m, cprofile=self.cprofile, epsilon=eps_adj, alpha=self.alpha)
+            row = SweepRow(epsilon=eps_adj, dt=params.dt, dx=params.dx, N=n, steps=steps,
+                           time_reached=t_reach)
+            plan.append((params, row, notes))
+        return plan
 
     def resolved_reference(self) -> str:
         if self.reference != "auto":
@@ -131,16 +153,21 @@ class ExperimentSpec:
 
 @dataclass
 class SweepRow:
+    """One epsilon of a sweep; the error fields stay NaN until the row has run."""
+
     epsilon: float
     dt: float
     dx: float
     N: int
     steps: int
-    error_l2: float
-    error_max: float
-    walltime_s: float
-    time_reached: float
-    failure: str | None = None
+    error_l2: float = float("nan")
+    error_max: float = float("nan")
+    walltime_s: float = 0.0
+    time_reached: float = dc_field(default=0.0, metadata={"csv": False})
+    failure: str | None = dc_field(default=None, metadata={"csv": False})
+
+
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.metadata.get("csv", True))
 
 
 @dataclass
@@ -157,60 +184,26 @@ class SweepReport:
     flags: list[str] = dc_field(default_factory=list)
     crossval_gap: float | None = None  # alpha = 0 homogeneous sweeps only
 
-    CSV_HEADER = "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
+    CSV_HEADER = ",".join(_CSV_FIELDS)
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    f"{v:.17g}" if isinstance(v, float) else str(v)
-                    for v in (
-                        r.epsilon,
-                        r.dt,
-                        r.dx,
-                        r.N,
-                        r.steps,
-                        r.error_l2,
-                        r.error_max,
-                        r.walltime_s,
-                    )
-                )
-            )
+            values = (getattr(r, name) for name in _CSV_FIELDS)
+            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec_hash": self.spec_hash,
-            "code_version": self.code_version,
-            "reference": self.reference,
-            "frame": self.frame,
-            "fitted_order": self.fitted_order,
-            "fitted_ci": self.fitted_ci,
-            "exact": self.exact,
-            "adjustments": self.adjustments,
-            "flags": self.flags,
-            "crossval_gap": self.crossval_gap,
-            "rows": [
-                {
-                    "epsilon": r.epsilon,
-                    "dt": r.dt,
-                    "dx": r.dx,
-                    "N": r.N,
-                    "steps": r.steps,
-                    "error_l2": r.error_l2,
-                    "error_max": r.error_max,
-                    "walltime_s": r.walltime_s,
-                    "time_reached": r.time_reached,
-                    "failure": r.failure,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # initial data
+
+
+def _check_chirality_mix(chirality_mix: float) -> None:
+    if not 0.0 <= chirality_mix <= 1.0:
+        raise DomainError(f"chirality_mix must lie in [0, 1], got {chirality_mix}")
 
 
 def make_wavepacket(
@@ -224,8 +217,7 @@ def make_wavepacket(
     """
     if w < 4.0 * dx:
         raise ResolutionError(f"width w = {w} below the resolvable minimum 4*dx = {4 * dx}")
-    if not 0.0 <= chirality_mix <= 1.0:
-        raise DomainError(f"chirality_mix must lie in [0, 1], got {chirality_mix}")
+    _check_chirality_mix(chirality_mix)
     length = N * dx
     x = np.arange(N) * dx
     env = np.zeros(N)
@@ -260,24 +252,29 @@ class ComparisonFrame:
         return out
 
 
+def _frame_name(alpha: float) -> str:
+    return "polarization-rotation" if alpha == 0.0 else "dressed-encoding"
+
+
 def comparison_frame(params: ScalingParams, xs: np.ndarray, t0: float = 0.0) -> ComparisonFrame:
     """Frame for comparing walk trajectories with the reference evolution."""
     cs = params.cprofile.sample(t0, xs)
     n = len(xs)
-    if params.alpha == 0.0:
+    name = _frame_name(params.alpha)
+    if name == "polarization-rotation":
         s = np.sqrt(1.0 - cs ** 2)
         pw = np.zeros((n, 2, 2), dtype=np.complex128)
         pw[:, 0, 0] = s
         pw[:, 0, 1] = cs
         pw[:, 1, 0] = -cs
         pw[:, 1, 1] = s
-        return ComparisonFrame("polarization-rotation", pw, with_encoding=False)
+        return ComparisonFrame(name, pw, with_encoding=False)
     lam_inv = lambda_power(cs, -params.kappa)
     half = 0.5 * cs * params.kappa
     eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2))
     dress = np.cos(half)[:, None, None] * eye - 1j * np.sin(half)[:, None, None] * SIGMA_Y
     pw = np.einsum("lij,ljk->lik", lam_inv, dress)
-    return ComparisonFrame("dressed-encoding", pw, with_encoding=True)
+    return ComparisonFrame(name, pw, with_encoding=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +295,20 @@ def _snap_epsilon(alpha: float, length: float, eps: float) -> tuple[float, int, 
     return eps_adj, n, notes
 
 
+def _grid(
+    alpha: float, length: float, T: float, eps: float
+) -> tuple[float, int, int, float, list[str]]:
+    """Snapped epsilon, site count, walk steps to reach T, the time they reach, and notes."""
+    eps_adj, n, notes = _snap_epsilon(alpha, length, eps)
+    steps = max(1, int(round(T / (2.0 * eps_adj))))
+    t_reach = 2.0 * eps_adj * steps
+    if abs(t_reach - T) > eps_adj + 1e-12:
+        notes.append(f"target time {T} reached as {t_reach:.17g} at epsilon {eps_adj:.17g}")
+    return eps_adj, n, steps, t_reach, notes
+
+
 def _reference_evolution(
-    spec: ExperimentSpec, params: ScalingParams, psi0: SpinorField, t_reach: float, kind: str
+    params: ScalingParams, psi0: SpinorField, t_reach: float, kind: str
 ) -> SpinorField:
     if kind == "lattice_exact":
         if params.cprofile.homogeneous:
@@ -319,38 +328,24 @@ def _reference_evolution(
     raise DomainError(f"unknown reference kind {kind!r}")
 
 
-def _run_row(spec: ExperimentSpec, eps: float) -> tuple[SweepRow, list[str]]:
+def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str) -> SweepRow:
+    """Fill in the errors of a planned row: the walk against its reference, in the frame."""
     t_start = time.perf_counter()
-    eps_adj, n, notes = _snap_epsilon(spec.alpha, spec.length, eps)
-    params = ScalingParams(m=spec.m, cprofile=spec.cprofile, epsilon=eps_adj, alpha=spec.alpha)
-    steps = max(1, int(round(spec.T / (2.0 * eps_adj))))
-    t_reach = 2.0 * eps_adj * steps
-    if abs(t_reach - spec.T) > eps_adj + 1e-12:
-        notes.append(f"target time {spec.T} reached as {t_reach:.17g} at epsilon {eps_adj:.17g}")
-    psi0 = make_wavepacket(n, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
+    psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
 
-    walked = evolve_walk(psi0, params, steps)
+    walked = evolve_walk(psi0, params, row.steps)
     frame = comparison_frame(params, psi0.positions())
-    ref_kind = spec.resolved_reference()
     ref_initial = psi0.with_data(frame.apply_adjoint(psi0.data))
-    ref_final = _reference_evolution(spec, params, ref_initial, t_reach, ref_kind)
+    ref_final = _reference_evolution(params, ref_initial, row.time_reached, kind)
     walked_in_frame = frame.apply_adjoint(walked.data)
 
     diff = walked_in_frame - ref_final.data
-    err_l2 = float(np.linalg.norm(diff) / np.linalg.norm(ref_final.data))
-    err_max = float(np.max(np.abs(diff)))
-    row = SweepRow(
-        epsilon=eps_adj,
-        dt=params.dt,
-        dx=params.dx,
-        N=n,
-        steps=steps,
-        error_l2=err_l2,
-        error_max=err_max,
+    return replace(
+        row,
+        error_l2=float(np.linalg.norm(diff) / np.linalg.norm(ref_final.data)),
+        error_max=float(np.max(np.abs(diff))),
         walltime_s=time.perf_counter() - t_start,
-        time_reached=t_reach,
     )
-    return row, notes
 
 
 def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> float:
@@ -366,46 +361,23 @@ def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> fl
     return float(np.linalg.norm(lattice_side.data - dirac_side.data))
 
 
-def run_convergence_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepReport:
+def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     """Run the walk against its reference for every epsilon and fit the order.
 
-    Rows are independent and may be computed by a small thread pool; the
-    report is assembled in descending-epsilon order either way. Per-row
-    failures are recorded in the row and excluded from the fit instead of
-    aborting the sweep.
+    The epsilon list is snapped to the grid once, before any row runs, and
+    the rows run one after another in list order (descending epsilon).
+    Per-row failures are recorded in the row and excluded from the fit
+    instead of aborting the sweep.
     """
+    ref_kind = spec.resolved_reference()
     adjustments: list[str] = []
     rows: list[SweepRow] = []
-
-    def safe_row(eps: float) -> tuple[SweepRow, list[str]]:
-        try:
-            return _run_row(spec, eps)
-        except Exception as exc:  # per-row failures must not abort the sweep
-            return (
-                SweepRow(
-                    epsilon=eps,
-                    dt=eps,
-                    dx=eps ** (1.0 - spec.alpha),
-                    N=0,
-                    steps=0,
-                    error_l2=float("nan"),
-                    error_max=float("nan"),
-                    walltime_s=0.0,
-                    time_reached=0.0,
-                    failure=f"{type(exc).__name__}: {exc}",
-                ),
-                [],
-            )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(safe_row, spec.epsilon_list))
-    else:
-        results = [safe_row(eps) for eps in spec.epsilon_list]
-    for row, notes in results:
-        rows.append(row)
+    for params, planned, notes in spec._plan():
         adjustments.extend(notes)
-    rows.sort(key=lambda r: -r.epsilon)
+        try:
+            rows.append(_run_row(spec, params, planned, ref_kind))
+        except Exception as exc:  # per-row failures must not abort the sweep
+            rows.append(replace(planned, failure=f"{type(exc).__name__}: {exc}"))
 
     flags: list[str] = []
     good = [r for r in rows if r.failure is None]
@@ -430,7 +402,6 @@ def run_convergence_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepReport
     elif good and all(r.error_l2 <= 1e-12 for r in good):
         exact = True
 
-    ref_kind = spec.resolved_reference()
     gap: float | None = None
     if spec.alpha == 0.0 and spec.cprofile.homogeneous and good:
         # the two references must agree well below the walk's smallest error
@@ -442,14 +413,13 @@ def run_convergence_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepReport
                 f"({smallest / 10.0:.3e}); sweep flagged invalid"
             )
 
-    frame_name = "polarization-rotation" if spec.alpha == 0.0 else "dressed-encoding"
     return SweepReport(
         rows=rows,
         fitted_order=fitted,
         fitted_ci=ci,
         exact=exact,
         reference=ref_kind,
-        frame=frame_name,
+        frame=_frame_name(spec.alpha),
         spec_hash=spec.spec_hash(),
         code_version=_code_version,
         adjustments=adjustments,

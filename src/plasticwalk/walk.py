@@ -27,16 +27,8 @@ from .errors import DomainError, InhomogeneousError
 from .fields import SpinorField
 from .scaling import ScalingParams, derive_angle_arrays
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """Max-norm test of M^dag M = I."""
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def coin_matrix(theta, zeta) -> np.ndarray:

@@ -49,15 +49,12 @@ def test_config_rejects_unknown_field(tmp_path, capsys):
     assert "alhpa" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLASTICWALK_THREADS", "3")
-    path, _ = write_config(tmp_path, command="dispersion", out=str(tmp_path / "o"))
+def test_threads_flag_overrides_config(tmp_path):
+    path, _ = write_config(tmp_path, command="dispersion", out=str(tmp_path / "o"), threads=3)
     from plasticwalk.cli import build_parser, load_config
 
     args = build_parser().parse_args(["dispersion", "--config", str(path)])
-    cfg = load_config(args)
-    assert cfg.threads == 3
-    # explicit flag wins over the environment
+    assert load_config(args).threads == 3
     args = build_parser().parse_args(["dispersion", "--config", str(path), "--threads", "2"])
     assert load_config(args).threads == 2
 
@@ -124,6 +121,21 @@ def test_simulate_single_site_ring_exits_one(tmp_path, capsys):
     assert "at least 2 sites" in capsys.readouterr().err
 
 
+def test_simulate_packet_defaults_match_default_config(tmp_path):
+    # a missing initial key falls back to the default config's value (k0 = pi/8)
+    common = {"command": "simulate", "length": 64.0, "T": 0.5, "epsilon": 0.25, "alpha": 1.0}
+    outs = []
+    for label, extra in (("partial", {"initial": {"x0": 32.0}}), ("none", {})):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(dict(common, **extra)))
+        outs.append(tmp_path / label)
+        assert main(["simulate", "--config", str(path), "--out", str(outs[-1])]) == 0
+    snaps = sorted(p.name for p in outs[0].glob("snapshot_*.csv"))
+    assert snaps == sorted(p.name for p in outs[1].glob("snapshot_*.csv")) and snaps
+    for name in snaps:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_simulate_flag_overrides_out(tmp_path):
     path, _ = write_config(
         tmp_path,
@@ -175,8 +187,12 @@ def test_sweep_outputs_and_exit(tmp_path):
         {"alpha": 1.0, "length": 64.5},
         {"alpha": 0.0, "reference": "dirac_momentum",
          "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 64.0}},
+        {"alpha": 1.0, "reference": "dirac_momentum"},
+        {"alpha": 0.5, "length": 32.0, "initial": {"x0": 16.0, "w": 4.0},
+         "epsilon_list": [0.1, 0.0999, 0.05]},
     ],
-    ids=["unknown_reference", "fractional_length", "dirac_momentum_on_bump"],
+    ids=["unknown_reference", "fractional_length", "dirac_momentum_on_bump",
+         "dirac_momentum_at_alpha_one", "snapped_duplicate_epsilon"],
 )
 def test_sweep_invalid_spec_exits_two(tmp_path, capsys, raw):
     path = tmp_path / "bad.json"

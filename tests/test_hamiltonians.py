@@ -93,6 +93,25 @@ def test_flat_domain_checks():
         lattice_hamiltonian_flat(8, 1.0, -0.2, 0.5)
 
 
+def _dense_by_site_loop(h):
+    n = h.n_sites
+    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    for l in range(n):
+        lm, lp = (l - 1) % n, (l + 1) % n
+        out[2 * l : 2 * l + 2, 2 * lm : 2 * lm + 2] += (0.5j / h.dx) * h.c_minus[l] * SX.real
+        out[2 * l : 2 * l + 2, 2 * lp : 2 * lp + 2] += (-0.5j / h.dx) * h.c_plus[l] * SX.real
+        out[2 * l, 2 * l] += -h.m
+        out[2 * l + 1, 2 * l + 1] += +h.m
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_dense_matches_per_site_loop(n):
+    # on a two-site ring both hops of a site land on the same block and add up
+    h = lattice_hamiltonian_curved(n, 0.7, 0.3, sine_profile(0.7 * n))
+    assert np.max(np.abs(h.dense() - _dense_by_site_loop(h))) <= 1e-15
+
+
 def test_curved_homogeneous_equals_flat_exactly():
     flat = lattice_hamiltonian_flat(12, 0.5, 0.3, 0.6)
     curved = lattice_hamiltonian_curved(12, 0.5, 0.3, CProfile.constant(0.6))

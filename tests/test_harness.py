@@ -167,13 +167,6 @@ def test_sweep_alpha_zero_polarization_frame():
     assert report.to_json_dict()["crossval_gap"] == report.crossval_gap
 
 
-def test_sweep_threads_match_serial():
-    spec = _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05])
-    serial = run_convergence_sweep(spec, threads=1)
-    parallel = run_convergence_sweep(spec, threads=3)
-    assert [r.error_l2 for r in serial.rows] == [r.error_l2 for r in parallel.rows]
-
-
 def test_sweep_determinism_bit_identical_rows():
     spec = _spec(0.5, CProfile.constant(0.6), [(32.0 / n) ** 2 for n in (64, 128, 256)])
     a = run_convergence_sweep(spec)
@@ -231,6 +224,34 @@ def test_spec_validation():
         )
     with pytest.raises(DomainError):  # the continuum propagator needs a constant speed
         _spec(0.0, CProfile.sine_bump(0.5, 0.3, 32.0), [0.5], reference="dirac_momentum")
+    with pytest.raises(DomainError):  # at alpha = 1 the limit is the lattice, not the continuum
+        _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05], reference="dirac_momentum")
+    with pytest.raises(DomainError):  # the mass rule of ScalingParams
+        _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05], m=-0.1)
+    with pytest.raises(DomainError):
+        ExperimentSpec(
+            alpha=1.0, m=0.1, cprofile=CProfile.constant(0.5), length=32.0, T=1.0,
+            epsilon_list=[0.1], x0=16.0, w=8.0, k0=0.0, chirality_mix=1.5,
+        )
+    with pytest.raises(DomainError):  # equal entries
+        _spec(1.0, CProfile.constant(0.5), [0.1, 0.1, 0.05])
+    with pytest.raises(DomainError):  # 0.1 and 0.0999 snap to one grid (N = 101)
+        _spec(0.5, CProfile.constant(0.5), [0.1, 0.0999, 0.05])
+    with pytest.raises(DomainError):  # epsilon above 1 that would snap back inside (0, 1]
+        _spec(0.5, CProfile.constant(0.5), [1.01, 0.5, 0.25])
+
+
+def test_failed_row_keeps_its_grid_and_frame():
+    # c * kappa = 1 with m > 0 puts sin(theta) = 0 in every coin: every row fails
+    spec = _spec(0.0, CProfile.constant(1.0), [0.5, 0.25, 0.125], m=0.1)
+    report = run_convergence_sweep(spec)
+    assert all(r.failure and r.failure.startswith("SingularMassError") for r in report.rows)
+    assert [(r.N, r.steps) for r in report.rows] == [(64, 2), (128, 4), (256, 8)]
+    assert report.frame == "polarization-rotation"
+    assert report.fitted_order is None and not report.exact
+    rows = report.to_json_dict()["rows"]
+    assert [r["epsilon"] for r in rows] == [0.5, 0.25, 0.125]
+    assert all(np.isnan(r["error_l2"]) for r in rows)
 
 
 # ---------------------------------------------------------------------------
