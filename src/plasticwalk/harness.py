@@ -3,11 +3,14 @@
 For each epsilon in a sweep the walk is run to the target time and compared
 against the reference evolution appropriate to the scaling exponent: the
 lattice Hamiltonian on the same grid (alpha = 1), the continuum Dirac
-evolution (alpha < 1, homogeneous speed), or a fine-grid method-of-lines
-evolution (alpha < 1, inhomogeneous speed). A homogeneous speed makes
-either reference translation-invariant, so it is propagated per ring
-momentum with closed-form 2x2 blocks; dense diagonalization serves only the
-inhomogeneous lattice reference. At alpha = 0 the two homogeneous
+evolution (alpha < 1, homogeneous speed), or the pseudo-spectral curved
+Dirac evolution (alpha < 1, inhomogeneous speed, kind ``curved_fine_grid``).
+A homogeneous speed makes either reference translation-invariant, so it is
+propagated per ring momentum with closed-form 2x2 blocks; dense
+diagonalization serves only the inhomogeneous lattice reference. The curved
+continuum reference is a Chebyshev propagation on the walk's own grid; each
+of its rows also records the reference's own error, its distance to the same
+propagation on a 2x refined grid. At alpha = 0 the two homogeneous
 references are cross-validated: the lattice one on an 8x refined grid must
 agree with the continuum one.
 
@@ -44,7 +47,7 @@ from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import __version__ as _code_version
-from .errors import DegenerateError, DomainError, ResolutionError
+from .errors import DegenerateError, DomainError, ResolutionError, SingularMassError
 from .fields import CProfile, SpinorField
 from .hamiltonians import (
     curved_dirac_reference,
@@ -55,7 +58,7 @@ from .hamiltonians import (
     restrict,
     trig_interpolate,
 )
-from .scaling import ScalingParams
+from .scaling import ScalingParams, derive_angle_arrays
 from .walk import SIGMA_Y, evolve_walk, lambda_power, momentum_block, ring_momenta
 
 REFERENCES = ("auto", "lattice_exact", "dirac_momentum", "curved_fine_grid")
@@ -101,11 +104,26 @@ class ExperimentSpec:
             raise DomainError(
                 f"alpha = 1 fixes the spacing at 1, so length must be an integer; got {self.length}"
             )
-        snapped = [row.epsilon for _, row, _ in self._plan()]
+        if self.resolved_reference() == "curved_fine_grid":
+            seam = abs(self.cprofile(0.0, self.length) - self.cprofile(0.0, 0.0))
+            if seam > 1e-12:
+                raise DomainError(
+                    f"reference 'curved_fine_grid' needs a speed profile periodic on the ring; "
+                    f"|c(0, {self.length}) - c(0, 0)| = {seam:.3g}"
+                )
+        plan = self._plan()
+        snapped = [row.epsilon for _, row, _ in plan]
         if any(b >= a for a, b in zip(snapped, snapped[1:])):
             raise DomainError(
                 f"epsilon_list must be strictly decreasing on the grid; it snaps to {snapped}"
             )
+        for params, row, _ in plan:
+            # the walk's coin rule at t = 0 on each grid's crossings: c*kappa > 1 has no
+            # angle, and c*kappa = 1 with m > 0 makes every coin singular
+            try:
+                derive_angle_arrays(params, 0.0, (np.arange(row.N) + 0.5) * params.dx)
+            except SingularMassError as exc:
+                raise DomainError(f"epsilon {row.epsilon:.6g}: {exc}") from exc
 
     def _plan(self) -> list[tuple[ScalingParams, SweepRow, list[str]]]:
         """Each epsilon's snapped scaling, its row before it runs, and the snapping notes.
@@ -163,6 +181,8 @@ class SweepRow:
     error_l2: float = float("nan")
     error_max: float = float("nan")
     walltime_s: float = 0.0
+    # curved_fine_grid rows: relative distance between the reference and its 2x refined twin
+    reference_error: float | None = dc_field(default=None, metadata={"csv": False})
     time_reached: float = dc_field(default=0.0, metadata={"csv": False})
     failure: str | None = dc_field(default=None, metadata={"csv": False})
 
@@ -324,7 +344,7 @@ def _reference_evolution(
         )
         return prop.apply(psi0)
     if kind == "curved_fine_grid":
-        return curved_dirac_reference(psi0, params.cprofile, params.m, t_reach, refinement=8)
+        return curved_dirac_reference(psi0, params.cprofile, params.m, t_reach, refinement=1)
     raise DomainError(f"unknown reference kind {kind!r}")
 
 
@@ -337,14 +357,22 @@ def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: s
     frame = comparison_frame(params, psi0.positions())
     ref_initial = psi0.with_data(frame.apply_adjoint(psi0.data))
     ref_final = _reference_evolution(params, ref_initial, row.time_reached, kind)
+    ref_norm = np.linalg.norm(ref_final.data)
+    reference_error = None
+    if kind == "curved_fine_grid":
+        twin = curved_dirac_reference(
+            ref_initial, params.cprofile, params.m, row.time_reached, refinement=2
+        )
+        reference_error = float(np.linalg.norm(twin.data - ref_final.data) / ref_norm)
     walked_in_frame = frame.apply_adjoint(walked.data)
 
     diff = walked_in_frame - ref_final.data
     return replace(
         row,
-        error_l2=float(np.linalg.norm(diff) / np.linalg.norm(ref_final.data)),
+        error_l2=float(np.linalg.norm(diff) / ref_norm),
         error_max=float(np.max(np.abs(diff))),
         walltime_s=time.perf_counter() - t_start,
+        reference_error=reference_error,
     )
 
 

@@ -190,9 +190,14 @@ def test_sweep_outputs_and_exit(tmp_path):
         {"alpha": 1.0, "reference": "dirac_momentum"},
         {"alpha": 0.5, "length": 32.0, "initial": {"x0": 16.0, "w": 4.0},
          "epsilon_list": [0.1, 0.0999, 0.05]},
+        {"alpha": 0.0, "m": 0.1, "profile": {"name": "flat", "c0": 1.0},
+         "epsilon_list": [0.5, 0.25, 0.125]},
+        {"alpha": 0.5, "length": 64.0, "epsilon_list": [0.25, 0.0625],
+         "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 48.0}},
     ],
     ids=["unknown_reference", "fractional_length", "dirac_momentum_on_bump",
-         "dirac_momentum_at_alpha_one", "snapped_duplicate_epsilon"],
+         "dirac_momentum_at_alpha_one", "snapped_duplicate_epsilon", "singular_coin",
+         "non_periodic_curved_profile"],
 )
 def test_sweep_invalid_spec_exits_two(tmp_path, capsys, raw):
     path = tmp_path / "bad.json"

@@ -124,6 +124,7 @@ def test_sweep_alpha_one_first_order():
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert not report.flags
     assert report.crossval_gap is None  # cross-validation runs at alpha = 0 only
+    assert all(r.reference_error is None for r in report.rows)  # curved_fine_grid rows only
 
 
 def test_sweep_alpha_one_beyond_dense_budget():
@@ -200,6 +201,31 @@ def test_sweep_curved_inhomogeneous_reference_selected():
     assert all(r.failure is None for r in report.rows)
 
 
+def test_curved_rows_record_the_reference_error():
+    # the criterion-5 alpha = 0 input: the reference on the walk's grid against
+    # its 2x refined twin, far below the walk's own error on every row
+    spec = _spec(0.0, CProfile.sine_bump(0.5, 0.3, 64.0), [0.5, 0.25, 0.125, 0.0625],
+                 m=0.1, length=64.0, T=4.0)
+    report = run_convergence_sweep(spec)
+    assert report.reference == "curved_fine_grid"
+    for row in report.rows:
+        assert isinstance(row.reference_error, float)
+        assert row.reference_error < row.error_l2 / 10.0
+    payload = report.to_json_dict()
+    assert [r["reference_error"] for r in payload["rows"]] == [r.reference_error for r in report.rows]
+    assert report.to_csv().splitlines()[0] == "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
+
+
+def test_sweep_curved_alpha_half_first_order():
+    # intermediate scaling on a curved profile, against the pseudo-spectral reference
+    eps_list = [(64.0 / n) ** 2 for n in (128, 256, 512, 1024)]
+    spec = _spec(0.5, CProfile.sine_bump(0.5, 0.3, 64.0), eps_list, m=0.1, length=64.0, T=4.0)
+    report = run_convergence_sweep(spec)
+    assert report.reference == "curved_fine_grid"
+    assert all(r.failure is None for r in report.rows)
+    assert report.fitted_order is not None and report.fitted_order >= 0.9
+
+
 def test_sweep_csv_shape():
     spec = _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05])
     report = run_convergence_sweep(spec)
@@ -239,13 +265,24 @@ def test_spec_validation():
         _spec(0.5, CProfile.constant(0.5), [0.1, 0.0999, 0.05])
     with pytest.raises(DomainError):  # epsilon above 1 that would snap back inside (0, 1]
         _spec(0.5, CProfile.constant(0.5), [1.01, 0.5, 0.25])
+    with pytest.raises(DomainError):  # c * kappa = 1 with m > 0: every coin is singular
+        _spec(0.0, CProfile.constant(1.0), [0.5, 0.25, 0.125], m=0.1)
+    with pytest.raises(DomainError):  # c * kappa > 1 has no coin angle, massless or not
+        _spec(1.0, CProfile.from_function(lambda t, x: 1.2 + 0.0 * x), [0.2, 0.1], m=0.0)
+    # without mass c * kappa = 1 is a bare swap, which the walk can step
+    _spec(0.0, CProfile.constant(1.0), [0.5, 0.25, 0.125], m=0.0)
+    with pytest.raises(DomainError):  # the pseudo-spectral reference needs a periodic speed
+        _spec(0.5, CProfile.sine_bump(0.5, 0.3, 48.0), [0.25, 0.0625], length=64.0)
 
 
 def test_failed_row_keeps_its_grid_and_frame():
-    # c * kappa = 1 with m > 0 puts sin(theta) = 0 in every coin: every row fails
-    spec = _spec(0.0, CProfile.constant(1.0), [0.5, 0.25, 0.125], m=0.1)
+    # a packet narrower than 4 dx on every grid: every row fails to build it
+    spec = ExperimentSpec(
+        alpha=0.0, m=0.1, cprofile=CProfile.constant(0.5), length=32.0, T=2.0,
+        epsilon_list=[0.5, 0.25, 0.125], x0=16.0, w=0.4, k0=float(np.pi / 8),
+    )
     report = run_convergence_sweep(spec)
-    assert all(r.failure and r.failure.startswith("SingularMassError") for r in report.rows)
+    assert all(r.failure and r.failure.startswith("ResolutionError") for r in report.rows)
     assert [(r.N, r.steps) for r in report.rows] == [(64, 2), (128, 4), (256, 8)]
     assert report.frame == "polarization-rotation"
     assert report.fitted_order is None and not report.exact
