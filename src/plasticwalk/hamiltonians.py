@@ -114,7 +114,13 @@ def lattice_hamiltonian_flat(N: int, dx: float, m: float, c: float) -> LatticeHa
 def lattice_hamiltonian_curved(
     N: int, dx: float, m: float, cprofile: CProfile, t0: float = 0.0
 ) -> LatticeHamiltonian:
-    """Inhomogeneous lattice Hamiltonian with bond speeds c(t0, x_l +- dx/2)."""
+    """Inhomogeneous lattice Hamiltonian with bond speeds c(t0, x_l +- dx/2).
+
+    Each bond's speed is sampled once, at its crossing x_l + dx/2, and both
+    of its sites quote it; the seam bond between sites N-1 and 0 is sampled
+    at L - dx/2, where the walk crosses it. So H is exactly Hermitian, also
+    for a profile that is not periodic on the ring.
+    """
     if N < 2:
         raise DomainError(f"need N >= 2 sites, got {N}")
     if dx <= 0:
@@ -122,8 +128,8 @@ def lattice_hamiltonian_curved(
     if m < 0:
         raise DomainError(f"mass must be nonnegative, got {m}")
     xs = np.arange(N) * dx
-    c_minus = cprofile.sample(t0, xs - 0.5 * dx)
     c_plus = cprofile.sample(t0, xs + 0.5 * dx)
+    c_minus = np.roll(c_plus, 1)
     return LatticeHamiltonian(c_minus=c_minus, c_plus=c_plus, dx=dx, m=m)
 
 

@@ -19,8 +19,13 @@ whose qubits 2N-1 and 0 are not neighbours in the mode order, carries the
 Jordan-Wigner sign (-1)^(occupation of modes 1..2N-2) on its hopping
 entries.
 
-Every path that steps the automaton goes through one in-place gate kernel
-on a bit-pair view of the amplitudes, which applies that sign.
+Every path that steps the automaton acts only on the number sectors its
+input occupies. A state or batch confined to a few sectors (a one-particle
+state, a determinant, the one-particle identity) has those sectors'
+amplitudes gathered and stepped through a cached per-sector plan of gate
+positions; anything wider runs one in-place gate kernel on a bit-pair view
+of the full amplitudes. Both share one gate arithmetic, seam sign
+included.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover; basis-state index bit q is the occupation of qubit q, which is
@@ -34,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -42,6 +48,15 @@ from .fields import SpinorField
 from .walk import coin_matrix, shift_minus, shift_plus
 
 QUBIT_BUDGET = 24
+# Largest occupied-sector dimension, as a fraction of 4^N, that _step
+# gathers. Measured per step on 14-20 qubits (2-vCPU host): gathering one
+# half-filling sector (d/4^N ~ 0.2) takes 0.48x (14 qubits) to 0.25x
+# (18 qubits) of the strided time, a 1- or 3-particle sector 0.2x (14) to
+# 0.003x (20), and it breaks even near d/4^N ~ 0.8; a full-support state
+# takes 1.05x (14) to 1.65x (20). The gather plan's index arrays take about
+# 8 amplitudes' worth of memory per gathered amplitude, so the limit sits
+# well below break-even, where a plan stays within ~one statevector.
+_GATHER_FRACTION = 0.125
 
 
 def gate_V() -> np.ndarray:
@@ -121,13 +136,38 @@ class QcaState:
 
 
 @lru_cache(maxsize=None)
-def _parity_sign(n_bits: int) -> np.ndarray:
-    """(-1)^popcount(j) for j = 0..2^n_bits-1, as a read-only int8 table."""
-    sign = np.ones(1, dtype=np.int8)
+def _popcount(n_bits: int) -> np.ndarray:
+    """popcount(j) for j = 0..2^n_bits-1, as a read-only int8 table.
+
+    Built by doubling, so the table for fewer bits is its prefix.
+    """
+    count = np.zeros(1, dtype=np.int8)
     for _ in range(n_bits):
-        sign = np.concatenate([sign, -sign])
-    sign.setflags(write=False)
-    return sign
+        count = np.concatenate([count, count + 1])
+    count.setflags(write=False)
+    return count
+
+
+def _parity_sign(count: np.ndarray) -> np.ndarray:
+    """(-1)^count as int8."""
+    return 1 - 2 * (count & 1)
+
+
+def _mix(gate: np.ndarray, a01: np.ndarray, a10: np.ndarray, sign) -> None:
+    """The |01>/|10> block of a number-conserving gate, in place on a01 and a10.
+
+    ``sign`` (the seam's Jordan-Wigner sign, broadcastable to a01) or None
+    multiplies the two hopping terms. Both stepping paths use this.
+    """
+    into_01 = gate[1, 2] * a10
+    into_10 = gate[2, 1] * a01
+    if sign is not None:
+        into_01 *= sign
+        into_10 *= sign
+    a01 *= gate[1, 1]
+    a01 += into_01
+    a10 *= gate[2, 2]
+    a10 += into_10
 
 
 def _apply_gate(amp: np.ndarray, gate: np.ndarray, q_a: int, q_b: int, nq: int, seam: bool) -> None:
@@ -144,18 +184,83 @@ def _apply_gate(amp: np.ndarray, gate: np.ndarray, q_a: int, q_b: int, nq: int, 
     a01, a10, a11 = view[:, 0, :, 1], view[:, 1, :, 0], view[:, 1, :, 1]   # labelled as if q_a = hi
     if q_a == lo:
         a01, a10 = a10, a01
-    into_01 = gate[1, 2] * a10
-    into_10 = gate[2, 1] * a01
-    if seam:
-        sign = _parity_sign(nq - 2)[:, None, None]
-        into_01 *= sign
-        into_10 *= sign
-    a01 *= gate[1, 1]
-    a01 += into_01
-    a10 *= gate[2, 2]
-    a10 += into_10
+    sign = _parity_sign(_popcount(nq)[: 2 ** (nq - 2)])[:, None, None] if seam else None
+    _mix(gate, a01, a10, sign)
     if gate[3, 3] != 1.0:
         a11 *= gate[3, 3]
+
+
+def _gate_pairs(n_cells: int) -> list[tuple[int, int]]:
+    """Qubit pairs (q_a, q_b) of the crossing gates, cell l = 0..N-1, then of the swaps.
+
+    The crossing pair of cell l is (left-mover subcell of cell l+1,
+    right-mover subcell of cell l); the last one is the ring seam.
+    """
+    nq = 2 * n_cells
+    crossings = [((2 * l + 2) % nq, 2 * l + 1) for l in range(n_cells)]
+    return crossings + [(2 * l, 2 * l + 1) for l in range(n_cells)]
+
+
+def _layers(gates: list[np.ndarray]):
+    """(gate, q_a, q_b, seam) of one step in application order: U, V, U*, V."""
+    n = len(gates)
+    pairs = _gate_pairs(n)
+    v = gate_V()
+    for conj in (False, True):
+        for l, u in enumerate(gates):
+            yield (u.conj() if conj else u), *pairs[l], l == n - 1
+        for l in range(n):
+            yield v, *pairs[n + l], False
+
+
+@dataclass(frozen=True)
+class _SectorPlan:
+    """Gathered-amplitude positions of every gate of a step on a union of number sectors.
+
+    ``idx`` is the sorted union of the sectors' basis indices. For each
+    qubit pair (q_a, q_b) of :func:`_gate_pairs`, ``pairs`` holds the
+    positions in ``idx`` of |01>, of the |10> partner of each, and of |11>
+    (label a is qubit q_a). ``seam_sign`` is the Jordan-Wigner sign
+    (-1)^popcount(bits 1..2N-2) of each seam |01> entry, shaped (k, 1).
+    """
+
+    idx: np.ndarray
+    pairs: dict
+    seam_sign: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _sector_plan(n_cells: int, sectors: tuple[int, ...]) -> _SectorPlan:
+    nq = 2 * n_cells
+    count = _popcount(nq)
+    in_sectors = np.zeros(nq + 1, dtype=bool)
+    in_sectors[list(sectors)] = True
+    idx = np.flatnonzero(in_sectors[count])
+    gate_pairs = _gate_pairs(n_cells)
+    pairs = {}
+    for q_a, q_b in gate_pairs:
+        bit_a, bit_b = (idx >> q_a) & 1, (idx >> q_b) & 1
+        p01 = np.flatnonzero((bit_a == 0) & (bit_b == 1))
+        p10 = np.searchsorted(idx, idx[p01] ^ ((1 << q_a) | (1 << q_b)))
+        pairs[q_a, q_b] = (p01, p10, np.flatnonzero(bit_a & bit_b))
+    seam_01 = idx[pairs[gate_pairs[n_cells - 1]][0]]
+    seam_sign = _parity_sign(count[seam_01 & ((1 << (nq - 1)) - 2)])[:, None]
+    for arr in (idx, seam_sign, *(a for p in pairs.values() for a in p)):
+        arr.setflags(write=False)
+    return _SectorPlan(idx, pairs, seam_sign)
+
+
+def _step_sectors(x: np.ndarray, gates: list[np.ndarray], plan: _SectorPlan) -> np.ndarray:
+    """One automaton step in place on gathered amplitudes ``x`` = amp[plan.idx], shaped (d, B)."""
+    for gate, q_a, q_b, seam in _layers(gates):
+        p01, p10, p11 = plan.pairs[q_a, q_b]
+        a01, a10 = x[p01], x[p10]
+        _mix(gate, a01, a10, plan.seam_sign if seam else None)
+        x[p01] = a01
+        x[p10] = a10
+        if gate[3, 3] != 1.0:
+            x[p11] *= gate[3, 3]
+    return x
 
 
 def _step(amp: np.ndarray, gates: list[np.ndarray]) -> np.ndarray:
@@ -163,16 +268,27 @@ def _step(amp: np.ndarray, gates: list[np.ndarray]) -> np.ndarray:
 
     ``gates[l]`` is the crossing gate between cells l and l+1; the cell
     count is ``len(gates)``. Layers, right to left: U, V, U*, V.
+
+    The step acts only on the number sectors that ``amp`` occupies (read
+    from the nonzero rows, batch axis included). When their dimension d is
+    at most ``_GATHER_FRACTION`` of 4^N, the sectors' amplitudes are
+    gathered, stepped by :func:`_step_sectors` and scattered back;
+    otherwise every gate runs the strided :func:`_apply_gate`.
     """
-    n = len(gates)
-    nq = 2 * n
-    v = gate_V()
-    for conj in (False, True):
-        for l, u in enumerate(gates):
-            # left-mover subcell of cell l+1, right-mover subcell of cell l
-            _apply_gate(amp, u.conj() if conj else u, (2 * l + 2) % nq, 2 * l + 1, nq, l == n - 1)
-        for l in range(n):
-            _apply_gate(amp, v, 2 * l, 2 * l + 1, nq, False)
+    nq = 2 * len(gates)
+    flat = amp.reshape(amp.shape[0], -1)
+    occupied = flat.any(axis=1)
+    limit = _GATHER_FRACTION * flat.shape[0]
+    if np.count_nonzero(occupied) <= limit:
+        present = np.zeros(nq + 1, dtype=bool)
+        present[_popcount(nq)[occupied]] = True
+        sectors = tuple(np.flatnonzero(present).tolist())
+        if sum(comb(nq, k) for k in sectors) <= limit:
+            plan = _sector_plan(len(gates), sectors)
+            flat[plan.idx] = _step_sectors(flat[plan.idx], gates, plan)
+            return amp
+    for gate, q_a, q_b, seam in _layers(gates):
+        _apply_gate(amp, gate, q_a, q_b, nq, seam)
     return amp
 
 
@@ -185,9 +301,11 @@ def qca_step(state: QcaState, theta, zeta, chiral_y: bool = False) -> QcaState:
     """Advance the automaton by one step (duration 2*dt).
 
     ``theta`` and ``zeta`` may be scalars or length-N arrays indexed by the
-    crossing between cells l and l+1 (periodic). The gate kernel gives the
-    crossing between cell N-1 and cell 0 the Jordan-Wigner parity of the
-    modes between its two qubits (see the module docstring).
+    crossing between cells l and l+1 (periodic). The crossing between cell
+    N-1 and cell 0 carries the Jordan-Wigner parity of the modes between
+    its two qubits (see the module docstring). The cost follows the
+    occupied number sectors (see :func:`_step`): a one-particle or
+    few-particle state costs its sectors' dimension, not 4^N.
     """
     n = state.n_cells
     amp = _step(state.amplitudes.copy(), _crossing_gates(n, theta, zeta, chiral_y))
@@ -199,9 +317,7 @@ def embed_one_particle(psi: SpinorField) -> QcaState:
     to the right-mover subcell."""
     n = psi.n_sites
     amp = np.zeros(2 ** (2 * n), dtype=np.complex128)
-    for l in range(n):
-        amp[1 << (2 * l)] = psi.data[l, 0]
-        amp[1 << (2 * l + 1)] = psi.data[l, 1]
+    amp[1 << np.arange(2 * n)] = psi.data.reshape(-1)
     return QcaState(amp, n)
 
 
@@ -212,15 +328,8 @@ def extract_one_particle(state: QcaState, dx: float = 1.0, tol: float = 1e-10) -
     sector exceeds ``tol``.
     """
     n = state.n_cells
-    data = np.zeros((n, 2), dtype=np.complex128)
-    captured = 0.0
-    for l in range(n):
-        a_plus = state.amplitudes[1 << (2 * l)]
-        a_minus = state.amplitudes[1 << (2 * l + 1)]
-        data[l, 0] = a_plus
-        data[l, 1] = a_minus
-        captured += abs(a_plus) ** 2 + abs(a_minus) ** 2
-    outside = state.norm() ** 2 - captured
+    data = state.amplitudes[1 << np.arange(2 * n)].reshape(n, 2)
+    outside = state.norm() ** 2 - float(np.sum(np.abs(data) ** 2))
     if outside > tol:
         raise SectorError(f"weight {outside:.3e} outside the one-particle sector")
     return SpinorField(data, dx)
@@ -230,19 +339,14 @@ def one_particle_matrix(n_cells: int, theta, zeta, chiral_y: bool = False) -> np
     """2N x 2N matrix of one automaton step on the one-particle sector.
 
     Mode index 2l is the left-mover (plus) at cell l, 2l+1 the right-mover.
-    Steps one embedded basis state at a time, so memory stays at one
-    statevector.
+    The sector's identity, whose rows are the embedded modes in basis
+    order, takes one batched step through the sector plan, so no
+    statevector is built.
     """
     if 2 * n_cells > QUBIT_BUDGET:
         raise BudgetError(f"{2 * n_cells} qubits exceed the statevector budget of {QUBIT_BUDGET}")
     gates = _crossing_gates(n_cells, theta, zeta, chiral_y)
-    one_particle = 1 << np.arange(2 * n_cells)
-    w1 = np.empty((2 * n_cells, 2 * n_cells), dtype=np.complex128)
-    for mode in range(2 * n_cells):
-        amp = np.zeros(4 ** n_cells, dtype=np.complex128)
-        amp[one_particle[mode]] = 1.0
-        w1[:, mode] = _step(amp, gates)[one_particle]
-    return w1
+    return _step_sectors(np.eye(2 * n_cells, dtype=np.complex128), gates, _sector_plan(n_cells, (1,)))
 
 
 def _walk_no_mixing(data: np.ndarray, theta: float, zeta: float) -> np.ndarray:
@@ -350,14 +454,16 @@ def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
     """
     if orbitals.n_modes != 2 * n_cells:
         raise DomainError("orbital mode count does not match the cell count")
-    amp = np.zeros(2 ** (2 * n_cells), dtype=np.complex128)
     n = orbitals.n_particles
-    for modes in combinations(range(2 * n_cells), n):
-        amp[sum(1 << m for m in modes)] = np.linalg.det(orbitals.orbitals[list(modes), :])
+    modes = np.array(list(combinations(range(2 * n_cells), n)), dtype=np.intp)
+    modes = modes.reshape(comb(2 * n_cells, n), n)  # (1, 0) for no particles
+    amp = np.zeros(2 ** (2 * n_cells), dtype=np.complex128)
+    amp[np.sum(1 << modes, axis=1)] = np.linalg.det(orbitals.orbitals[modes])
     nrm = np.linalg.norm(amp)
     if nrm == 0.0:
         raise DomainError("determinant vanishes; orbitals are linearly dependent")
-    return QcaState(amp / nrm, n_cells)
+    amp /= nrm
+    return QcaState(amp, n_cells)
 
 
 def dense_step_operator(n_cells: int, theta, zeta, chiral_y: bool = False) -> np.ndarray:

@@ -128,6 +128,25 @@ def test_curved_hermiticity():
     assert np.max(np.abs(dense - dense.conj().T)) <= 1e-13
 
 
+def test_curved_seam_bond_hermitian_for_nonperiodic_profile():
+    # a sine-bump of length 48 on a ring of 64 is not periodic on the ring:
+    # c(-dx/2) != c(64 - dx/2), and site 0 must quote the seam bond the way
+    # site N-1 (and the walk's crossing) does
+    h = lattice_hamiltonian_curved(64, 1.0, 0.1, sine_profile(48.0))
+    dense = h.dense()
+    assert np.array_equal(dense, dense.conj().T)
+    assert h.c_minus[0] == h.c_plus[-1] == sine_profile(48.0).sample(0.0, np.array([63.5]))[0]
+
+
+@pytest.mark.parametrize("n, dx", [(16, 1.0), (64, 0.5), (33, 0.3)])
+def test_curved_bond_speeds_match_two_sided_sampling_on_periodic_profiles(n, dx):
+    profile = sine_profile(n * dx)
+    h = lattice_hamiltonian_curved(n, dx, 0.2, profile)
+    xs = np.arange(n) * dx
+    assert np.max(np.abs(h.c_minus - profile.sample(0.0, xs - 0.5 * dx))) <= 1e-15
+    assert np.max(np.abs(h.c_plus - profile.sample(0.0, xs + 0.5 * dx))) <= 1e-15
+
+
 def _analytic_test_field(n, dx, length):
     x = np.arange(n) * dx
     data = np.empty((n, 2), dtype=complex)

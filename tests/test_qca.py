@@ -242,6 +242,23 @@ def test_determinant_overlap_phase_invariance():
     assert abs(np.linalg.det(a_phased.conj().T @ b)) == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_particles", [0, 1, 3])
+def test_slater_determinant_state_matches_per_combination_dets(n_particles):
+    # the batched determinants against one det per occupied mode set
+    from itertools import combinations
+
+    rng = np.random.default_rng(101 + n_particles)
+    n = 4
+    raw = rng.normal(size=(2 * n, n_particles)) + 1j * rng.normal(size=(2 * n, n_particles))
+    phi = np.linalg.qr(raw)[0] if n_particles else raw
+    amp = np.zeros(4 ** n, dtype=complex)
+    for modes in combinations(range(2 * n), n_particles):
+        amp[sum(1 << m for m in modes)] = np.linalg.det(phi[list(modes), :])
+    expected = amp / np.linalg.norm(amp)
+    got = slater_determinant_state(SlaterState(phi), n).amplitudes
+    assert np.max(np.abs(got - expected)) <= 1e-15
+
+
 def _seam_twisted(u):
     """The gate with its hopping entries negated.
 
@@ -370,6 +387,65 @@ def test_dense_step_operator_matches_gate_by_gate_product(n, chiral_y):
         for l in range(n):
             step = _dense_gate(gate_V(), 2 * l, 2 * l + 1, nq, False) @ step
     assert np.max(np.abs(dense_step_operator(n, theta, zeta, chiral_y) - step)) <= 1e-13
+
+
+def _sector_state(n, sectors, rng):
+    """A random normalized statevector supported on the union of number sectors."""
+    weights = np.array([bin(i).count("1") for i in range(4 ** n)])
+    amp = np.zeros(4 ** n, dtype=complex)
+    inside = np.isin(weights, sectors)
+    amp[inside] = rng.normal(size=inside.sum()) + 1j * rng.normal(size=inside.sum())
+    return amp / np.linalg.norm(amp)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the strided gate kernel ran")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("array_angles", [False, True])
+@pytest.mark.parametrize("chiral_y", [False, True])
+def test_gathered_step_matches_strided_dense_operator(n, array_angles, chiral_y, monkeypatch):
+    # the dense operator steps the full identity (every sector occupied) on
+    # the strided path; qca_step must then gather each sector union below.
+    # The gather limit is raised so that {1, 3} is gathered at every n here.
+    rng = np.random.default_rng(83 + 10 * n + 2 * array_angles + chiral_y)
+    if array_angles:
+        theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
+    else:
+        theta, zeta = float(rng.uniform(0.3, 2.8)), float(rng.uniform(-0.6, 0.6))
+    monkeypatch.setattr(qca, "_GATHER_FRACTION", 0.5)
+    g = dense_step_operator(n, theta, zeta, chiral_y)
+    monkeypatch.setattr(qca, "_apply_gate", _forbidden)
+    for sectors in [(1,), (2,), (1, 3), (0, 2 * n)]:
+        amp = _sector_state(n, sectors, rng)
+        out = qca_step(QcaState(amp, n), theta, zeta, chiral_y)
+        assert np.max(np.abs(out.amplitudes - g @ amp)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("chiral_y", [False, True])
+def test_one_particle_matrix_is_block_of_dense_operator(n, chiral_y):
+    rng = np.random.default_rng(89 + n)
+    theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
+    one = 1 << np.arange(2 * n)
+    block = dense_step_operator(n, theta, zeta, chiral_y)[np.ix_(one, one)]
+    assert np.max(np.abs(one_particle_matrix(n, theta, zeta, chiral_y) - block)) <= 1e-13
+
+
+def test_step_path_follows_occupied_sectors(monkeypatch):
+    # a one-particle state occupies 14 of 2^14 amplitudes and is gathered;
+    # a state with full support runs the strided kernel on every gate
+    calls = []
+    strided = qca._apply_gate
+    monkeypatch.setattr(qca, "_apply_gate", lambda *args: calls.append(args) or strided(*args))
+    rng = np.random.default_rng(97)
+    n = 7
+    data = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    qca_step(embed_one_particle(SpinorField(data / np.linalg.norm(data), 1.0)), 1.1, 0.2)
+    assert calls == []
+    qca_step(QcaState(_sector_state(3, range(7), rng), 3), 1.1, 0.2)
+    assert len(calls) == 4 * 3
 
 
 def test_two_particle_step_approaches_identity_in_continuous_time_limit():
