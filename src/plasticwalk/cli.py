@@ -31,7 +31,7 @@ from .harness import (
 )
 from .qca import dense_step_operator, verify_encoding
 from .scaling import ScalingParams
-from .walk import qw_step
+from .walk import qw_step, trajectory_operators
 from . import __version__
 
 PROFILE_NAMES = ("flat", "sine-bump", "gaussian-well")
@@ -209,8 +209,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         atomic_write(out_dir / f"snapshot_{idx:06d}.csv", "\n".join(lines) + "\n")
 
     write_snapshot(0, field)
+    ops = trajectory_operators(params, field)
     for j in range(steps):
-        field = qw_step(field, params, 2.0 * eps * j)
+        field = qw_step(field, params, 2.0 * eps * j, ops=ops)
         if (j + 1) % cfg.snapshot_stride == 0 or j + 1 == steps:
             write_snapshot(j + 1, field)
 

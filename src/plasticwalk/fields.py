@@ -82,8 +82,11 @@ class SpinorField:
 class CProfile:
     """Propagation-speed (hopping-rate) profile c(t, x) with values in [0, 1].
 
-    ``homogeneous`` marks profiles that are constant in both arguments;
-    several operations (momentum diagnostics, the momentum-space reference
+    ``static`` marks profiles that do not depend on t: a walk builds their
+    step operators once per trajectory, and the curved references (which
+    freeze c at t = 0) are valid for them. ``homogeneous`` marks profiles
+    that are constant in both arguments, and implies ``static``; several
+    operations (momentum diagnostics, the momentum-space reference
     propagator) are only defined for homogeneous profiles.
     """
 
@@ -91,6 +94,10 @@ class CProfile:
     homogeneous: bool
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
+    static: bool = False
+
+    def __post_init__(self):
+        self.static = self.static or self.homogeneous
 
     @classmethod
     def constant(cls, c0: float) -> "CProfile":
@@ -99,8 +106,11 @@ class CProfile:
         return cls(fn=lambda t, x: c0, homogeneous=True, name="flat", params={"c0": c0})
 
     @classmethod
-    def from_function(cls, fn: Callable[[float, float], float], name: str = "custom") -> "CProfile":
-        return cls(fn=fn, homogeneous=False, name=name)
+    def from_function(
+        cls, fn: Callable[[float, float], float], name: str = "custom", static: bool = False
+    ) -> "CProfile":
+        """Profile from any callable c(t, x); pass ``static=True`` only if fn ignores t."""
+        return cls(fn=fn, homogeneous=False, name=name, static=static)
 
     @classmethod
     def sine_bump(cls, c0: float, a: float, length: float) -> "CProfile":
@@ -112,6 +122,7 @@ class CProfile:
             homogeneous=(a == 0.0),
             name="sine-bump",
             params={"c0": c0, "a": a, "length": length},
+            static=True,
         )
 
     @classmethod
@@ -124,6 +135,7 @@ class CProfile:
             homogeneous=(depth == 0.0),
             name="gaussian-well",
             params={"c0": c0, "depth": depth, "center": center, "width": width},
+            static=True,
         )
 
     def __call__(self, t: float, x: float) -> float:
@@ -135,9 +147,14 @@ class CProfile:
     def sample(self, t: float, xs: np.ndarray) -> np.ndarray:
         """Evaluate at an array of positions, validating the range once."""
         xs = np.asarray(xs, dtype=float)
-        cs = np.asarray(self.fn(t, xs), dtype=float)
-        if cs.shape != xs.shape:  # scalar-only callables
-            cs = np.array([float(self.fn(t, float(x))) for x in xs])
+        try:
+            cs = np.asarray(self.fn(t, xs), dtype=float)
+        except (TypeError, ValueError):  # scalar-only callables, e.g. built on math.sin
+            cs = None
+        if cs is not None and cs.ndim == 0:  # constant callables
+            cs = np.full(xs.shape, cs)
+        if cs is None or cs.shape != xs.shape:
+            cs = np.array([float(self.fn(t, x)) for x in xs.ravel().tolist()]).reshape(xs.shape)
         if cs.size and (cs.min() < 0.0 or cs.max() > 1.0):
             raise DomainError(
                 f"profile values at t={t} span [{cs.min()}, {cs.max()}], outside [0, 1]"

@@ -90,6 +90,11 @@ class ExperimentSpec:
             raise DomainError(f"unknown reference {self.reference!r}; pick from {REFERENCES}")
         if len(self.epsilon_list) < 1:
             raise DomainError("epsilon_list must not be empty")
+        if not self.cprofile.static:
+            raise DomainError(
+                f"profile {self.cprofile.name!r} is not static in t, but every reference freezes "
+                f"c at t = 0; a custom profile that ignores t can be built with static=True"
+            )
         if self.reference == "dirac_momentum" and not self.cprofile.homogeneous:
             raise DomainError(
                 f"reference 'dirac_momentum' needs a homogeneous profile; got {self.cprofile.name!r}"
@@ -181,6 +186,11 @@ class SweepRow:
     error_l2: float = float("nan")
     error_max: float = float("nan")
     walltime_s: float = 0.0
+    # where walltime_s went, and |norm(walked) - norm(psi0)|; JSON only
+    walk_s: float = dc_field(default=0.0, metadata={"csv": False})
+    frame_s: float = dc_field(default=0.0, metadata={"csv": False})
+    reference_s: float = dc_field(default=0.0, metadata={"csv": False})
+    norm_drift: float = dc_field(default=float("nan"), metadata={"csv": False})
     # curved_fine_grid rows: relative distance between the reference and its 2x refined twin
     reference_error: float | None = dc_field(default=None, metadata={"csv": False})
     time_reached: float = dc_field(default=0.0, metadata={"csv": False})
@@ -353,9 +363,13 @@ def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: s
     t_start = time.perf_counter()
     psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
 
+    t0 = time.perf_counter()
     walked = evolve_walk(psi0, params, row.steps)
+    t1 = time.perf_counter()
     frame = comparison_frame(params, psi0.positions())
     ref_initial = psi0.with_data(frame.apply_adjoint(psi0.data))
+    walked_in_frame = frame.apply_adjoint(walked.data)
+    t2 = time.perf_counter()
     ref_final = _reference_evolution(params, ref_initial, row.time_reached, kind)
     ref_norm = np.linalg.norm(ref_final.data)
     reference_error = None
@@ -364,7 +378,7 @@ def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: s
             ref_initial, params.cprofile, params.m, row.time_reached, refinement=2
         )
         reference_error = float(np.linalg.norm(twin.data - ref_final.data) / ref_norm)
-    walked_in_frame = frame.apply_adjoint(walked.data)
+    t3 = time.perf_counter()
 
     diff = walked_in_frame - ref_final.data
     return replace(
@@ -372,6 +386,10 @@ def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: s
         error_l2=float(np.linalg.norm(diff) / ref_norm),
         error_max=float(np.max(np.abs(diff))),
         walltime_s=time.perf_counter() - t_start,
+        walk_s=t1 - t0,
+        frame_s=t2 - t1,
+        reference_s=t3 - t2,
+        norm_drift=abs(walked.norm() - psi0.norm()),
         reference_error=reference_error,
     )
 

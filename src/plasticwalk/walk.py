@@ -14,9 +14,14 @@ scalars or arrays: a scalar gives one 2x2 matrix, an array gives a stack of
 shape ``shape + (2, 2)``. One step is one set of four such stacks: coins
 sampled at the crossing midpoints x + dx/2, mixing powers at the cell
 centers x, all at the step's start time (a homogeneous profile is sampled
-at one point and broadcast over the ring). ``qw_step`` builds them and
-applies them by component arithmetic on the plus and minus arrays, and
-``evolve_walk`` is the one stepping loop, one ``qw_step`` per step.
+at one point and broadcast over the ring). A step's operators hold each
+stack as its four entries, each a contiguous 1-D array, and ``qw_step``
+applies them by component arithmetic on the plus and minus arrays.
+``evolve_walk`` is the one stepping loop, one ``qw_step`` per step. For a
+static profile the operators are the same on every step, so
+``trajectory_operators`` builds them once and every ``qw_step`` of the
+trajectory reuses them; otherwise each ``qw_step`` builds its own at its
+start time.
 """
 
 from __future__ import annotations
@@ -96,22 +101,49 @@ def shift_minus(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_operators(params: ScalingParams, t: float, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four pointwise stacks of one step at start time t, in order of application.
+StepOperators = tuple[tuple[np.ndarray, ...], ...]
 
-    Returns (Lambda^kappa, C(zeta), C(-zeta), Lambda^(-kappa)); coins are
-    sampled at the crossings xs + dx/2, mixing powers at the sites xs. A
-    homogeneous profile is sampled at one point, giving (1, 2, 2) stacks.
+
+def _step_stacks(params: ScalingParams, t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda^kappa at the sites xs and C(zeta) at the crossings xs + dx/2, at start time t.
+
+    A homogeneous profile is sampled at one point, giving (1, 2, 2) stacks.
     """
     if params.cprofile.homogeneous:
         xs = xs[:1]
     lam = lambda_power(params.cprofile.sample(t, xs), params.kappa)
     coin = coin_matrix(*derive_angle_arrays(params, t, xs + 0.5 * params.dx))
-    return lam, coin, coin.swapaxes(-1, -2), lam.conj()
+    return lam, coin
 
 
-def _mix(mat: np.ndarray, p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return mat[:, 0, 0] * p + mat[:, 0, 1] * m, mat[:, 1, 0] * p + mat[:, 1, 1] * m
+def _step_operators(params: ScalingParams, t: float, xs: np.ndarray) -> StepOperators:
+    """The four pointwise stacks of one step at start time t, in order of application.
+
+    Returns (Lambda^kappa, C(zeta), C(-zeta), Lambda^(-kappa)), each as its
+    entries (a00, a01, a10, a11), each a contiguous array over the sites
+    (length 1 for a homogeneous profile). C(-zeta) is the transpose of
+    C(zeta), so it shares C(zeta)'s arrays.
+    """
+    lam, coin = _step_stacks(params, t, xs)
+    lam_e = tuple(np.ascontiguousarray(lam[:, i, j]) for i in (0, 1) for j in (0, 1))
+    c00, c01, c10, c11 = (np.ascontiguousarray(coin[:, i, j]) for i in (0, 1) for j in (0, 1))
+    return lam_e, (c00, c01, c10, c11), (c00, c10, c01, c11), tuple(a.conj() for a in lam_e)
+
+
+def trajectory_operators(
+    params: ScalingParams, field: SpinorField, t0: float = 0.0
+) -> StepOperators | None:
+    """Operators shared by every step of a trajectory from ``field``.
+
+    A static profile's operators are built once, here; a profile that
+    depends on t gets None, so each ``qw_step`` builds its own.
+    """
+    return _step_operators(params, t0, field.positions()) if params.cprofile.static else None
+
+
+def _mix(mat: tuple[np.ndarray, ...], p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a00, a01, a10, a11 = mat
+    return a00 * p + a01 * m, a10 * p + a11 * m
 
 
 def _shift(p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +151,9 @@ def _shift(p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((p[1:], p[:1])), np.concatenate((m[-1:], m[:-1]))
 
 
-def qw_step(field: SpinorField, params: ScalingParams, t: float = 0.0) -> SpinorField:
+def qw_step(
+    field: SpinorField, params: ScalingParams, t: float = 0.0, *, ops: StepOperators | None = None
+) -> SpinorField:
     """Advance a spinor field by one walk step (duration 2*dt).
 
     Parameters
@@ -131,6 +165,9 @@ def qw_step(field: SpinorField, params: ScalingParams, t: float = 0.0) -> Spinor
     t:
         Start time of the step. Every spacetime-dependent factor is frozen
         at this time.
+    ops:
+        The step's operators, as ``trajectory_operators`` returns them for
+        a static profile on this field's ring. None builds them at time t.
 
     Returns
     -------
@@ -139,7 +176,9 @@ def qw_step(field: SpinorField, params: ScalingParams, t: float = 0.0) -> Spinor
     """
     if abs(field.dx - params.dx) > 1e-12 * max(field.dx, params.dx):
         raise DomainError(f"field.dx = {field.dx} does not match params.dx = {params.dx}")
-    lam, coin, coin_t, lam_inv = _step_operators(params, t, field.positions())
+    if ops is None:
+        ops = _step_operators(params, t, field.positions())
+    lam, coin, coin_t, lam_inv = ops
     p, m = _mix(coin, *_mix(lam, field.plus, field.minus))
     p, m = _mix(coin_t, *_shift(p, m))
     p, m = _mix(lam_inv, *_shift(p, m))
@@ -149,10 +188,14 @@ def qw_step(field: SpinorField, params: ScalingParams, t: float = 0.0) -> Spinor
 def evolve_walk(
     field: SpinorField, params: ScalingParams, steps: int, t0: float = 0.0
 ) -> SpinorField:
-    """Apply ``steps`` walk steps; step j starts at t0 + 2*dt*j."""
+    """Apply ``steps`` walk steps; step j starts at t0 + 2*dt*j.
+
+    A static profile's operators are built once for all steps.
+    """
+    ops = trajectory_operators(params, field, t0)
     out = field
     for j in range(steps):
-        out = qw_step(out, params, t0 + 2.0 * params.epsilon * j)
+        out = qw_step(out, params, t0 + 2.0 * params.epsilon * j, ops=ops)
     return out
 
 
@@ -166,7 +209,8 @@ def momentum_block(params: ScalingParams, k, t: float = 0.0) -> np.ndarray:
     """
     if not params.cprofile.homogeneous:
         raise InhomogeneousError("momentum_block requires a homogeneous profile")
-    lam, coin, coin_t, lam_inv = (op[0] for op in _step_operators(params, t, np.zeros(1)))
+    lam, coin = (op[0] for op in _step_stacks(params, t, np.zeros(1)))
+    coin_t, lam_inv = coin.T, lam.conj()
     phase = np.exp(1j * np.asarray(k, dtype=float) * params.dx)
     d = np.zeros(phase.shape + (2, 2), dtype=np.complex128)
     d[..., 0, 0] = phase

@@ -111,6 +111,27 @@ def test_simulate_snapshot_fields_round_trip(tmp_path):
             assert f"{float(field):.17g}" == field
 
 
+def test_simulate_final_snapshot_equals_evolve_walk(tmp_path):
+    from plasticwalk import ScalingParams, evolve_walk, make_wavepacket
+    from plasticwalk.harness import _grid
+
+    out = tmp_path / "run"
+    path, cfg = write_config(
+        tmp_path, command="simulate", out=str(out), alpha=0.5, length=16.0, T=1.0,
+        epsilon=0.0625, snapshot_stride=3,
+        profile={"name": "gaussian-well", "c0": 0.8, "depth": 0.3, "center": 8.0, "width": 2.0},
+        initial={"x0": 6.0, "w": 2.0, "k0": 0.5, "chirality_mix": 0.3},
+    )
+    assert main(["simulate", "--config", str(path)]) == 0
+    eps, n, steps, _, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
+    params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
+    walked = evolve_walk(make_wavepacket(n, params.dx, *cfg._packet()), params, steps)
+    rows = (out / f"snapshot_{steps:06d}.csv").read_text().splitlines()[1:]
+    cols = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(cols[:, 1] + 1j * cols[:, 2], walked.plus)
+    assert np.array_equal(cols[:, 3] + 1j * cols[:, 4], walked.minus)
+
+
 def test_simulate_single_site_ring_exits_one(tmp_path, capsys):
     # alpha = 1 fixes dx = 1, so length 1 snaps to a one-site ring, as in sweep
     path, _ = write_config(

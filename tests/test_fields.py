@@ -1,5 +1,7 @@
 """Field containers and speed profiles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,40 @@ def test_profile_out_of_range_at_sample_time():
         p(0.0, 10.0)
     with pytest.raises(DomainError):
         p.sample(0.0, np.array([0.0, 10.0]))
+
+
+def test_profile_static_flags():
+    assert CProfile.constant(0.4).static
+    assert CProfile.sine_bump(0.5, 0.3, 16.0).static
+    assert CProfile.gaussian_well(0.8, 0.3, center=8.0, width=2.0).static
+    assert not CProfile.from_function(lambda t, x: 0.5 + 0.1 * np.sin(t)).static
+    assert CProfile.from_function(lambda t, x: 0.5 + 0.0 * x, static=True).static
+    # homogeneous means uniform in x and static in t
+    assert CProfile(fn=lambda t, x: 0.5, homogeneous=True).static
+
+
+def test_profile_sample_scalar_only_callable():
+    # math.sin refuses an array: sample falls back to one call per point
+    xs = np.linspace(0.0, 20.0, 201)
+    scalar = CProfile.from_function(lambda t, x: 0.5 + 0.1 * math.sin(x)).sample(0.0, xs)
+    vector = CProfile.from_function(lambda t, x: 0.5 + 0.1 * np.sin(x)).sample(0.0, xs)
+    assert np.array_equal(scalar, vector)
+    with pytest.raises(DomainError):  # the one range check covers the fallback too
+        CProfile.from_function(lambda t, x: 0.5 + math.sin(x)).sample(0.0, xs)
+
+
+def test_profile_sample_constant_callable_broadcasts():
+    calls = []
+
+    def fn(t, x):
+        calls.append(x)
+        return 0.5
+
+    xs = np.linspace(0.0, 20.0, 201)
+    cs = CProfile.from_function(fn).sample(0.0, xs)
+    assert len(calls) == 1  # one array call, no per-point loop
+    assert cs.shape == xs.shape and np.array_equal(cs, np.full(xs.shape, 0.5))
+    assert np.array_equal(CProfile.constant(0.5).sample(0.0, xs), cs)
 
 
 def test_scaling_params_derived_quantities():

@@ -268,11 +268,35 @@ def test_spec_validation():
     with pytest.raises(DomainError):  # c * kappa = 1 with m > 0: every coin is singular
         _spec(0.0, CProfile.constant(1.0), [0.5, 0.25, 0.125], m=0.1)
     with pytest.raises(DomainError):  # c * kappa > 1 has no coin angle, massless or not
-        _spec(1.0, CProfile.from_function(lambda t, x: 1.2 + 0.0 * x), [0.2, 0.1], m=0.0)
+        _spec(1.0, CProfile.from_function(lambda t, x: 1.2 + 0.0 * x, static=True), [0.2, 0.1], m=0.0)
     # without mass c * kappa = 1 is a bare swap, which the walk can step
     _spec(0.0, CProfile.constant(1.0), [0.5, 0.25, 0.125], m=0.0)
     with pytest.raises(DomainError):  # the pseudo-spectral reference needs a periodic speed
         _spec(0.5, CProfile.sine_bump(0.5, 0.3, 48.0), [0.25, 0.0625], length=64.0)
+
+
+def test_spec_refuses_time_dependent_profile():
+    # every reference and the comparison frame freeze c at t = 0
+    breathing = CProfile.from_function(lambda t, x: 0.5 + 0.3 * np.sin(0.8 * t) + 0.0 * x)
+    for alpha in (1.0, 0.5, 0.0):
+        with pytest.raises(DomainError, match="not static"):
+            _spec(alpha, breathing, [0.2, 0.1, 0.05])
+    # the same callable shape, declared static because it ignores t, is swept
+    frozen = CProfile.from_function(lambda t, x: 0.5 + 0.3 * np.sin(2 * np.pi * x / 32.0), static=True)
+    assert _spec(1.0, frozen, [0.2, 0.1, 0.05]).resolved_reference() == "lattice_exact"
+
+
+def test_rows_split_their_walltime():
+    spec = _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05])
+    report = run_convergence_sweep(spec)
+    for row in report.rows:
+        parts = (row.walk_s, row.frame_s, row.reference_s)
+        assert all(s > 0.0 for s in parts)
+        assert sum(parts) <= row.walltime_s
+        assert row.norm_drift <= 1e-12
+    payload = report.to_json_dict()["rows"][0]
+    assert {"walk_s", "frame_s", "reference_s", "norm_drift"} <= set(payload)
+    assert report.to_csv().splitlines()[0] == "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
 
 
 def test_failed_row_keeps_its_grid_and_frame():

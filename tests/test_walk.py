@@ -345,16 +345,22 @@ def test_momentum_block_eigenphase_expansion_halving():
 
 @pytest.mark.parametrize(
     "prof",
-    [CProfile.from_function(lambda t, x: 0.4 + 0.2 * np.sin(t)), CProfile.constant(0.4)],
-    ids=["inhomogeneous", "homogeneous"],
+    [
+        CProfile.from_function(lambda t, x: 0.4 + 0.2 * np.sin(t)),
+        CProfile.constant(0.4),
+        CProfile.gaussian_well(0.8, 0.3, center=2.0, width=1.0),
+        CProfile.sine_bump(0.5, 0.3, 4.0),
+    ],
+    ids=["inhomogeneous", "homogeneous", "gaussian-well", "sine-bump"],
 )
 def test_evolve_walk_threads_step_start_times(prof):
+    # evolve_walk builds a static profile's operators once; each bare qw_step builds its own
     p = ScalingParams(m=0.1, cprofile=prof, epsilon=0.25, alpha=0.5)
     rng = np.random.default_rng(29)
     f = random_field(8, rng, dx=p.dx)
     manual = qw_step(qw_step(f, p, t=0.0), p, t=2 * p.epsilon)
     auto = evolve_walk(f, p, steps=2)
-    np.testing.assert_allclose(auto.data, manual.data, atol=0)
+    assert np.array_equal(auto.data, manual.data)
 
 
 def test_step_matches_momentum_block_intermediate_scaling():
@@ -370,3 +376,32 @@ def test_step_matches_momentum_block_intermediate_scaling():
         expected = f.data @ momentum_block(p, float(k)).T
         np.testing.assert_allclose(momentum_block(p, float(k)), explicit_momentum_block(p, k), atol=1e-14)
         np.testing.assert_allclose(qw_step(f, p).data, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# operators built once per trajectory
+
+
+def test_static_profile_builds_operators_once_per_trajectory(monkeypatch):
+    from plasticwalk import walk
+
+    builds = []
+    real = walk._step_operators
+
+    def counting(params, t, xs):
+        builds.append(t)
+        return real(params, t, xs)
+
+    monkeypatch.setattr(walk, "_step_operators", counting)
+    well = CProfile.gaussian_well(0.8, 0.3, center=8.0, width=2.0)
+    static = ScalingParams(m=0.2, cprofile=well, epsilon=0.0625, alpha=0.5)
+    f = random_field(64, np.random.default_rng(53), dx=static.dx)
+    evolve_walk(f, static, 7)
+    assert builds == [0.0]
+    builds.clear()
+    moving = ScalingParams(
+        m=0.2, cprofile=CProfile.from_function(lambda t, x: 0.5 + 0.2 * np.sin(x + t)),
+        epsilon=0.0625, alpha=0.5,
+    )
+    evolve_walk(f, moving, 7)
+    assert builds == [2.0 * 0.0625 * j for j in range(7)]
