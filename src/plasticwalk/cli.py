@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PlasticWalkError
+from .errors import ConfigError, DomainError, PlasticWalkError, SingularMassError
 from .fields import CProfile
 from .harness import (
     ExperimentSpec,
@@ -84,13 +84,7 @@ class RunConfig:
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(_json_object(text))
 
     def validate(self) -> None:
         if self.command not in ("simulate", "sweep", "dispersion", "qca"):
@@ -171,6 +165,16 @@ class RunConfig:
             raise ConfigError(f"field 'profile' has the wrong type: {exc}") from exc
 
 
+def _json_object(text: str) -> dict:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return raw
+
+
 def _require_real(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{name}': got {value!r}, must be a real number")
@@ -197,6 +201,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     eps, n, steps, t_reach, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
     params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
     field = make_wavepacket(n, params.dx, *cfg._packet())
+    try:  # before any output, so a singular coin leaves no snapshot behind
+        ops = trajectory_operators(params, field)
+    except SingularMassError as exc:
+        raise ConfigError(f"coin at epsilon {eps:.6g}: {exc}") from exc
     norm0 = field.norm()
     xs = field.positions()
 
@@ -209,7 +217,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         atomic_write(out_dir / f"snapshot_{idx:06d}.csv", "\n".join(lines) + "\n")
 
     write_snapshot(0, field)
-    ops = trajectory_operators(params, field)
     for j in range(steps):
         field = qw_step(field, params, 2.0 * eps * j, ops=ops)
         if (j + 1) % cfg.snapshot_stride == 0 or j + 1 == steps:
@@ -295,7 +302,10 @@ def cmd_dispersion(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("field 'profile': dispersion requires a homogeneous profile")
     eps, _, _ = _snap_epsilon(cfg.alpha, cfg.length, cfg.epsilon)
     params = ScalingParams(m=cfg.m, cprofile=profile, epsilon=eps, alpha=cfg.alpha)
-    table = dispersion_scan(params, cfg.k_count)
+    try:
+        table = dispersion_scan(params, cfg.k_count)
+    except SingularMassError as exc:
+        raise ConfigError(f"coin at epsilon {eps:.6g}: {exc}") from exc
     atomic_write(out_dir / "dispersion.csv", table.to_csv())
     edge = int(np.argmin(np.abs(np.abs(table.ks) - np.pi / params.dx)))
     print(
@@ -360,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; sweeps run serially")
         p.add_argument("--seed", type=int, default=None,
                        help="seed recorded in outputs; main path is deterministic")
     return parser
@@ -373,15 +381,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"field 'config': file {path} does not exist")
-        raw = json.loads(path.read_text()) if path.read_text().strip() else {}
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+        text = path.read_text()
+        if text.strip():  # a blank file is the empty config
+            raw = _json_object(text)
     raw["command"] = args.command
     # precedence: flags > config > defaults
     if args.out is not None:
         raw["out"] = args.out
-    if args.threads is not None:
-        raw["threads"] = args.threads
     if args.seed is not None:
         raw["seed"] = args.seed
     return RunConfig.from_dict(raw)
@@ -395,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = load_config(args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.out)

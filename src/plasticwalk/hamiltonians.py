@@ -74,35 +74,26 @@ class LatticeHamiltonian:
         mass[:, 1] = +self.m * data[:, 1]
         return hop + mass
 
-    def dense(self) -> np.ndarray:
-        """The (2N, 2N) matrix, site-major: row 2l + a is component a of site l."""
-        n = self.n_sites
-        sites = np.arange(n)
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        h = np.zeros((n, 2, n, 2), dtype=np.complex128)
-        # separate statements, so the two hops add up on a two-site ring
-        h[sites, :, (sites - 1) % n, :] += ((0.5j / self.dx) * self.c_minus)[:, None, None] * sx
-        h[sites, :, (sites + 1) % n, :] += ((-0.5j / self.dx) * self.c_plus)[:, None, None] * sx
-        h[sites, :, sites, :] += np.diag([-self.m, self.m])
-        return h.reshape(2 * n, 2 * n)
-
     def sparse(self) -> sp.csc_matrix:
+        """The (2N, 2N) matrix, site-major: row 2l + a is component a of site l.
+
+        Entries at one position add up, as the two hops do on a two-site ring.
+        """
         n = self.n_sites
-        rows, cols, vals = [], [], []
-        for l in range(n):
-            lm, lp = (l - 1) % n, (l + 1) % n
-            for a in (0, 1):
-                b = 1 - a
-                rows.append(2 * l + a)
-                cols.append(2 * lm + b)
-                vals.append(0.5j / self.dx * self.c_minus[l])
-                rows.append(2 * l + a)
-                cols.append(2 * lp + b)
-                vals.append(-0.5j / self.dx * self.c_plus[l])
-            rows += [2 * l, 2 * l + 1]
-            cols += [2 * l, 2 * l + 1]
-            vals += [-self.m, +self.m]
+        row = np.arange(2 * n)
+        site, a = np.divmod(row, 2)
+        rows = np.concatenate([row, row, row])
+        cols = np.concatenate([2 * ((site - 1) % n) + 1 - a, 2 * ((site + 1) % n) + 1 - a, row])
+        vals = np.concatenate([
+            (0.5j / self.dx) * self.c_minus[site],
+            (-0.5j / self.dx) * self.c_plus[site],
+            np.where(a == 0, -self.m, self.m),
+        ])
         return sp.csc_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+
+    def dense(self) -> np.ndarray:
+        """The matrix of ``sparse()`` as a dense array."""
+        return self.sparse().toarray()
 
 
 def lattice_hamiltonian_flat(N: int, dx: float, m: float, c: float) -> LatticeHamiltonian:

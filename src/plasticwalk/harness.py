@@ -1,10 +1,12 @@
 """Convergence experiments: walk trajectories against reference evolutions.
 
 For each epsilon in a sweep the walk is run to the target time and compared
-against the reference evolution appropriate to the scaling exponent: the
-lattice Hamiltonian on the same grid (alpha = 1), the continuum Dirac
-evolution (alpha < 1, homogeneous speed), or the pseudo-spectral curved
-Dirac evolution (alpha < 1, inhomogeneous speed, kind ``curved_fine_grid``).
+against the evolution it tends to, which the scaling exponent and the speed
+profile fix (``ExperimentSpec.resolved_reference``; there is no other
+choice): the lattice Hamiltonian on the same grid (alpha = 1,
+``lattice_exact``), the continuum Dirac evolution (alpha < 1, homogeneous
+speed, ``dirac_momentum``), or the pseudo-spectral curved Dirac evolution
+(alpha < 1, inhomogeneous speed, ``curved_fine_grid``).
 A homogeneous speed makes either reference translation-invariant, so it is
 propagated per ring momentum with closed-form 2x2 blocks; dense
 diagonalization serves only the inhomogeneous lattice reference. The curved
@@ -61,8 +63,6 @@ from .hamiltonians import (
 from .scaling import ScalingParams, derive_angle_arrays
 from .walk import SIGMA_Y, evolve_walk, lambda_power, momentum_block, ring_momenta
 
-REFERENCES = ("auto", "lattice_exact", "dirac_momentum", "curved_fine_grid")
-
 
 # ---------------------------------------------------------------------------
 # experiment description
@@ -82,12 +82,14 @@ class ExperimentSpec:
     w: float
     k0: float
     chirality_mix: float = 0.5
-    reference: str = "auto"
+    reference: str = "auto"  # or exactly resolved_reference(); nothing else is accepted
 
     def __post_init__(self):
         """Refuse a spec whose rows would all fail or whose order fit would."""
-        if self.reference not in REFERENCES:
-            raise DomainError(f"unknown reference {self.reference!r}; pick from {REFERENCES}")
+        derived = self.resolved_reference()
+        if self.reference not in ("auto", derived):
+            raise DomainError(f"reference {self.reference!r} is not the walk's limit here; "
+                              f"this spec's reference is {derived!r} (or 'auto')")
         if len(self.epsilon_list) < 1:
             raise DomainError("epsilon_list must not be empty")
         if not self.cprofile.static:
@@ -95,21 +97,12 @@ class ExperimentSpec:
                 f"profile {self.cprofile.name!r} is not static in t, but every reference freezes "
                 f"c at t = 0; a custom profile that ignores t can be built with static=True"
             )
-        if self.reference == "dirac_momentum" and not self.cprofile.homogeneous:
-            raise DomainError(
-                f"reference 'dirac_momentum' needs a homogeneous profile; got {self.cprofile.name!r}"
-            )
-        if self.reference == "dirac_momentum" and self.alpha == 1.0:
-            raise DomainError(
-                "reference 'dirac_momentum' is the continuum limit, but at alpha = 1 the grid "
-                "stays fixed and the walk tends to the lattice Hamiltonian; use 'lattice_exact'"
-            )
         _check_chirality_mix(self.chirality_mix)
         if self.alpha == 1.0 and abs(self.length - round(self.length)) > 1e-9:
             raise DomainError(
                 f"alpha = 1 fixes the spacing at 1, so length must be an integer; got {self.length}"
             )
-        if self.resolved_reference() == "curved_fine_grid":
+        if derived == "curved_fine_grid":
             seam = abs(self.cprofile(0.0, self.length) - self.cprofile(0.0, 0.0))
             if seam > 1e-12:
                 raise DomainError(
@@ -148,8 +141,7 @@ class ExperimentSpec:
         return plan
 
     def resolved_reference(self) -> str:
-        if self.reference != "auto":
-            return self.reference
+        """The walk's limit: the lattice at alpha = 1, else the flat or curved continuum."""
         if self.alpha == 1.0:
             return "lattice_exact"
         return "dirac_momentum" if self.cprofile.homogeneous else "curved_fine_grid"
@@ -353,9 +345,7 @@ def _reference_evolution(
             psi0.n_sites, psi0.dx, params.m, params.cprofile(0.0, 0.0), t_reach
         )
         return prop.apply(psi0)
-    if kind == "curved_fine_grid":
-        return curved_dirac_reference(psi0, params.cprofile, params.m, t_reach, refinement=1)
-    raise DomainError(f"unknown reference kind {kind!r}")
+    return curved_dirac_reference(psi0, params.cprofile, params.m, t_reach, refinement=1)
 
 
 def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str) -> SweepRow:

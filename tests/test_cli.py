@@ -49,14 +49,35 @@ def test_config_rejects_unknown_field(tmp_path, capsys):
     assert "alhpa" in capsys.readouterr().err
 
 
-def test_threads_flag_overrides_config(tmp_path):
+def test_threads_config_key_is_accepted(tmp_path):
+    # sweeps run serially: the key is validated and kept, and there is no flag for it
     path, _ = write_config(tmp_path, command="dispersion", out=str(tmp_path / "o"), threads=3)
     from plasticwalk.cli import build_parser, load_config
 
     args = build_parser().parse_args(["dispersion", "--config", str(path)])
     assert load_config(args).threads == 3
-    args = build_parser().parse_args(["dispersion", "--config", str(path), "--threads", "2"])
-    assert load_config(args).threads == 2
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["dispersion", "--config", str(path), "--threads", "2"])
+
+
+@pytest.mark.parametrize("text", ["x{", "[1, 2]"], ids=["malformed", "not_an_object"])
+def test_config_file_that_is_not_a_json_object_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert ("not valid JSON" if text == "x{" else "JSON object") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_blank_config_file_is_the_default_config(tmp_path):
+    from plasticwalk.cli import build_parser, load_config
+
+    path = tmp_path / "blank.json"
+    path.write_text("  \n")
+    args = build_parser().parse_args(["qca", "--config", str(path)])
+    assert load_config(args) == RunConfig(command="qca")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +195,18 @@ def test_simulate_flag_overrides_out(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "dispersion"])
+def test_singular_coin_exits_two_and_writes_nothing(tmp_path, capsys, command):
+    # c * kappa = 1 with m > 0 at alpha = 0: sin(theta) = 0 in every coin, as in sweep
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(
+        {"alpha": 0.0, "m": 0.2, "profile": {"name": "flat", "c0": 1.0}, "epsilon": 0.5, "T": 1.0}
+    ))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -209,6 +242,10 @@ def test_sweep_outputs_and_exit(tmp_path):
         {"alpha": 0.0, "reference": "dirac_momentum",
          "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 64.0}},
         {"alpha": 1.0, "reference": "dirac_momentum"},
+        {"alpha": 1.0, "reference": "curved_fine_grid",
+         "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 64.0}},
+        {"alpha": 0.5, "reference": "lattice_exact"},
+        {"alpha": 0.5, "reference": "curved_fine_grid"},
         {"alpha": 0.5, "length": 32.0, "initial": {"x0": 16.0, "w": 4.0},
          "epsilon_list": [0.1, 0.0999, 0.05]},
         {"alpha": 0.0, "m": 0.1, "profile": {"name": "flat", "c0": 1.0},
@@ -217,7 +254,9 @@ def test_sweep_outputs_and_exit(tmp_path):
          "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 48.0}},
     ],
     ids=["unknown_reference", "fractional_length", "dirac_momentum_on_bump",
-         "dirac_momentum_at_alpha_one", "snapped_duplicate_epsilon", "singular_coin",
+         "dirac_momentum_at_alpha_one", "curved_fine_grid_at_alpha_one",
+         "lattice_exact_at_alpha_half", "curved_fine_grid_on_flat", "snapped_duplicate_epsilon",
+         "singular_coin",
          "non_periodic_curved_profile"],
 )
 def test_sweep_invalid_spec_exits_two(tmp_path, capsys, raw):

@@ -252,6 +252,12 @@ def test_spec_validation():
         _spec(0.0, CProfile.sine_bump(0.5, 0.3, 32.0), [0.5], reference="dirac_momentum")
     with pytest.raises(DomainError):  # at alpha = 1 the limit is the lattice, not the continuum
         _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05], reference="dirac_momentum")
+    with pytest.raises(DomainError, match="'lattice_exact'"):  # nor the curved continuum
+        _spec(1.0, CProfile.sine_bump(0.5, 0.3, 32.0), [0.2, 0.1, 0.05], reference="curved_fine_grid")
+    with pytest.raises(DomainError, match="'dirac_momentum'"):  # below alpha = 1 the grid refines
+        _spec(0.5, CProfile.constant(0.5), [0.25, 0.0625], reference="lattice_exact")
+    with pytest.raises(DomainError, match="'dirac_momentum'"):  # a flat speed has the flat limit
+        _spec(0.5, CProfile.constant(0.5), [0.25, 0.0625], reference="curved_fine_grid")
     with pytest.raises(DomainError):  # the mass rule of ScalingParams
         _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05], m=-0.1)
     with pytest.raises(DomainError):
@@ -273,6 +279,18 @@ def test_spec_validation():
     _spec(0.0, CProfile.constant(1.0), [0.5, 0.25, 0.125], m=0.0)
     with pytest.raises(DomainError):  # the pseudo-spectral reference needs a periodic speed
         _spec(0.5, CProfile.sine_bump(0.5, 0.3, 48.0), [0.25, 0.0625], length=64.0)
+
+
+def test_derived_reference_name_equals_auto():
+    eps_list = [(32.0 / n) ** 2 for n in (64, 128, 256)]
+    auto = run_convergence_sweep(_spec(0.5, CProfile.constant(0.6), eps_list))
+    named = run_convergence_sweep(_spec(0.5, CProfile.constant(0.6), eps_list, reference="dirac_momentum"))
+    assert auto.reference == named.reference == "dirac_momentum"
+    assert [r.error_l2 for r in auto.rows] == [r.error_l2 for r in named.rows]
+    assert [r.error_max for r in auto.rows] == [r.error_max for r in named.rows]
+    assert (auto.fitted_order, auto.fitted_ci, auto.flags, auto.spec_hash) == (
+        named.fitted_order, named.fitted_ci, named.flags, named.spec_hash
+    )
 
 
 def test_spec_refuses_time_dependent_profile():
