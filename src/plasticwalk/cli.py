@@ -29,7 +29,7 @@ from .harness import (
     make_wavepacket,
     run_convergence_sweep,
 )
-from .qca import dense_step_operator, verify_encoding
+from .qca import _popcount, dense_step_operator, verify_encoding
 from .scaling import ScalingParams
 from .walk import qw_step, trajectory_operators
 from . import __version__
@@ -333,7 +333,7 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
 
     ncons_cells = min(cfg.qca_cells, 5)
     g = dense_step_operator(ncons_cells, cfg.qca_theta, cfg.qca_zeta)
-    w = np.array([bin(i).count("1") for i in range(g.shape[0])])
+    w = _popcount(2 * ncons_cells)
     off_sector = float(np.max(np.abs(g[w[:, None] != w[None, :]])))
     conservation_exact = off_sector == 0.0
 

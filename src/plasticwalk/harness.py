@@ -234,18 +234,19 @@ def make_wavepacket(
     """Normalized Gaussian packet exp(-(x-x0)^2/(4 w^2)) e^{i k0 x}.
 
     ``chirality_mix`` splits the weight between the components: 1 puts all
-    of it on plus, 0 on minus. The envelope is periodized by summing image
-    charges over a few ring lengths.
+    of it on plus, 0 on minus. The whole wave, phase included, is
+    periodized by summing its images over a few ring lengths, so a k0 that
+    is not a ring momentum leaves no phase jump at the seam.
     """
     if w < 4.0 * dx:
         raise ResolutionError(f"width w = {w} below the resolvable minimum 4*dx = {4 * dx}")
     _check_chirality_mix(chirality_mix)
     length = N * dx
     x = np.arange(N) * dx
-    env = np.zeros(N)
-    for s in (-2, -1, 0, 1, 2):
-        env += np.exp(-((x - x0 + s * length) ** 2) / (4.0 * w ** 2))
-    wave = env * np.exp(1j * k0 * x)
+    wave = np.zeros(N, dtype=np.complex128)
+    for s in (-2, -1, 0, 1, 2):  # image s carries the phase e^{i k0 (x + s length)}
+        wave += np.exp(1j * k0 * s * length) * np.exp(-((x - x0 + s * length) ** 2) / (4.0 * w ** 2))
+    wave *= np.exp(1j * k0 * x)
     data = np.empty((N, 2), dtype=np.complex128)
     data[:, 0] = np.sqrt(chirality_mix) * wave
     data[:, 1] = np.sqrt(1.0 - chirality_mix) * wave

@@ -21,11 +21,13 @@ entries.
 
 Every path that steps the automaton acts only on the number sectors its
 input occupies. A state or batch confined to a few sectors (a one-particle
-state, a determinant, the one-particle identity) has those sectors'
-amplitudes gathered and stepped through a cached per-sector plan of gate
-positions; anything wider runs one in-place gate kernel on a bit-pair view
-of the full amplitudes. Both share one gate arithmetic, seam sign
-included.
+state, a determinant) has those sectors' amplitudes gathered and stepped
+through a cached per-sector plan of gate positions, built from the
+sectors' own basis states; anything wider runs one in-place gate kernel on
+a bit-pair view of the full amplitudes. The one-particle matrix steps the
+2N x 2N identity directly, one row per mode. All three share one gate
+arithmetic, and only the two paths that read a whole statevector use a
+4^N popcount table.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover; basis-state index bit q is the occupation of qubit q, which is
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -73,29 +75,22 @@ def gate_V() -> np.ndarray:
     return v
 
 
-def gate_U(theta: float, zeta: float, chiral_y: bool = False) -> np.ndarray:
+def gate_U(theta: float, zeta: float) -> np.ndarray:
     """Crossing gate; its one-particle block realizes the walk coin.
 
     The |11><11| entry is the determinant of the one-particle block (+1),
     so the gate is the second quantization of that block and two movers
     that meet pick up no phase beyond fermionic antisymmetry. At theta =
     pi/2, zeta = 0 the gate is the identity.
-
-    With ``chiral_y`` the |10><10| entry changes sign, selecting the
-    alternative convention whose massless lattice limit commutes with
-    sigma_y instead of sigma_x; the |01><10| entry flips with it (the lone
-    sign change would break column orthogonality, so the variant is the
-    minimal unitary completion). Its block has determinant -1, and so has
-    its |11><11| entry.
     """
     s, c = np.sin(theta), np.cos(theta)
     u = np.zeros((4, 4), dtype=np.complex128)
     u[0, 0] = 1.0
     u[1, 1] = np.exp(-1j * zeta) * s
-    u[1, 2] = c if chiral_y else -c
+    u[1, 2] = -c
     u[2, 1] = c
-    u[2, 2] = (-1.0 if chiral_y else 1.0) * np.exp(1j * zeta) * s
-    u[3, 3] = -1.0 if chiral_y else 1.0
+    u[2, 2] = np.exp(1j * zeta) * s
+    u[3, 3] = 1.0
     return u
 
 
@@ -157,7 +152,7 @@ def _mix(gate: np.ndarray, a01: np.ndarray, a10: np.ndarray, sign) -> None:
     """The |01>/|10> block of a number-conserving gate, in place on a01 and a10.
 
     ``sign`` (the seam's Jordan-Wigner sign, broadcastable to a01) or None
-    multiplies the two hopping terms. Both stepping paths use this.
+    multiplies the two hopping terms. Every stepping path uses this.
     """
     into_01 = gate[1, 2] * a10
     into_10 = gate[2, 1] * a01
@@ -229,13 +224,19 @@ class _SectorPlan:
     seam_sign: np.ndarray
 
 
+def _sector_modes(n_modes: int, k: int) -> np.ndarray:
+    """Occupied modes m_1 < ... < m_k of every k-particle basis state, shaped (C(n_modes, k), k)."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(n_modes), k)), dtype=np.intp)
+    return flat.reshape(comb(n_modes, k), k)  # (1, 0) for no particles
+
+
 @lru_cache(maxsize=8)
 def _sector_plan(n_cells: int, sectors: tuple[int, ...]) -> _SectorPlan:
     nq = 2 * n_cells
-    count = _popcount(nq)
-    in_sectors = np.zeros(nq + 1, dtype=bool)
-    in_sectors[list(sectors)] = True
-    idx = np.flatnonzero(in_sectors[count])
+    states = np.concatenate([np.sum(1 << _sector_modes(nq, k), axis=1) for k in sectors])
+    order = np.argsort(states)
+    idx = states[order]
+    particles = np.repeat(np.array(sectors, dtype=np.int8), [comb(nq, k) for k in sectors])[order]
     gate_pairs = _gate_pairs(n_cells)
     pairs = {}
     for q_a, q_b in gate_pairs:
@@ -243,8 +244,9 @@ def _sector_plan(n_cells: int, sectors: tuple[int, ...]) -> _SectorPlan:
         p01 = np.flatnonzero((bit_a == 0) & (bit_b == 1))
         p10 = np.searchsorted(idx, idx[p01] ^ ((1 << q_a) | (1 << q_b)))
         pairs[q_a, q_b] = (p01, p10, np.flatnonzero(bit_a & bit_b))
-    seam_01 = idx[pairs[gate_pairs[n_cells - 1]][0]]
-    seam_sign = _parity_sign(count[seam_01 & ((1 << (nq - 1)) - 2)])[:, None]
+    # a seam |01> entry occupies qubit 2N-1 but not qubit 0, so its other
+    # k-1 particles all sit in the modes 1..2N-2 between them
+    seam_sign = _parity_sign(particles[pairs[gate_pairs[n_cells - 1]][0]] - 1)[:, None]
     for arr in (idx, seam_sign, *(a for p in pairs.values() for a in p)):
         arr.setflags(write=False)
     return _SectorPlan(idx, pairs, seam_sign)
@@ -292,12 +294,12 @@ def _step(amp: np.ndarray, gates: list[np.ndarray]) -> np.ndarray:
     return amp
 
 
-def _crossing_gates(n_cells: int, theta, zeta, chiral_y: bool) -> list[np.ndarray]:
+def _crossing_gates(n_cells: int, theta, zeta) -> list[np.ndarray]:
     th, ze = (np.broadcast_to(np.asarray(x, dtype=float), (n_cells,)) for x in (theta, zeta))
-    return [gate_U(t, z, chiral_y) for t, z in zip(th, ze)]
+    return [gate_U(t, z) for t, z in zip(th, ze)]
 
 
-def qca_step(state: QcaState, theta, zeta, chiral_y: bool = False) -> QcaState:
+def qca_step(state: QcaState, theta, zeta) -> QcaState:
     """Advance the automaton by one step (duration 2*dt).
 
     ``theta`` and ``zeta`` may be scalars or length-N arrays indexed by the
@@ -308,7 +310,7 @@ def qca_step(state: QcaState, theta, zeta, chiral_y: bool = False) -> QcaState:
     few-particle state costs its sectors' dimension, not 4^N.
     """
     n = state.n_cells
-    amp = _step(state.amplitudes.copy(), _crossing_gates(n, theta, zeta, chiral_y))
+    amp = _step(state.amplitudes.copy(), _crossing_gates(n, theta, zeta))
     return QcaState(amp, n)
 
 
@@ -335,18 +337,19 @@ def extract_one_particle(state: QcaState, dx: float = 1.0, tol: float = 1e-10) -
     return SpinorField(data, dx)
 
 
-def one_particle_matrix(n_cells: int, theta, zeta, chiral_y: bool = False) -> np.ndarray:
+def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
     """2N x 2N matrix of one automaton step on the one-particle sector.
 
     Mode index 2l is the left-mover (plus) at cell l, 2l+1 the right-mover.
-    The sector's identity, whose rows are the embedded modes in basis
-    order, takes one batched step through the sector plan, so no
-    statevector is built.
+    The identity's rows are the embedded modes, so each gate on qubits
+    (q_a, q_b) mixes row q_b (its |01>) with row q_a (its |10>); the sector
+    has no |11> row and its seam sign is +1. The cost is O(N^2), with no
+    statevector and no qubit budget.
     """
-    if 2 * n_cells > QUBIT_BUDGET:
-        raise BudgetError(f"{2 * n_cells} qubits exceed the statevector budget of {QUBIT_BUDGET}")
-    gates = _crossing_gates(n_cells, theta, zeta, chiral_y)
-    return _step_sectors(np.eye(2 * n_cells, dtype=np.complex128), gates, _sector_plan(n_cells, (1,)))
+    w = np.eye(2 * n_cells, dtype=np.complex128)
+    for gate, q_a, q_b, _ in _layers(_crossing_gates(n_cells, theta, zeta)):
+        _mix(gate, w[q_b], w[q_a], None)
+    return w
 
 
 def _walk_no_mixing(data: np.ndarray, theta: float, zeta: float) -> np.ndarray:
@@ -366,22 +369,16 @@ def verify_encoding(theta: float, zeta: float, N: int) -> float:
     The automaton restricted to one particle equals the composition of
     partial shifts and coins W' = (S^- C(-zeta) S^+)(S^- C(zeta) S^+),
     which is the walk step (mixing power set to the identity) conjugated
-    by the encoding E = S^+. Each column of :func:`one_particle_matrix` is
-    compared with E^dag W E applied to the same basis mode; the residual
-    is the largest column 2-norm difference, and values at roundoff
-    certify the sector equivalence.
+    by the encoding E = S^+. Every column of :func:`one_particle_matrix`
+    is compared with E^dag W E applied to the same basis mode, all modes
+    in one batched walk step; the residual is the largest column 2-norm
+    difference, and values at roundoff certify the sector equivalence.
     """
-    if N > 12:
-        raise BudgetError(f"verify_encoding limited to 12 cells, got {N}")
     w1 = one_particle_matrix(N, theta, zeta)
-    worst = 0.0
-    for mode in range(2 * N):
-        data = np.zeros((N, 2), dtype=np.complex128)
-        data[mode // 2, mode % 2] = 1.0
-        walked = _walk_no_mixing(shift_plus(data), theta, zeta)
-        walked[:, 0] = np.roll(walked[:, 0], +1)  # E^dag: plus component back one site
-        worst = max(worst, float(np.linalg.norm(w1[:, mode].reshape(N, 2) - walked)))
-    return worst
+    modes = np.eye(2 * N, dtype=np.complex128).reshape(2 * N, N, 2)
+    walked = _walk_no_mixing(shift_plus(modes), theta, zeta)
+    walked[..., 0] = np.roll(walked[..., 0], +1, axis=-1)  # E^dag: plus component back one site
+    return float(np.max(np.linalg.norm(w1.T.reshape(2 * N, N, 2) - walked, axis=(1, 2))))
 
 
 @dataclass
@@ -454,9 +451,7 @@ def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
     """
     if orbitals.n_modes != 2 * n_cells:
         raise DomainError("orbital mode count does not match the cell count")
-    n = orbitals.n_particles
-    modes = np.array(list(combinations(range(2 * n_cells), n)), dtype=np.intp)
-    modes = modes.reshape(comb(2 * n_cells, n), n)  # (1, 0) for no particles
+    modes = _sector_modes(2 * n_cells, orbitals.n_particles)
     amp = np.zeros(2 ** (2 * n_cells), dtype=np.complex128)
     amp[np.sum(1 << modes, axis=1)] = np.linalg.det(orbitals.orbitals[modes])
     nrm = np.linalg.norm(amp)
@@ -466,7 +461,7 @@ def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
     return QcaState(amp, n_cells)
 
 
-def dense_step_operator(n_cells: int, theta, zeta, chiral_y: bool = False) -> np.ndarray:
+def dense_step_operator(n_cells: int, theta, zeta) -> np.ndarray:
     """Dense matrix of one automaton step (for sector-structure checks).
 
     One batched step of the identity: at the 5-cell limit the batch is a
@@ -475,4 +470,4 @@ def dense_step_operator(n_cells: int, theta, zeta, chiral_y: bool = False) -> np
     if n_cells > 5:
         raise BudgetError("dense step operator limited to 5 cells")
     eye = np.eye(4 ** n_cells, dtype=np.complex128)
-    return _step(eye, _crossing_gates(n_cells, theta, zeta, chiral_y))
+    return _step(eye, _crossing_gates(n_cells, theta, zeta))

@@ -88,16 +88,22 @@ def lambda_power(c, kappa: float) -> np.ndarray:
 
 
 def shift_plus(data: np.ndarray) -> np.ndarray:
-    """Partial shift: plus component pulled from the right neighbour."""
+    """Partial shift: plus component pulled from the right neighbour.
+
+    ``data`` is (..., N, 2); leading axes are a batch.
+    """
     out = data.copy()
-    out[:, 0] = np.roll(data[:, 0], -1)
+    out[..., 0] = np.roll(data[..., 0], -1, axis=-1)
     return out
 
 
 def shift_minus(data: np.ndarray) -> np.ndarray:
-    """Partial shift: minus component pulled from the left neighbour."""
+    """Partial shift: minus component pulled from the left neighbour.
+
+    ``data`` is (..., N, 2); leading axes are a batch.
+    """
     out = data.copy()
-    out[:, 1] = np.roll(data[:, 1], +1)
+    out[..., 1] = np.roll(data[..., 1], +1, axis=-1)
     return out
 
 

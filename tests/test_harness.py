@@ -48,6 +48,16 @@ def test_wavepacket_mean_momentum():
     assert abs(mean_k - k0) <= 2 * np.pi / length
 
 
+def test_wavepacket_is_periodic_for_any_momentum():
+    # moving the centre by one site rolls the packet by one site, times the
+    # phase e^{i k0 dx}, also when the packet straddles the seam and k0 is
+    # not a ring momentum
+    n, dx, k0 = 64, 1.0, np.pi / 8 * 1.03
+    f = make_wavepacket(n, dx, 0.0, 8.0, k0, 0.5)
+    moved = make_wavepacket(n, dx, dx, 8.0, k0, 0.5)
+    assert np.max(np.abs(moved.data - np.exp(1j * k0 * dx) * np.roll(f.data, 1, axis=0))) <= 1e-13
+
+
 def test_wavepacket_resolution_guard():
     with pytest.raises(ResolutionError):
         make_wavepacket(64, 1.0, 32.0, 3.9, 0.0)
@@ -214,6 +224,16 @@ def test_curved_rows_record_the_reference_error():
     payload = report.to_json_dict()
     assert [r["reference_error"] for r in payload["rows"]] == [r.reference_error for r in report.rows]
     assert report.to_csv().splitlines()[0] == "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
+
+
+def test_curved_reference_error_is_roundoff_off_the_ring_momenta():
+    # k0 as the benchmark draws it, not a ring momentum: the packet is still
+    # periodic, so the pseudo-spectral reference is exact on the walk's grid
+    spec = _spec(0.0, CProfile.sine_bump(0.5, 0.3, 64.0), [0.5, 0.25], m=0.1, length=64.0, T=4.0,
+                 k0=np.pi / 8 * 1.03)
+    report = run_convergence_sweep(spec)
+    assert report.reference == "curved_fine_grid"
+    assert all(row.reference_error <= 1e-12 for row in report.rows)
 
 
 def test_sweep_curved_alpha_half_first_order():

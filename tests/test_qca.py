@@ -28,9 +28,9 @@ from plasticwalk.qca import dense_step_operator
 from plasticwalk.scaling import derive_angle_arrays
 
 
-def one_particle_step(theta, zeta, chiral_y=False):
+def one_particle_step(theta, zeta):
     def step(field: SpinorField) -> SpinorField:
-        return extract_one_particle(qca_step(embed_one_particle(field), theta, zeta, chiral_y))
+        return extract_one_particle(qca_step(embed_one_particle(field), theta, zeta))
 
     return step
 
@@ -77,21 +77,15 @@ def test_gate_u_unitary_number_conserving():
                     assert u[i, j] == 0.0
 
 
-@pytest.mark.parametrize("chiral_y", [False, True])
-def test_gate_u_doubly_occupied_entry_is_block_determinant(chiral_y):
+@pytest.mark.parametrize("conj", [False, True])
+def test_gate_u_doubly_occupied_entry_is_block_determinant(conj):
     # the rule that makes each crossing gate the second quantization of its
-    # one-particle block
+    # one-particle block, for U and for the U* of the third layer
     rng = np.random.default_rng(37)
     for _ in range(25):
         theta, zeta = rng.uniform(-np.pi, np.pi, size=2)
-        u = gate_U(theta, zeta, chiral_y)
+        u = gate_U(theta, zeta).conj() if conj else gate_U(theta, zeta)
         assert abs(u[3, 3] - np.linalg.det(u[1:3, 1:3])) <= 1e-15
-
-
-def test_gate_u_chiral_variant_unitary():
-    u = gate_U(0.8, 0.2, chiral_y=True)
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-14)
-    assert u[2, 2] == pytest.approx(-np.exp(0.2j) * np.sin(0.8), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +187,14 @@ def test_encoding_identity_grid():
         assert verify_encoding(float(theta), float(zeta), 6) <= 1e-12
 
 
-def test_encoding_cell_budget():
-    with pytest.raises(BudgetError):
-        verify_encoding(1.0, 0.0, 13)
+def test_encoding_beyond_twelve_cells():
+    # the one-particle sector is stepped on its 2N modes, so neither check
+    # has a cell limit
+    assert verify_encoding(1.0, 0.3, 64) <= 1e-12
+    rng = np.random.default_rng(55)
+    n = 256
+    w1 = one_particle_matrix(n, rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n))
+    assert np.max(np.abs(w1.conj().T @ w1 - np.eye(2 * n))) <= 1e-12
 
 
 def test_qca_step_agrees_with_one_particle_prediction():
@@ -328,22 +327,24 @@ def test_det_consistent_variant_with_seam_twist_is_free():
 
 
 @pytest.mark.parametrize(
-    "n_particles, n_cells, chiral_y",
+    "n_particles, n_cells, scalar_angles",
     [(2, 5, False), (2, 6, True), (3, 6, False), (3, 7, True), (4, 7, False), (4, 6, True)],
 )
-def test_many_particle_step_is_determinant_evolution(n_particles, n_cells, chiral_y):
+def test_many_particle_step_is_determinant_evolution(n_particles, n_cells, scalar_angles):
     # every particle-number sector evolves as the determinant of the
-    # one-particle step: crossing-dependent angles, both gate conventions,
-    # odd and even particle numbers (the seam parity matters only for even)
+    # one-particle step: crossing-dependent and uniform angles, odd and even
+    # particle numbers (the seam parity matters only for even)
     rng = np.random.default_rng(73 + 10 * n_particles + n_cells)
     theta = rng.uniform(0.3, 2.8, size=n_cells)
     zeta = rng.uniform(-0.6, 0.6, size=n_cells)
+    if scalar_angles:
+        theta, zeta = float(theta[0]), float(zeta[0])
     raw = rng.normal(size=(2 * n_cells, n_particles)) + 1j * rng.normal(size=(2 * n_cells, n_particles))
     phi = np.linalg.qr(raw)[0]
     state = slater_determinant_state(SlaterState(phi), n_cells)
     for _ in range(3):
-        state = qca_step(state, theta, zeta, chiral_y)
-    slater = slater_evolve(SlaterState(phi), one_particle_step(theta, zeta, chiral_y), 3)
+        state = qca_step(state, theta, zeta)
+    slater = slater_evolve(SlaterState(phi), one_particle_step(theta, zeta), 3)
     assert np.max(np.abs(state.occupations() - slater.occupations())) <= 1e-12
     predicted = slater_determinant_state(slater, n_cells).amplitudes
     overlap = np.vdot(predicted, state.amplitudes)
@@ -370,23 +371,26 @@ def _dense_gate(gate, q_a, q_b, nq, seam):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("chiral_y", [False, True])
-def test_dense_step_operator_matches_gate_by_gate_product(n, chiral_y):
+@pytest.mark.parametrize("scalar_angles", [False, True])
+def test_dense_step_operator_matches_gate_by_gate_product(n, scalar_angles):
     # an independent reference for the whole stepper: the four layers as
     # products of dense gate matrices, right to left U, V, U*, V
     rng = np.random.default_rng(79 + n)
     theta = rng.uniform(0.3, 2.8, size=n)
     zeta = rng.uniform(-0.6, 0.6, size=n)
+    if scalar_angles:
+        theta, zeta = float(theta[0]), float(zeta[0])
+    crossing_angles = np.broadcast_to(np.stack([theta, zeta], axis=-1), (n, 2))
     nq = 2 * n
     step = np.eye(4 ** n, dtype=complex)
     for conj in (False, True):
         for l in range(n):
-            u = gate_U(theta[l], zeta[l], chiral_y)
+            u = gate_U(*crossing_angles[l])
             u = u.conj() if conj else u
             step = _dense_gate(u, (2 * l + 2) % nq, 2 * l + 1, nq, l == n - 1) @ step
         for l in range(n):
             step = _dense_gate(gate_V(), 2 * l, 2 * l + 1, nq, False) @ step
-    assert np.max(np.abs(dense_step_operator(n, theta, zeta, chiral_y) - step)) <= 1e-13
+    assert np.max(np.abs(dense_step_operator(n, theta, zeta) - step)) <= 1e-13
 
 
 def _sector_state(n, sectors, rng):
@@ -404,33 +408,77 @@ def _forbidden(*args, **kwargs):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("array_angles", [False, True])
-@pytest.mark.parametrize("chiral_y", [False, True])
-def test_gathered_step_matches_strided_dense_operator(n, array_angles, chiral_y, monkeypatch):
+@pytest.mark.parametrize("batched", [False, True])
+def test_gathered_step_matches_strided_dense_operator(n, array_angles, batched, monkeypatch):
     # the dense operator steps the full identity (every sector occupied) on
-    # the strided path; qca_step must then gather each sector union below.
-    # The gather limit is raised so that {1, 3} is gathered at every n here.
-    rng = np.random.default_rng(83 + 10 * n + 2 * array_angles + chiral_y)
+    # the strided path; qca_step, or _step on a batch of three states, must
+    # then gather each sector union below. The gather limit is raised so
+    # that {1, 3} is gathered at every n here.
+    rng = np.random.default_rng(83 + 10 * n + 2 * array_angles + batched)
     if array_angles:
         theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
     else:
         theta, zeta = float(rng.uniform(0.3, 2.8)), float(rng.uniform(-0.6, 0.6))
     monkeypatch.setattr(qca, "_GATHER_FRACTION", 0.5)
-    g = dense_step_operator(n, theta, zeta, chiral_y)
+    g = dense_step_operator(n, theta, zeta)
     monkeypatch.setattr(qca, "_apply_gate", _forbidden)
     for sectors in [(1,), (2,), (1, 3), (0, 2 * n)]:
-        amp = _sector_state(n, sectors, rng)
-        out = qca_step(QcaState(amp, n), theta, zeta, chiral_y)
-        assert np.max(np.abs(out.amplitudes - g @ amp)) <= 1e-13
+        if batched:
+            amp = np.stack([_sector_state(n, sectors, rng) for _ in range(3)], axis=1)
+            out = qca._step(amp.copy(), qca._crossing_gates(n, theta, zeta))
+        else:
+            amp = _sector_state(n, sectors, rng)
+            out = qca_step(QcaState(amp, n), theta, zeta).amplitudes
+        assert np.max(np.abs(out - g @ amp)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("chiral_y", [False, True])
-def test_one_particle_matrix_is_block_of_dense_operator(n, chiral_y):
+@pytest.mark.parametrize("scalar_angles", [False, True])
+def test_one_particle_matrix_is_block_of_dense_operator(n, scalar_angles):
     rng = np.random.default_rng(89 + n)
     theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
+    if scalar_angles:
+        theta, zeta = float(theta[0]), float(zeta[0])
     one = 1 << np.arange(2 * n)
-    block = dense_step_operator(n, theta, zeta, chiral_y)[np.ix_(one, one)]
-    assert np.max(np.abs(one_particle_matrix(n, theta, zeta, chiral_y) - block)) <= 1e-13
+    block = dense_step_operator(n, theta, zeta)[np.ix_(one, one)]
+    assert np.max(np.abs(one_particle_matrix(n, theta, zeta) - block)) <= 1e-13
+
+
+def _filtered_plan(n, sectors):
+    """A sector plan by the definition: every basis index whose bit count is in ``sectors``."""
+    nq = 2 * n
+    idx = [i for i in range(4 ** n) if bin(i).count("1") in sectors]
+    position = {i: p for p, i in enumerate(idx)}
+    pairs = {}
+    for q_a, q_b in qca._gate_pairs(n):
+        p01 = [p for p, i in enumerate(idx) if not (i >> q_a) & 1 and (i >> q_b) & 1]
+        p10 = [position[idx[p] ^ (1 << q_a) ^ (1 << q_b)] for p in p01]
+        p11 = [p for p, i in enumerate(idx) if (i >> q_a) & 1 and (i >> q_b) & 1]
+        pairs[q_a, q_b] = (p01, p10, p11)
+    seam_sign = [(-1) ** bin(idx[p] & ((1 << (nq - 1)) - 2)).count("1") for p in pairs[0, nq - 1][0]]
+    return idx, pairs, seam_sign
+
+
+def test_sector_plans_and_one_particle_matrix_read_no_popcount_table(monkeypatch):
+    # a sector is reached through its own basis states, and the one-particle
+    # sector through its 2N modes; only paths that read a whole statevector
+    # may build the 4^N table
+    n, theta, zeta = 5, 1.1, 0.35
+    one = 1 << np.arange(2 * n)
+    block = dense_step_operator(n, theta, zeta)[np.ix_(one, one)]
+
+    def no_table(n_bits):
+        raise AssertionError("the popcount table was read")
+
+    monkeypatch.setattr(qca, "_popcount", no_table)
+    assert np.max(np.abs(one_particle_matrix(n, theta, zeta) - block)) <= 1e-13
+    for sectors in [(1,), (3,), (1, 3)]:
+        plan = qca._sector_plan.__wrapped__(n, sectors)  # past the cache
+        idx, pairs, seam_sign = _filtered_plan(n, sectors)
+        assert plan.idx.tolist() == idx
+        assert {key: tuple(a.tolist() for a in arrs) for key, arrs in plan.pairs.items()} == pairs
+        assert plan.seam_sign.dtype == np.int8
+        assert plan.seam_sign.tolist() == [[s] for s in seam_sign]
 
 
 def test_step_path_follows_occupied_sectors(monkeypatch):
