@@ -20,14 +20,14 @@ Jordan-Wigner sign (-1)^(occupation of modes 1..2N-2) on its hopping
 entries.
 
 Every path that steps the automaton acts only on the number sectors its
-input occupies. A state or batch confined to a few sectors (a one-particle
-state, a determinant) has those sectors' amplitudes gathered and stepped
-through a cached per-sector plan of gate positions, built from the
-sectors' own basis states; anything wider runs one in-place gate kernel on
-a bit-pair view of the full amplitudes. The one-particle matrix steps the
-2N x 2N identity directly, one row per mode. All three share one gate
-arithmetic, and only the two paths that read a whole statevector use a
-4^N popcount table.
+input occupies, one sector at a time: each occupied sector's amplitudes
+are gathered, stepped through a cached plan of gate positions built from
+that sector's own basis states, and scattered back. The k-particle seam
+sign is the one scalar (-1)^(k-1), folded into the seam gate. The dense
+step operator is assembled block by block from the same plans, and the
+one-particle matrix steps the 2N x 2N identity directly, one row per mode.
+All of them share one gate arithmetic, and only the paths that read a
+whole statevector use a 4^N popcount table.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover; basis-state index bit q is the occupation of qubit q, which is
@@ -50,15 +50,6 @@ from .fields import SpinorField
 from .walk import coin_matrix, shift_minus, shift_plus
 
 QUBIT_BUDGET = 24
-# Largest occupied-sector dimension, as a fraction of 4^N, that _step
-# gathers. Measured per step on 14-20 qubits (2-vCPU host): gathering one
-# half-filling sector (d/4^N ~ 0.2) takes 0.48x (14 qubits) to 0.25x
-# (18 qubits) of the strided time, a 1- or 3-particle sector 0.2x (14) to
-# 0.003x (20), and it breaks even near d/4^N ~ 0.8; a full-support state
-# takes 1.05x (14) to 1.65x (20). The gather plan's index arrays take about
-# 8 amplitudes' worth of memory per gathered amplitude, so the limit sits
-# well below break-even, where a plan stays within ~one statevector.
-_GATHER_FRACTION = 0.125
 
 
 def gate_V() -> np.ndarray:
@@ -143,46 +134,17 @@ def _popcount(n_bits: int) -> np.ndarray:
     return count
 
 
-def _parity_sign(count: np.ndarray) -> np.ndarray:
-    """(-1)^count as int8."""
-    return 1 - 2 * (count & 1)
-
-
-def _mix(gate: np.ndarray, a01: np.ndarray, a10: np.ndarray, sign) -> None:
+def _mix(gate: np.ndarray, a01: np.ndarray, a10: np.ndarray) -> None:
     """The |01>/|10> block of a number-conserving gate, in place on a01 and a10.
 
-    ``sign`` (the seam's Jordan-Wigner sign, broadcastable to a01) or None
-    multiplies the two hopping terms. Every stepping path uses this.
+    Every stepping path uses this.
     """
     into_01 = gate[1, 2] * a10
     into_10 = gate[2, 1] * a01
-    if sign is not None:
-        into_01 *= sign
-        into_10 *= sign
     a01 *= gate[1, 1]
     a01 += into_01
     a10 *= gate[2, 2]
     a10 += into_10
-
-
-def _apply_gate(amp: np.ndarray, gate: np.ndarray, q_a: int, q_b: int, nq: int, seam: bool) -> None:
-    """Apply a number-conserving 4x4 gate in place; in its basis |ab>, a is qubit q_a.
-
-    ``amp`` is contiguous, shaped (2^nq,) or (2^nq, B). The view (higher
-    bits, qubit hi, bits between, qubit lo, lower bits, batch) exposes the
-    |01>, |10> and |11> slices; |00> has gate entry 1. With ``seam``
-    (qubits 0 and nq-1) the hopping terms carry the Jordan-Wigner sign of
-    the bits between, the view's middle axis.
-    """
-    lo, hi = sorted((q_a, q_b))
-    view = amp.reshape(2 ** (nq - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2 ** lo, -1)
-    a01, a10, a11 = view[:, 0, :, 1], view[:, 1, :, 0], view[:, 1, :, 1]   # labelled as if q_a = hi
-    if q_a == lo:
-        a01, a10 = a10, a01
-    sign = _parity_sign(_popcount(nq)[: 2 ** (nq - 2)])[:, None, None] if seam else None
-    _mix(gate, a01, a10, sign)
-    if gate[3, 3] != 1.0:
-        a11 *= gate[3, 3]
 
 
 def _gate_pairs(n_cells: int) -> list[tuple[int, int]]:
@@ -196,32 +158,41 @@ def _gate_pairs(n_cells: int) -> list[tuple[int, int]]:
     return crossings + [(2 * l, 2 * l + 1) for l in range(n_cells)]
 
 
-def _layers(gates: list[np.ndarray]):
-    """(gate, q_a, q_b, seam) of one step in application order: U, V, U*, V."""
+def _layers(gates: list[np.ndarray], seam_sign: int):
+    """(gate, q_a, q_b) of one step in application order: U, V, U*, V.
+
+    The seam gate (the last crossing) has its two hopping entries multiplied
+    by ``seam_sign``, the Jordan-Wigner sign of the sector being stepped.
+    """
     n = len(gates)
     pairs = _gate_pairs(n)
+    seam = gates[-1].copy()
+    seam[[1, 2], [2, 1]] *= seam_sign
+    crossings = [*gates[:-1], seam]
     v = gate_V()
     for conj in (False, True):
-        for l, u in enumerate(gates):
-            yield (u.conj() if conj else u), *pairs[l], l == n - 1
+        for l, u in enumerate(crossings):
+            yield (u.conj() if conj else u), *pairs[l]
         for l in range(n):
-            yield v, *pairs[n + l], False
+            yield v, *pairs[n + l]
 
 
 @dataclass(frozen=True)
 class _SectorPlan:
-    """Gathered-amplitude positions of every gate of a step on a union of number sectors.
+    """Gathered-amplitude positions of every gate of a step on one number sector.
 
-    ``idx`` is the sorted union of the sectors' basis indices. For each
+    ``idx`` is the sorted list of the sector's basis indices. For each
     qubit pair (q_a, q_b) of :func:`_gate_pairs`, ``pairs`` holds the
     positions in ``idx`` of |01>, of the |10> partner of each, and of |11>
     (label a is qubit q_a). ``seam_sign`` is the Jordan-Wigner sign
-    (-1)^popcount(bits 1..2N-2) of each seam |01> entry, shaped (k, 1).
+    (-1)^(k-1) of every seam |01> entry of the k-particle sector: such an
+    entry occupies qubit 2N-1 but not qubit 0, so its other k-1 particles
+    all sit in the modes 1..2N-2 between them.
     """
 
     idx: np.ndarray
     pairs: dict
-    seam_sign: np.ndarray
+    seam_sign: int
 
 
 def _sector_modes(n_modes: int, k: int) -> np.ndarray:
@@ -230,34 +201,26 @@ def _sector_modes(n_modes: int, k: int) -> np.ndarray:
     return flat.reshape(comb(n_modes, k), k)  # (1, 0) for no particles
 
 
-@lru_cache(maxsize=8)
-def _sector_plan(n_cells: int, sectors: tuple[int, ...]) -> _SectorPlan:
-    nq = 2 * n_cells
-    states = np.concatenate([np.sum(1 << _sector_modes(nq, k), axis=1) for k in sectors])
-    order = np.argsort(states)
-    idx = states[order]
-    particles = np.repeat(np.array(sectors, dtype=np.int8), [comb(nq, k) for k in sectors])[order]
-    gate_pairs = _gate_pairs(n_cells)
+@lru_cache(maxsize=QUBIT_BUDGET + 1)  # every sector of the largest ring the budget allows
+def _sector_plan(n_cells: int, k: int) -> _SectorPlan:
+    idx = np.sort(np.sum(1 << _sector_modes(2 * n_cells, k), axis=1))
     pairs = {}
-    for q_a, q_b in gate_pairs:
+    for q_a, q_b in _gate_pairs(n_cells):
         bit_a, bit_b = (idx >> q_a) & 1, (idx >> q_b) & 1
         p01 = np.flatnonzero((bit_a == 0) & (bit_b == 1))
         p10 = np.searchsorted(idx, idx[p01] ^ ((1 << q_a) | (1 << q_b)))
         pairs[q_a, q_b] = (p01, p10, np.flatnonzero(bit_a & bit_b))
-    # a seam |01> entry occupies qubit 2N-1 but not qubit 0, so its other
-    # k-1 particles all sit in the modes 1..2N-2 between them
-    seam_sign = _parity_sign(particles[pairs[gate_pairs[n_cells - 1]][0]] - 1)[:, None]
-    for arr in (idx, seam_sign, *(a for p in pairs.values() for a in p)):
+    for arr in (idx, *(a for p in pairs.values() for a in p)):
         arr.setflags(write=False)
-    return _SectorPlan(idx, pairs, seam_sign)
+    return _SectorPlan(idx, pairs, 1 if k % 2 else -1)
 
 
-def _step_sectors(x: np.ndarray, gates: list[np.ndarray], plan: _SectorPlan) -> np.ndarray:
-    """One automaton step in place on gathered amplitudes ``x`` = amp[plan.idx], shaped (d, B)."""
-    for gate, q_a, q_b, seam in _layers(gates):
+def _step_sector(x: np.ndarray, gates: list[np.ndarray], plan: _SectorPlan) -> np.ndarray:
+    """One automaton step in place on one sector's gathered amplitudes ``x`` = amp[plan.idx]."""
+    for gate, q_a, q_b in _layers(gates, plan.seam_sign):
         p01, p10, p11 = plan.pairs[q_a, q_b]
         a01, a10 = x[p01], x[p10]
-        _mix(gate, a01, a10, plan.seam_sign if seam else None)
+        _mix(gate, a01, a10)
         x[p01] = a01
         x[p10] = a10
         if gate[3, 3] != 1.0:
@@ -268,35 +231,32 @@ def _step_sectors(x: np.ndarray, gates: list[np.ndarray], plan: _SectorPlan) -> 
 def _step(amp: np.ndarray, gates: list[np.ndarray]) -> np.ndarray:
     """One automaton step in place on contiguous amplitudes; returns ``amp``.
 
-    ``gates[l]`` is the crossing gate between cells l and l+1; the cell
-    count is ``len(gates)``. Layers, right to left: U, V, U*, V.
-
-    The step acts only on the number sectors that ``amp`` occupies (read
-    from the nonzero rows, batch axis included). When their dimension d is
-    at most ``_GATHER_FRACTION`` of 4^N, the sectors' amplitudes are
-    gathered, stepped by :func:`_step_sectors` and scattered back;
-    otherwise every gate runs the strided :func:`_apply_gate`.
+    ``amp`` is shaped (4^N,) or (4^N, B); ``gates[l]`` is the crossing gate
+    between cells l and l+1, and the cell count is ``len(gates)``. Layers,
+    right to left: U, V, U*, V. The step reads which number sectors ``amp``
+    occupies (from its nonzero rows, batch axis included) and, for each of
+    them, gathers that sector's amplitudes, steps them by
+    :func:`_step_sector` and scatters them back.
     """
     nq = 2 * len(gates)
     flat = amp.reshape(amp.shape[0], -1)
-    occupied = flat.any(axis=1)
-    limit = _GATHER_FRACTION * flat.shape[0]
-    if np.count_nonzero(occupied) <= limit:
-        present = np.zeros(nq + 1, dtype=bool)
-        present[_popcount(nq)[occupied]] = True
-        sectors = tuple(np.flatnonzero(present).tolist())
-        if sum(comb(nq, k) for k in sectors) <= limit:
-            plan = _sector_plan(len(gates), sectors)
-            flat[plan.idx] = _step_sectors(flat[plan.idx], gates, plan)
-            return amp
-    for gate, q_a, q_b, seam in _layers(gates):
-        _apply_gate(amp, gate, q_a, q_b, nq, seam)
+    present = np.zeros(nq + 1, dtype=bool)
+    present[_popcount(nq)[flat.any(axis=1)]] = True
+    for k in np.flatnonzero(present).tolist():
+        plan = _sector_plan(len(gates), k)
+        flat[plan.idx] = _step_sector(flat[plan.idx], gates, plan)
     return amp
 
 
 def _crossing_gates(n_cells: int, theta, zeta) -> list[np.ndarray]:
-    th, ze = (np.broadcast_to(np.asarray(x, dtype=float), (n_cells,)) for x in (theta, zeta))
-    return [gate_U(t, z) for t, z in zip(th, ze)]
+    """The N crossing gates; each angle is a scalar or one value per crossing."""
+    angles = []
+    for name, x in (("theta", theta), ("zeta", zeta)):
+        x = np.asarray(x, dtype=float)
+        if x.shape not in ((), (n_cells,)):
+            raise DomainError(f"{name} has shape {x.shape}; expected a scalar or shape ({n_cells},)")
+        angles.append(np.broadcast_to(x, (n_cells,)))
+    return [gate_U(t, z) for t, z in zip(*angles)]
 
 
 def qca_step(state: QcaState, theta, zeta) -> QcaState:
@@ -305,9 +265,10 @@ def qca_step(state: QcaState, theta, zeta) -> QcaState:
     ``theta`` and ``zeta`` may be scalars or length-N arrays indexed by the
     crossing between cells l and l+1 (periodic). The crossing between cell
     N-1 and cell 0 carries the Jordan-Wigner parity of the modes between
-    its two qubits (see the module docstring). The cost follows the
-    occupied number sectors (see :func:`_step`): a one-particle or
-    few-particle state costs its sectors' dimension, not 4^N.
+    its two qubits (see the module docstring); any other angle shape
+    raises DomainError. Each occupied number sector is stepped on its own
+    (see :func:`_step`), so a one-particle or few-particle state costs its
+    sectors' dimension, not 4^N.
     """
     n = state.n_cells
     amp = _step(state.amplitudes.copy(), _crossing_gates(n, theta, zeta))
@@ -347,8 +308,8 @@ def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
     statevector and no qubit budget.
     """
     w = np.eye(2 * n_cells, dtype=np.complex128)
-    for gate, q_a, q_b, _ in _layers(_crossing_gates(n_cells, theta, zeta)):
-        _mix(gate, w[q_b], w[q_a], None)
+    for gate, q_a, q_b in _layers(_crossing_gates(n_cells, theta, zeta), 1):
+        _mix(gate, w[q_b], w[q_a])
     return w
 
 
@@ -381,6 +342,12 @@ def verify_encoding(theta: float, zeta: float, N: int) -> float:
     return float(np.max(np.linalg.norm(w1.T.reshape(2 * N, N, 2) - walked, axis=(1, 2))))
 
 
+def _gram_deviation(phi: np.ndarray) -> float:
+    """Largest entry of |phi^dag phi - I|; 0.0 for no orbitals."""
+    g = phi.conj().T @ phi
+    return float(np.max(np.abs(g - np.eye(phi.shape[1])), initial=0.0))
+
+
 @dataclass
 class SlaterState:
     """Orthonormal single-particle orbitals, one column per particle.
@@ -405,8 +372,7 @@ class SlaterState:
         return self.orbitals.shape[1]
 
     def gram_deviation(self) -> float:
-        g = self.orbitals.conj().T @ self.orbitals
-        return float(np.max(np.abs(g - np.eye(self.n_particles))))
+        return _gram_deviation(self.orbitals)
 
     def occupations(self) -> np.ndarray:
         return np.sum(np.abs(self.orbitals) ** 2, axis=1)
@@ -429,8 +395,7 @@ def slater_evolve(orbitals: SlaterState, one_particle_step, steps: int) -> Slate
         for j in range(phi.shape[1]):
             fld = SpinorField(phi[:, j].reshape(n_cells, 2), 1.0)
             phi[:, j] = one_particle_step(fld).data.reshape(-1)
-        g = phi.conj().T @ phi
-        dev = float(np.max(np.abs(g - np.eye(phi.shape[1]))))
+        dev = _gram_deviation(phi)
         if dev > 1e-6:
             raise OrthogonalityError(f"orbital drift {dev:.3e} exceeds 1e-6")
         if dev > 1e-10:
@@ -464,10 +429,15 @@ def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
 def dense_step_operator(n_cells: int, theta, zeta) -> np.ndarray:
     """Dense matrix of one automaton step (for sector-structure checks).
 
-    One batched step of the identity: at the 5-cell limit the batch is a
-    1024 x 1024 complex matrix (16 MB).
+    Assembled block by block: each number sector's block is that sector's
+    identity stepped through its plan, and every entry between two sectors
+    is zero. At the 5-cell limit the matrix is 1024 x 1024 complex (16 MB).
     """
     if n_cells > 5:
         raise BudgetError("dense step operator limited to 5 cells")
-    eye = np.eye(4 ** n_cells, dtype=np.complex128)
-    return _step(eye, _crossing_gates(n_cells, theta, zeta))
+    gates = _crossing_gates(n_cells, theta, zeta)
+    g = np.zeros((4 ** n_cells, 4 ** n_cells), dtype=np.complex128)
+    for k in range(2 * n_cells + 1):
+        plan = _sector_plan(n_cells, k)
+        g[np.ix_(plan.idx, plan.idx)] = _step_sector(np.eye(len(plan.idx), dtype=np.complex128), gates, plan)
+    return g

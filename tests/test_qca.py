@@ -6,6 +6,7 @@ import pytest
 from plasticwalk import (
     BudgetError,
     CProfile,
+    DomainError,
     OrthogonalityError,
     QcaState,
     ScalingParams,
@@ -138,6 +139,25 @@ def test_budget_guard():
         QcaState.vacuum(13)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda theta, zeta: qca_step(QcaState.vacuum(3), theta, zeta),
+        lambda theta, zeta: one_particle_matrix(3, theta, zeta),
+        lambda theta, zeta: dense_step_operator(3, theta, zeta),
+    ],
+    ids=["qca_step", "one_particle_matrix", "dense_step_operator"],
+)
+@pytest.mark.parametrize(
+    "theta, zeta",
+    [(np.ones(2), 0.3), (1.0, np.ones(4)), (np.ones((3, 1)), 0.3)],
+    ids=["short_theta", "long_zeta", "column_theta"],
+)
+def test_angles_of_the_wrong_shape_raise_domain_error(call, theta, zeta):
+    with pytest.raises(DomainError, match=r"expected a scalar or shape \(3,\)"):
+        call(theta, zeta)
+
+
 def test_sector_blocks_exact_dense():
     n = 3
     g = dense_step_operator(n, 1.0, 0.5)
@@ -229,6 +249,17 @@ def test_slater_rejects_nonorthonormal():
     vecs = np.ones((8, 2), dtype=complex)
     with pytest.raises(OrthogonalityError):
         slater_evolve(SlaterState(vecs), one_particle_step(1.0, 0.0), 1)
+
+
+def test_zero_particle_determinant_evolves_as_the_vacuum():
+    empty = SlaterState(np.zeros((6, 0), dtype=complex))
+    assert empty.gram_deviation() == 0.0
+    out = slater_evolve(empty, one_particle_step(1.0, 0.3), 3)
+    assert out.orbitals.shape == (6, 0)
+    assert out.gram_deviation() == 0.0 and out.reortho_count == 0
+    state = slater_determinant_state(out, 3)
+    np.testing.assert_array_equal(state.amplitudes, QcaState.vacuum(3).amplitudes)
+    np.testing.assert_array_equal(qca_step(state, 1.0, 0.3).amplitudes, state.amplitudes)
 
 
 def test_determinant_overlap_phase_invariance():
@@ -370,7 +401,7 @@ def _dense_gate(gate, q_a, q_b, nq, seam):
     return op
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("scalar_angles", [False, True])
 def test_dense_step_operator_matches_gate_by_gate_product(n, scalar_angles):
     # an independent reference for the whole stepper: the four layers as
@@ -402,27 +433,20 @@ def _sector_state(n, sectors, rng):
     return amp / np.linalg.norm(amp)
 
 
-def _forbidden(*args, **kwargs):
-    raise AssertionError("the strided gate kernel ran")
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("array_angles", [False, True])
 @pytest.mark.parametrize("batched", [False, True])
-def test_gathered_step_matches_strided_dense_operator(n, array_angles, batched, monkeypatch):
-    # the dense operator steps the full identity (every sector occupied) on
-    # the strided path; qca_step, or _step on a batch of three states, must
-    # then gather each sector union below. The gather limit is raised so
-    # that {1, 3} is gathered at every n here.
+def test_gathered_step_matches_strided_dense_operator(n, array_angles, batched):
+    # the dense operator is assembled from each sector's stepped identity;
+    # qca_step, or _step on a batch of three states, must agree with it on
+    # one sector, on unions of sectors and on full support
     rng = np.random.default_rng(83 + 10 * n + 2 * array_angles + batched)
     if array_angles:
         theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
     else:
         theta, zeta = float(rng.uniform(0.3, 2.8)), float(rng.uniform(-0.6, 0.6))
-    monkeypatch.setattr(qca, "_GATHER_FRACTION", 0.5)
     g = dense_step_operator(n, theta, zeta)
-    monkeypatch.setattr(qca, "_apply_gate", _forbidden)
-    for sectors in [(1,), (2,), (1, 3), (0, 2 * n)]:
+    for sectors in [(1,), (2,), (1, 3), (0, 2 * n), range(2 * n + 1)]:
         if batched:
             amp = np.stack([_sector_state(n, sectors, rng) for _ in range(3)], axis=1)
             out = qca._step(amp.copy(), qca._crossing_gates(n, theta, zeta))
@@ -462,7 +486,8 @@ def _filtered_plan(n, sectors):
 def test_sector_plans_and_one_particle_matrix_read_no_popcount_table(monkeypatch):
     # a sector is reached through its own basis states, and the one-particle
     # sector through its 2N modes; only paths that read a whole statevector
-    # may build the 4^N table
+    # may build the 4^N table. The per-entry Jordan-Wigner parity of every
+    # seam |01> entry is the sector's one scalar (-1)^(k-1).
     n, theta, zeta = 5, 1.1, 0.35
     one = 1 << np.arange(2 * n)
     block = dense_step_operator(n, theta, zeta)[np.ix_(one, one)]
@@ -472,28 +497,30 @@ def test_sector_plans_and_one_particle_matrix_read_no_popcount_table(monkeypatch
 
     monkeypatch.setattr(qca, "_popcount", no_table)
     assert np.max(np.abs(one_particle_matrix(n, theta, zeta) - block)) <= 1e-13
-    for sectors in [(1,), (3,), (1, 3)]:
-        plan = qca._sector_plan.__wrapped__(n, sectors)  # past the cache
-        idx, pairs, seam_sign = _filtered_plan(n, sectors)
+    for k in [1, 2, 3, 4]:
+        plan = qca._sector_plan.__wrapped__(n, k)  # past the cache
+        idx, pairs, seam_sign = _filtered_plan(n, (k,))
         assert plan.idx.tolist() == idx
         assert {key: tuple(a.tolist() for a in arrs) for key, arrs in plan.pairs.items()} == pairs
-        assert plan.seam_sign.dtype == np.int8
-        assert plan.seam_sign.tolist() == [[s] for s in seam_sign]
+        assert seam_sign and all(s == plan.seam_sign == (-1) ** (k - 1) for s in seam_sign)
 
 
 def test_step_path_follows_occupied_sectors(monkeypatch):
-    # a one-particle state occupies 14 of 2^14 amplitudes and is gathered;
-    # a state with full support runs the strided kernel on every gate
-    calls = []
-    strided = qca._apply_gate
-    monkeypatch.setattr(qca, "_apply_gate", lambda *args: calls.append(args) or strided(*args))
+    # a step requests the plan of every sector its input occupies, and no other
+    requested = []
+    plan = qca._sector_plan
+    monkeypatch.setattr(qca, "_sector_plan", lambda n, k: requested.append(k) or plan(n, k))
     rng = np.random.default_rng(97)
     n = 7
     data = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     qca_step(embed_one_particle(SpinorField(data / np.linalg.norm(data), 1.0)), 1.1, 0.2)
-    assert calls == []
+    assert requested == [1]
+    requested.clear()
+    qca_step(QcaState(_sector_state(n, (0, 2 * n), rng), n), 1.1, 0.2)
+    assert requested == [0, 2 * n]
+    requested.clear()
     qca_step(QcaState(_sector_state(3, range(7), rng), 3), 1.1, 0.2)
-    assert len(calls) == 4 * 3
+    assert requested == list(range(7))
 
 
 def test_two_particle_step_approaches_identity_in_continuous_time_limit():
