@@ -22,7 +22,6 @@ from .errors import (
     ResolutionError,
     SectorError,
     SingularMassError,
-    SizeError,
     SolverError,
 )
 from .fields import CProfile, SpinorField
@@ -45,7 +44,6 @@ from .hamiltonians import (
     evolve_exact,
     lattice_hamiltonian_curved,
     lattice_hamiltonian_flat,
-    lattice_propagator,
     trig_interpolate,
 )
 from .qca import (
@@ -86,7 +84,6 @@ __all__ = [
     "ResolutionError",
     "SectorError",
     "SingularMassError",
-    "SizeError",
     "SolverError",
     "CProfile",
     "SpinorField",
@@ -106,7 +103,6 @@ __all__ = [
     "evolve_exact",
     "lattice_hamiltonian_curved",
     "lattice_hamiltonian_flat",
-    "lattice_propagator",
     "trig_interpolate",
     "QcaState",
     "SlaterState",

@@ -29,7 +29,8 @@ from .harness import (
     make_wavepacket,
     run_convergence_sweep,
 )
-from .qca import _popcount, dense_step_operator, verify_encoding
+from .qca import _crossing_gates, _popcount, gate_V, verify_encoding
+from .qca import dense_step_operator  # not called here; perfbench/probes.py patches it on this module
 from .scaling import ScalingParams
 from .walk import qw_step, trajectory_operators
 from . import __version__
@@ -331,10 +332,10 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
     residual = verify_encoding(cfg.qca_theta, cfg.qca_zeta, cfg.qca_cells)
     residual_ok = residual <= 1e-12
 
-    ncons_cells = min(cfg.qca_cells, 5)
-    g = dense_step_operator(ncons_cells, cfg.qca_theta, cfg.qca_zeta)
-    w = _popcount(2 * ncons_cells)
-    off_sector = float(np.max(np.abs(g[w[:, None] != w[None, :]])))
+    # every entry of the stepper's gates between two-qubit states of different occupation
+    w = _popcount(2)
+    gates = np.stack(_crossing_gates(cfg.qca_cells, cfg.qca_theta, cfg.qca_zeta) + [gate_V()])
+    off_sector = float(np.max(np.abs(gates[:, w[:, None] != w[None, :]])))
     conservation_exact = off_sector == 0.0
 
     report = {
@@ -344,7 +345,7 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
         "zeta": cfg.qca_zeta,
         "encoding_residual": residual,
         "encoding_ok": bool(residual_ok),
-        "number_conservation_cells": ncons_cells,
+        "number_conservation_cells": cfg.qca_cells,
         "number_conservation_off_sector_max": off_sector,
         "number_conservation_exact": bool(conservation_exact),
         "seed": cfg.seed,
@@ -353,7 +354,7 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
     atomic_write(out_dir / "qca_report.json", json.dumps(report, indent=2) + "\n")
     print(f"qca: N={cfg.qca_cells} encoding residual = {residual:.3e} ({'ok' if residual_ok else 'FAIL'})")
     print(
-        f"qca: number conservation on {ncons_cells} cells "
+        f"qca: number conservation on {cfg.qca_cells} cells "
         f"{'exact' if conservation_exact else f'violated by {off_sector:.3e}'}"
     )
     return 0 if (residual_ok and conservation_exact) else 1

@@ -17,10 +17,6 @@ class InhomogeneousError(PlasticWalkError):
     """Operation requires a homogeneous propagation-speed profile."""
 
 
-class SizeError(PlasticWalkError):
-    """Problem size exceeds the dense-solver budget."""
-
-
 class SolverError(PlasticWalkError):
     """A linear solve failed or left an unacceptable residual."""
 

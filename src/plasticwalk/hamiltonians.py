@@ -8,20 +8,19 @@ The discrete-space references are nearest-neighbour lattice Hamiltonians
 with the speed sampled at half-sites (bond midpoints), which makes H
 Hermitian term by term.
 
-A translation-invariant (constant-speed) operator is diagonal in ring
-momentum: mode k evolves by the closed-form 2x2 block
-exp(-i (c q sigma_x - m sigma_z) T), with effective momentum q = k for the
-continuum and q = sin(k dx)/dx for the lattice. Both propagators are built
-from ``dirac_block``. Dense diagonalization (``evolve_exact``) serves the
-inhomogeneous lattice.
-
-The inhomogeneous continuum reference is the Fourier pseudo-spectral
-operator H = -(i/2) sigma_x (C D + D C) - m sigma_z, the continuum limit of
-the bond-midpoint lattice H (C the speed on the grid, D the FFT derivative
-without the even-N Nyquist mode). It is propagated by a Chebyshev expansion
+Every lattice evolution, flat or inhomogeneous, is one Chebyshev expansion
 of exp(-i H T) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) that
-needs only H applied to a field. Cayley stepping (``evolve_crank_nicolson``)
-stays as an independent second-order integrator.
+needs only H applied to a field (``evolve_exact``).
+
+The constant-speed continuum operator is diagonal in ring momentum: mode k
+evolves by the closed-form 2x2 block exp(-i (c k sigma_x - m sigma_z) T)
+(``dirac_block``, ``dirac_propagator``). The inhomogeneous continuum
+reference is the Fourier pseudo-spectral operator
+H = -(i/2) sigma_x (C D + D C) - m sigma_z, the continuum limit of the
+bond-midpoint lattice H (C the speed on the grid, D the FFT derivative
+without the even-N Nyquist mode), propagated by the same Chebyshev kernel.
+Cayley stepping (``evolve_crank_nicolson``) stays as an independent
+second-order integrator.
 """
 
 from __future__ import annotations
@@ -29,15 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, SizeError, SolverError
+from .errors import DomainError, SolverError
 from .fields import CProfile, SpinorField
 from .walk import ring_momenta
-
-DENSE_DIM_BUDGET = 4096  # largest 2N handled by dense diagonalization
 
 
 @dataclass
@@ -125,14 +121,18 @@ def lattice_hamiltonian_curved(
 
 
 def evolve_exact(H: LatticeHamiltonian, psi0: SpinorField, T: float) -> SpinorField:
-    """exp(-i H T) psi0 by dense diagonalization. Budget: 2N <= 4096."""
-    if H.dim > DENSE_DIM_BUDGET:
-        raise SizeError(f"dense evolution limited to dim {DENSE_DIM_BUDGET}, got {H.dim}")
+    """exp(-i H T) psi0 by a Chebyshev expansion driven by ``H.apply``; no size limit.
+
+    The series runs in H over its Gershgorin bound
+    (max|c_minus| + max|c_plus|) / (2 dx) + |m|, which holds for any bond
+    arrays. A non-Hermitian H (a hand-built one whose two sites quote
+    different speeds for a bond) does not conserve the norm; the kernel
+    raises ``SolverError`` once its drift exceeds 1e-8.
+    """
     if H.n_sites != psi0.n_sites:
         raise DomainError("operator and field live on different grids")
-    w, v = scipy.linalg.eigh(H.dense())
-    out = (v * np.exp(-1j * w * T)) @ (v.conj().T @ psi0.data.reshape(-1))
-    return psi0.with_data(out.reshape(-1, 2))
+    radius = (np.max(np.abs(H.c_minus)) + np.max(np.abs(H.c_plus))) / (2.0 * H.dx) + abs(H.m)
+    return psi0.with_data(_chebyshev_propagate(H.apply, psi0.data, T, float(radius)))
 
 
 def evolve_crank_nicolson(
@@ -171,12 +171,11 @@ def evolve_crank_nicolson(
 
 @dataclass
 class DiracPropagator:
-    """Momentum-resolved propagator of a translation-invariant operator.
+    """Momentum-resolved propagator of the constant-speed continuum operator.
 
-    ``blocks[i]`` is exp(-i (c q_i sigma_x - m sigma_z) T) for the FFT-ordered
-    ring momentum k_i and its effective momentum q_i; fields are propagated
-    by transforming each component, applying the block, and transforming
-    back.
+    ``blocks[i]`` is exp(-i (c k_i sigma_x - m sigma_z) T) for the FFT-ordered
+    ring momentum k_i; fields are propagated by transforming each component,
+    applying the block, and transforming back.
     """
 
     ks: np.ndarray
@@ -211,31 +210,14 @@ def dirac_block(q, c: float, m: float, T: float) -> np.ndarray:
     return blocks
 
 
-def _momentum_propagator(
-    ks: np.ndarray, q: np.ndarray, m: float, c: float, T: float
-) -> DiracPropagator:
-    """Table of ``dirac_block(q_i)`` over the ring momenta k_i."""
+def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPropagator:
+    """Continuum propagator: ``dirac_block(k_i)`` over the N ring momenta k_i."""
     if not 0.0 <= c <= 1.0:
         raise DomainError(f"c must lie in [0, 1], got {c}")
     if m < 0:
         raise DomainError(f"mass must be nonnegative, got {m}")
-    return DiracPropagator(ks=ks, blocks=dirac_block(q, c, m, T), m=m, c=c, T=T)
-
-
-def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPropagator:
-    """Continuum propagator over the N ring momenta (q = k)."""
     ks = ring_momenta(N, dx)
-    return _momentum_propagator(ks, ks, m, c, T)
-
-
-def lattice_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPropagator:
-    """exp(-i H T) for the homogeneous lattice Hamiltonian (q = sin(k dx)/dx).
-
-    Equal to ``evolve_exact`` on ``lattice_hamiltonian_flat(N, dx, m, c)``
-    up to roundoff, without a dense matrix or a size budget.
-    """
-    ks = ring_momenta(N, dx)
-    return _momentum_propagator(ks, np.sin(ks * dx) / dx, m, c, T)
+    return DiracPropagator(ks=ks, blocks=dirac_block(ks, c, m, T), m=m, c=c, T=T)
 
 
 def trig_interpolate(field: SpinorField, refinement: int) -> SpinorField:

@@ -7,14 +7,14 @@ choice): the lattice Hamiltonian on the same grid (alpha = 1,
 ``lattice_exact``), the continuum Dirac evolution (alpha < 1, homogeneous
 speed, ``dirac_momentum``), or the pseudo-spectral curved Dirac evolution
 (alpha < 1, inhomogeneous speed, ``curved_fine_grid``).
-A homogeneous speed makes either reference translation-invariant, so it is
-propagated per ring momentum with closed-form 2x2 blocks; dense
-diagonalization serves only the inhomogeneous lattice reference. The curved
+The lattice reference, flat or curved, is one Chebyshev propagation of the
+lattice Hamiltonian (``evolve_exact``). The flat continuum reference is
+propagated per ring momentum with closed-form 2x2 blocks. The curved
 continuum reference is a Chebyshev propagation on the walk's own grid; each
 of its rows also records the reference's own error, its distance to the same
 propagation on a 2x refined grid. At alpha = 0 the two homogeneous
 references are cross-validated: the lattice one on an 8x refined grid must
-agree with the continuum one.
+agree with the closed-form continuum one.
 
 Comparison frame. The walk does not converge to the references in the raw
 component basis: its step operator is a frame conjugation of the reference
@@ -56,7 +56,7 @@ from .hamiltonians import (
     dirac_propagator,
     evolve_exact,
     lattice_hamiltonian_curved,
-    lattice_propagator,
+    lattice_hamiltonian_flat,
     restrict,
     trig_interpolate,
 )
@@ -334,11 +334,6 @@ def _reference_evolution(
     params: ScalingParams, psi0: SpinorField, t_reach: float, kind: str
 ) -> SpinorField:
     if kind == "lattice_exact":
-        if params.cprofile.homogeneous:
-            prop = lattice_propagator(
-                psi0.n_sites, psi0.dx, params.m, params.cprofile(0.0, 0.0), t_reach
-            )
-            return prop.apply(psi0)
         h = lattice_hamiltonian_curved(psi0.n_sites, psi0.dx, params.m, params.cprofile, 0.0)
         return evolve_exact(h, psi0, t_reach)
     if kind == "dirac_momentum":
@@ -392,8 +387,8 @@ def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> fl
     psi0 = make_wavepacket(base.N, base.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
     c0 = spec.cprofile(0.0, 0.0)
     fine = trig_interpolate(psi0, refinement)
-    prop = lattice_propagator(fine.n_sites, fine.dx, spec.m, c0, base.time_reached)
-    lattice_side = restrict(prop.apply(fine), refinement)
+    h = lattice_hamiltonian_flat(fine.n_sites, fine.dx, spec.m, c0)
+    lattice_side = restrict(evolve_exact(h, fine, base.time_reached), refinement)
     dirac_side = dirac_propagator(base.N, base.dx, spec.m, c0, base.time_reached).apply(psi0)
     return float(np.linalg.norm(lattice_side.data - dirac_side.data))
 

@@ -338,6 +338,32 @@ def test_qca_report(tmp_path, capsys):
     assert "encoding residual" in printed
 
 
+def test_qca_number_conservation_check_can_fail(tmp_path, monkeypatch, capsys):
+    # a crossing gate that mixes |00> and |11> leaves the one-particle block,
+    # and so the encoding, as it was; only the gate check can see it
+    import plasticwalk.qca as qca
+
+    real_gate_u = qca.gate_U
+
+    def mixing_gate_u(theta, zeta):
+        u = real_gate_u(theta, zeta)
+        u[0, 3] = u[3, 0] = 0.5
+        return u
+
+    monkeypatch.setattr(qca, "gate_U", mixing_gate_u)
+    out = tmp_path / "qca"
+    path, _ = write_config(
+        tmp_path, command="qca", out=str(out), qca_cells=6, qca_theta=1.0, qca_zeta=0.3
+    )
+    assert main(["qca", "--config", str(path)]) == 1
+    report = json.loads((out / "qca_report.json").read_text())
+    assert report["number_conservation_exact"] is False
+    assert report["number_conservation_off_sector_max"] == 0.5
+    assert report["number_conservation_cells"] == 6
+    assert report["encoding_residual"] <= 1e-12
+    assert "violated by" in capsys.readouterr().out
+
+
 def test_no_subcommand_exits_two(capsys):
     assert main([]) == 2
 

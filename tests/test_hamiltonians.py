@@ -7,7 +7,7 @@ import scipy.linalg
 from plasticwalk import (
     CProfile,
     DomainError,
-    SizeError,
+    LatticeHamiltonian,
     SolverError,
     SpinorField,
     curved_dirac_reference,
@@ -16,7 +16,6 @@ from plasticwalk import (
     evolve_exact,
     lattice_hamiltonian_curved,
     lattice_hamiltonian_flat,
-    lattice_propagator,
     make_wavepacket,
     ring_momenta,
     trig_interpolate,
@@ -221,15 +220,22 @@ def test_evolve_exact_pure_mass_phase():
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
-def test_evolve_exact_norm_and_budget():
+def test_evolve_exact_norm():
     rng = np.random.default_rng(6)
     h = lattice_hamiltonian_curved(32, 0.5, 0.4, sine_profile(16.0))
     f = random_field(32, rng, 0.5)
     out = evolve_exact(h, f, 3.7)
     assert abs(out.norm() - 1.0) <= 1e-11
-    big = lattice_hamiltonian_flat(3000, 1.0, 0.0, 0.5)
-    with pytest.raises(SizeError):
-        evolve_exact(big, random_field(3000, rng), 1.0)
+
+
+def test_evolve_exact_refuses_non_hermitian_hamiltonian():
+    # a hand-built H whose two sites quote different speeds for one bond
+    rng = np.random.default_rng(14)
+    h = lattice_hamiltonian_curved(16, 1.0, 0.2, sine_profile(16.0))
+    h = LatticeHamiltonian(c_minus=h.c_minus[::-1].copy(), c_plus=h.c_plus, dx=h.dx, m=h.m)
+    assert np.max(np.abs(h.dense() - h.dense().conj().T)) > 0.1
+    with pytest.raises(SolverError):
+        evolve_exact(h, random_field(16, rng), 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +297,14 @@ def test_dirac_propagator_zero_momentum_block():
     [(64, 1.0, 0.2, 0.5), (33, 0.5, 0.0, 1.0), (128, 0.25, 0.7, 0.3), (16, 2.0, 0.0, 0.0)],
 )
 def test_lattice_propagator_matches_dense_evolution(n, dx, m, c):
-    # odd N and m = 0 included: there the k = 0 block has zero energy
+    # the flat lattice through evolve_exact; odd N and m = 0 included: there
+    # the k = 0 mode has zero energy, and c = 0 leaves only the mass
     rng = np.random.default_rng(n)
     f = random_field(n, rng, dx)
-    dense = evolve_exact(lattice_hamiltonian_flat(n, dx, m, c), f, 2.3)
-    out = lattice_propagator(n, dx, m, c, 2.3).apply(f)
-    assert np.max(np.abs(out.data - dense.data)) <= 1e-13
+    h = lattice_hamiltonian_flat(n, dx, m, c)
+    dense = (scipy.linalg.expm(-2.3j * h.dense()) @ f.data.reshape(-1)).reshape(n, 2)
+    out = evolve_exact(h, f, 2.3)
+    assert np.max(np.abs(out.data - dense)) <= 1e-13
 
 
 def test_dirac_block_vectorizes_scalar_blocks():
@@ -433,7 +441,8 @@ def test_chebyshev_matches_dense_lattice_evolution(n, dx, T):
     f = random_field(n, rng, dx)
     radius = float(np.max(h.c_plus)) / dx + h.m
     out = _chebyshev_propagate(h.apply, f.data, T, radius)
-    assert np.max(np.abs(out - evolve_exact(h, f, T).data)) <= 1e-12
+    expected = (scipy.linalg.expm(-1j * T * h.dense()) @ f.data.reshape(-1)).reshape(n, 2)
+    assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 def test_chebyshev_time_zero_returns_input():

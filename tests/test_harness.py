@@ -138,8 +138,8 @@ def test_sweep_alpha_one_first_order():
 
 
 def test_sweep_alpha_one_beyond_dense_budget():
-    # the homogeneous lattice reference is propagated per momentum, so a
-    # 3000-site ring (2N = 6000 > DENSE_DIM_BUDGET) completes every row
+    # the lattice reference is a matrix-free Chebyshev propagation, so a
+    # 3000-site ring (2N = 6000) completes every row
     spec = ExperimentSpec(
         alpha=1.0,
         m=0.2,
@@ -154,6 +154,27 @@ def test_sweep_alpha_one_beyond_dense_budget():
     report = run_convergence_sweep(spec)
     assert all(r.failure is None for r in report.rows)
     assert [r.N for r in report.rows] == [3000] * 3
+    assert report.fitted_order is not None and report.fitted_order >= 0.9
+
+
+def test_sweep_curved_alpha_one_beyond_dense_budget():
+    # the curved lattice reference takes the same matrix-free path: a
+    # 2560-site sine-bump ring (2N = 5120) completes every row at first order
+    spec = ExperimentSpec(
+        alpha=1.0,
+        m=0.2,
+        cprofile=CProfile.sine_bump(0.5, 0.2, 64.0),
+        length=2560.0,
+        T=2.0,
+        epsilon_list=[0.2, 0.1, 0.05],
+        x0=1280.0,
+        w=8.0,
+        k0=float(np.pi / 8),
+    )
+    report = run_convergence_sweep(spec)
+    assert report.reference == "lattice_exact"
+    assert all(r.failure is None for r in report.rows)
+    assert [r.N for r in report.rows] == [2560] * 3
     assert report.fitted_order is not None and report.fitted_order >= 0.9
 
 
