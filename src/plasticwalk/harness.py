@@ -41,8 +41,10 @@ own basis before taking norms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import platform
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
@@ -192,6 +194,22 @@ class SweepRow:
 _CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.metadata.get("csv", True))
 
 
+@functools.cache
+def _environment() -> tuple[tuple[str, str], ...]:
+    """Versions of plasticwalk, Python, NumPy and NumPy's BLAS, read once per process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # NumPy < 1.25 has no mode argument
+        blas_name = "unknown"
+    return (
+        ("plasticwalk", _code_version),
+        ("python", platform.python_version()),
+        ("numpy", np.__version__),
+        ("blas", blas_name),
+    )
+
+
 @dataclass
 class SweepReport:
     rows: list[SweepRow]
@@ -205,6 +223,8 @@ class SweepReport:
     adjustments: list[str] = dc_field(default_factory=list)
     flags: list[str] = dc_field(default_factory=list)
     crossval_gap: float | None = None  # alpha = 0 homogeneous sweeps only
+    # what produced the report; not part of the spec, so not in spec_hash
+    environment: dict = dc_field(default_factory=lambda: dict(_environment()))
 
     CSV_HEADER = ",".join(_CSV_FIELDS)
 

@@ -274,6 +274,21 @@ def test_cn_second_order():
     assert 1.8 <= order <= 2.2
 
 
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_cn_is_the_cayley_factor_on_each_eigenmode(n):
+    # oracle shares no code with the solve: the per-site loop's eigenbasis,
+    # where each step multiplies mode lambda by r = (1 - i tau lambda/2)/(1 + i tau lambda/2)
+    h = lattice_hamiltonian_curved(n, 0.7, 0.3, sine_profile(0.7 * n))
+    f = random_field(n, np.random.default_rng(n), 0.7)
+    T, steps = 1.3, 40
+    tau = T / steps
+    lam, vec = np.linalg.eigh(_dense_by_site_loop(h))
+    r = (1.0 - 0.5j * tau * lam) / (1.0 + 0.5j * tau * lam)
+    expected = vec @ (r ** steps * (vec.conj().T @ f.data.reshape(-1)))
+    out = evolve_crank_nicolson(h, f, T, steps)
+    assert np.max(np.abs(out.data.reshape(-1) - expected)) <= 1e-12
+
+
 def test_cn_rejects_bad_steps():
     h = lattice_hamiltonian_flat(8, 1.0, 0.0, 0.5)
     f = random_field(8, np.random.default_rng(0))

@@ -1,8 +1,12 @@
 """Wavepackets, order fitting, sweeps, dispersion tables."""
 
+import platform
+
 import numpy as np
 import pytest
 
+import plasticwalk
+from plasticwalk import harness
 from plasticwalk import (
     CProfile,
     DegenerateError,
@@ -277,6 +281,44 @@ def test_sweep_csv_shape():
     assert payload["reference"] == "lattice_exact"
     assert payload["crossval_gap"] is None
     assert payload["rows"][0]["N"] == 32
+
+
+def test_report_records_its_environment(monkeypatch):
+    spec = _spec(1.0, CProfile.constant(0.5), [0.2, 0.1])
+    a = run_convergence_sweep(spec)
+    assert a.environment == {
+        "plasticwalk": plasticwalk.__version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": a.environment["blas"],
+    }
+    assert isinstance(a.environment["blas"], str) and a.environment["blas"]
+    payload = a.to_json_dict()
+    assert payload["environment"] == a.environment
+    assert payload["code_version"] == plasticwalk.__version__
+    assert a.to_csv().splitlines()[0] == "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
+    assert "environment" not in spec.canonical_dict()
+
+    # read once per process: a second report does not ask NumPy again, and gets its own copy
+    def no_second_read(**kwargs):
+        raise AssertionError("environment read twice")
+
+    monkeypatch.setattr(np, "show_config", no_second_read)
+    b = run_convergence_sweep(spec)
+    assert b.environment == a.environment and b.environment is not a.environment
+    assert b.spec_hash == a.spec_hash
+
+
+def test_environment_blas_unknown_without_config_dicts(monkeypatch):
+    def old_show_config():  # NumPy < 1.25 takes no mode argument
+        return None
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    harness._environment.cache_clear()
+    try:
+        assert dict(harness._environment())["blas"] == "unknown"
+    finally:
+        harness._environment.cache_clear()
 
 
 def test_spec_validation():
