@@ -19,15 +19,18 @@ whose qubits 2N-1 and 0 are not neighbours in the mode order, carries the
 Jordan-Wigner sign (-1)^(occupation of modes 1..2N-2) on its hopping
 entries.
 
-Every path that steps the automaton acts only on the number sectors its
-input occupies, one sector at a time: each occupied sector's amplitudes
-are gathered, stepped through a cached plan of gate positions built from
-that sector's own basis states, and scattered back. The k-particle seam
-sign is the one scalar (-1)^(k-1), folded into the seam gate. The dense
-step operator is assembled block by block from the same plans, and the
-one-particle matrix steps the 2N x 2N identity directly, one row per mode.
-All of them share one gate arithmetic, and only the paths that read a
-whole statevector use a 4^N popcount table.
+A :class:`QcaState` holds only the number sectors it occupies, each as
+the amplitudes at that sector's sorted basis indices, and every path that
+steps the automaton acts on one sector at a time: a sector is stepped
+through a cached plan of gate positions built from its own basis states.
+The k-particle seam sign is the one scalar (-1)^(k-1), folded into the
+seam gate. The dense step operator is assembled block by block from the
+same plans, and the one-particle matrix steps the 2N x 2N identity
+directly, one row per mode. All of them share one gate arithmetic. Of the
+paths that take or return a state, only the ``QcaState`` constructor and
+its ``amplitudes`` touch 4^N entries; the dense-vector stepper
+:func:`_step` and the dense step operator are kept for checks. Only the
+constructor and ``_step`` read the 4^N popcount table.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover; basis-state index bit q is the occupation of qubit q, which is
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
+from math import comb, hypot
 
 import numpy as np
 
@@ -85,40 +88,68 @@ def gate_U(theta: float, zeta: float) -> np.ndarray:
     return u
 
 
-@dataclass
-class QcaState:
-    """Statevector over 2N occupation qubits, cell 0 least significant."""
+def _check_budget(n_cells: int) -> None:
+    if 2 * n_cells > QUBIT_BUDGET:
+        raise BudgetError(f"{2 * n_cells} qubits exceed the statevector budget of {QUBIT_BUDGET}")
 
-    amplitudes: np.ndarray
+
+class QcaState:
+    """A state of the 2N occupation qubits, held as its occupied number sectors.
+
+    ``sectors`` maps each particle number k the state occupies to its
+    amplitudes at the sector's sorted basis indices
+    (``_sector_plan(n_cells, k).idx``, cell 0 least significant); a sector
+    that is not held has zero amplitude. ``QcaState(amplitudes, n_cells)``
+    reads a whole 4^N statevector once and keeps its nonzero sectors, and
+    :attr:`amplitudes` scatters them back into a new one; every other
+    operation touches only the held sectors.
+    """
+
+    sectors: dict[int, np.ndarray]
     n_cells: int
 
-    def __post_init__(self):
-        if 2 * self.n_cells > QUBIT_BUDGET:
-            raise BudgetError(
-                f"{2 * self.n_cells} qubits exceed the statevector budget of {QUBIT_BUDGET}"
-            )
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (2 ** (2 * self.n_cells),):
-            raise DomainError(
-                f"amplitude vector has length {self.amplitudes.shape}, expected 2^{2 * self.n_cells}"
-            )
+    def __init__(self, amplitudes, n_cells: int):
+        _check_budget(n_cells)
+        amp = np.asarray(amplitudes, dtype=np.complex128)
+        if amp.shape != (2 ** (2 * n_cells),):
+            raise DomainError(f"amplitude vector has length {amp.shape}, expected 2^{2 * n_cells}")
+        weight = _popcount(2 * n_cells)
+        self.n_cells = n_cells
+        self.sectors = {k: amp[weight == k] for k in np.unique(weight[amp != 0]).tolist()}
+
+    @classmethod
+    def _from_sectors(cls, sectors: dict[int, np.ndarray], n_cells: int) -> "QcaState":
+        _check_budget(n_cells)
+        state = cls.__new__(cls)
+        state.sectors, state.n_cells = sectors, n_cells
+        return state
 
     @classmethod
     def vacuum(cls, n_cells: int) -> "QcaState":
-        amp = np.zeros(2 ** (2 * n_cells), dtype=np.complex128)
-        amp[0] = 1.0
-        return cls(amp, n_cells)
+        return cls._from_sectors({0: np.ones(1, dtype=np.complex128)}, n_cells)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The whole 4^N statevector, as a new array."""
+        amp = np.zeros(2 ** (2 * self.n_cells), dtype=np.complex128)
+        for k, x in self.sectors.items():
+            amp[_sector_plan(self.n_cells, k).idx] = x
+        return amp
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return hypot(*(np.linalg.norm(x) for x in self.sectors.values()))
 
     def copy(self) -> "QcaState":
-        return QcaState(self.amplitudes.copy(), self.n_cells)
+        return QcaState._from_sectors({k: x.copy() for k, x in self.sectors.items()}, self.n_cells)
 
     def occupations(self) -> np.ndarray:
         """Expectation of the occupation of each qubit (mode)."""
-        probs = np.abs(self.amplitudes) ** 2
-        return np.array([probs.reshape(-1, 2, 2 ** q)[:, 1].sum() for q in range(2 * self.n_cells)])
+        modes = np.arange(2 * self.n_cells)
+        occ = np.zeros(2 * self.n_cells)
+        for k, x in self.sectors.items():
+            bits = (_sector_plan(self.n_cells, k).idx[:, None] >> modes) & 1
+            occ += (np.abs(x) ** 2) @ bits
+        return occ
 
 
 @lru_cache(maxsize=None)
@@ -266,22 +297,20 @@ def qca_step(state: QcaState, theta, zeta) -> QcaState:
     crossing between cells l and l+1 (periodic). The crossing between cell
     N-1 and cell 0 carries the Jordan-Wigner parity of the modes between
     its two qubits (see the module docstring); any other angle shape
-    raises DomainError. Each occupied number sector is stepped on its own
-    (see :func:`_step`), so a one-particle or few-particle state costs its
-    sectors' dimension, not 4^N.
+    raises DomainError. Each held number sector is stepped on its own, on
+    a copy, so a one-particle or few-particle state costs its sectors'
+    dimension, not 4^N.
     """
     n = state.n_cells
-    amp = _step(state.amplitudes.copy(), _crossing_gates(n, theta, zeta))
-    return QcaState(amp, n)
+    gates = _crossing_gates(n, theta, zeta)
+    sectors = {k: _step_sector(state.sectors[k].copy(), gates, _sector_plan(n, k)) for k in sorted(state.sectors)}
+    return QcaState._from_sectors(sectors, n)
 
 
 def embed_one_particle(psi: SpinorField) -> QcaState:
     """Map plus_l to cell l with the left-mover subcell occupied, minus_l
     to the right-mover subcell."""
-    n = psi.n_sites
-    amp = np.zeros(2 ** (2 * n), dtype=np.complex128)
-    amp[1 << np.arange(2 * n)] = psi.data.reshape(-1)
-    return QcaState(amp, n)
+    return QcaState._from_sectors({1: psi.data.reshape(-1).copy()}, psi.n_sites)
 
 
 def extract_one_particle(state: QcaState, dx: float = 1.0, tol: float = 1e-10) -> SpinorField:
@@ -291,11 +320,11 @@ def extract_one_particle(state: QcaState, dx: float = 1.0, tol: float = 1e-10) -
     sector exceeds ``tol``.
     """
     n = state.n_cells
-    data = state.amplitudes[1 << np.arange(2 * n)].reshape(n, 2)
-    outside = state.norm() ** 2 - float(np.sum(np.abs(data) ** 2))
+    outside = sum(float(np.vdot(x, x).real) for k, x in state.sectors.items() if k != 1)
     if outside > tol:
         raise SectorError(f"weight {outside:.3e} outside the one-particle sector")
-    return SpinorField(data, dx)
+    one = state.sectors.get(1, np.zeros(2 * n, dtype=np.complex128))
+    return SpinorField(one.reshape(n, 2).copy(), dx)
 
 
 def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
@@ -408,7 +437,7 @@ def slater_evolve(orbitals: SlaterState, one_particle_step, steps: int) -> Slate
 
 
 def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
-    """Embed an n-particle determinant into the qubit statevector.
+    """Embed an n-particle determinant as the n-particle sector of a state.
 
     Amplitudes follow the ordered-mode convention: the basis state with
     modes m_1 < ... < m_n occupied receives det of the corresponding
@@ -417,13 +446,13 @@ def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
     if orbitals.n_modes != 2 * n_cells:
         raise DomainError("orbital mode count does not match the cell count")
     modes = _sector_modes(2 * n_cells, orbitals.n_particles)
-    amp = np.zeros(2 ** (2 * n_cells), dtype=np.complex128)
-    amp[np.sum(1 << modes, axis=1)] = np.linalg.det(orbitals.orbitals[modes])
-    nrm = np.linalg.norm(amp)
+    modes = modes[np.argsort(np.sum(1 << modes, axis=1))]  # in the order of the sector's basis indices
+    x = np.linalg.det(orbitals.orbitals[modes])
+    nrm = np.linalg.norm(x)
     if nrm == 0.0:
         raise DomainError("determinant vanishes; orbitals are linearly dependent")
-    amp /= nrm
-    return QcaState(amp, n_cells)
+    x /= nrm
+    return QcaState._from_sectors({orbitals.n_particles: x}, n_cells)
 
 
 def dense_step_operator(n_cells: int, theta, zeta) -> np.ndarray:

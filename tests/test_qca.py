@@ -439,7 +439,8 @@ def _sector_state(n, sectors, rng):
 def test_gathered_step_matches_strided_dense_operator(n, array_angles, batched):
     # the dense operator is assembled from each sector's stepped identity;
     # qca_step, or _step on a batch of three states, must agree with it on
-    # one sector, on unions of sectors and on full support
+    # one sector, on unions of sectors and on full support, and qca_step on
+    # the held sectors is bitwise _step on the dense vector
     rng = np.random.default_rng(83 + 10 * n + 2 * array_angles + batched)
     if array_angles:
         theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
@@ -453,6 +454,7 @@ def test_gathered_step_matches_strided_dense_operator(n, array_angles, batched):
         else:
             amp = _sector_state(n, sectors, rng)
             out = qca_step(QcaState(amp, n), theta, zeta).amplitudes
+            np.testing.assert_array_equal(out, qca._step(amp.copy(), qca._crossing_gates(n, theta, zeta)))
         assert np.max(np.abs(out - g @ amp)) <= 1e-13
 
 
@@ -598,3 +600,80 @@ def test_continuous_time_two_particle_matches_orbital_evolution():
         ]
     )
     np.testing.assert_allclose(occ_full, np.sum(np.abs(phi_t) ** 2, axis=1), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# sector-held state against the dense statevector
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sector_held_norm_and_occupations_match_dense_formulas(n):
+    rng = np.random.default_rng(103 + n)
+    idx = np.arange(4 ** n)
+    for sectors in [(1,), (2, 3), (0, n, 2 * n), range(2 * n + 1)]:
+        amp = _sector_state(n, sectors, rng) * rng.uniform(0.5, 2.0)
+        state = QcaState(amp, n)
+        assert sorted(state.sectors) == sorted(sectors)
+        assert abs(state.norm() - np.linalg.norm(amp)) <= 1e-14
+        expected = [np.sum(np.abs(amp) ** 2 * ((idx >> q) & 1)) for q in range(2 * n)]
+        np.testing.assert_allclose(state.occupations(), expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(state.copy().amplitudes, amp)
+
+
+@pytest.mark.parametrize("sectors, raises", [((1,), False), ((2,), True), ((0, 1), True), ((1, 3), True)])
+def test_extract_raises_where_the_dense_outside_weight_exceeds_tol(sectors, raises):
+    # the outside weight summed over the other held sectors, against the
+    # dense norm^2 - |one-particle entries|^2
+    rng = np.random.default_rng(107)
+    n = 4
+    one = 1 << np.arange(2 * n)
+    for scale in (1e-6, 1e-4, 1.0):
+        amp = _sector_state(n, sectors, rng)
+        amp[np.setdiff1d(np.arange(4 ** n), one)] *= scale
+        dense_outside = np.linalg.norm(amp) ** 2 - np.sum(np.abs(amp[one]) ** 2)
+        assert (dense_outside > 1e-10) == (raises and scale > 1e-6)
+        if dense_outside > 1e-10:
+            with pytest.raises(SectorError):
+                extract_one_particle(QcaState(amp, n))
+        else:
+            np.testing.assert_array_equal(extract_one_particle(QcaState(amp, n)).data.reshape(-1), amp[one])
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_amplitudes_round_trip_through_the_sectors(n):
+    rng = np.random.default_rng(109 + n)
+    full = rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n)
+    for amp in (np.zeros(4 ** n, dtype=complex), QcaState.vacuum(n).amplitudes, full):
+        state = QcaState(amp, n)
+        np.testing.assert_array_equal(state.amplitudes, amp)
+        np.testing.assert_array_equal(qca_step(state, 1.0, 0.3).amplitudes,
+                                      qca._step(amp.copy(), qca._crossing_gates(n, 1.0, 0.3)))
+    zero = QcaState(np.zeros(4 ** n), n)
+    assert zero.sectors == {} and zero.norm() == 0.0
+    assert list(QcaState.vacuum(n).sectors) == [0]
+    assert sorted(QcaState(full, n).sectors) == list(range(2 * n + 1))
+
+
+def test_ten_cell_determinant_path_allocates_no_statevector():
+    # criterion 7's path at 20 qubits (the size the benchmark runs): one
+    # 2^20 complex vector is 16 MB, and the three-particle sector holds 1140
+    # amplitudes
+    import tracemalloc
+
+    n, theta, zeta = 10, 1.0, 0.3
+    rng = np.random.default_rng(113)
+    phi = np.linalg.qr(rng.normal(size=(2 * n, 3)) + 1j * rng.normal(size=(2 * n, 3)))[0]
+    tracemalloc.start()
+    try:
+        state = slater_determinant_state(SlaterState(phi), n)
+        for _ in range(4):
+            state = qca_step(state, theta, zeta)
+            state.occupations()
+            state.norm()
+        field = SpinorField(phi[:, 0].reshape(n, 2), 1.0)
+        extract_one_particle(qca_step(embed_one_particle(field), theta, zeta))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert list(state.sectors) == [3] and state.sectors[3].shape == (1140,)
