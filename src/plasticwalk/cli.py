@@ -32,7 +32,8 @@ from .harness import (
 from .qca import _crossing_gates, _popcount, gate_V, verify_encoding
 from .qca import dense_step_operator  # not called here; perfbench/probes.py patches it on this module
 from .scaling import ScalingParams
-from .walk import qw_step, trajectory_operators
+from .walk import evolve_walk, trajectory_operators
+from .walk import qw_step  # not called here; perfbench/probes.py patches it on this module
 from . import __version__
 
 PROFILE_NAMES = ("flat", "sine-bump", "gaussian-well")
@@ -218,10 +219,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         atomic_write(out_dir / f"snapshot_{idx:06d}.csv", "\n".join(lines) + "\n")
 
     write_snapshot(0, field)
-    for j in range(steps):
-        field = qw_step(field, params, 2.0 * eps * j, ops=ops)
-        if (j + 1) % cfg.snapshot_stride == 0 or j + 1 == steps:
-            write_snapshot(j + 1, field)
+    for start in range(0, steps, cfg.snapshot_stride):
+        stop = min(start + cfg.snapshot_stride, steps)
+        field = evolve_walk(field, params, stop - start, 2.0 * eps * start, ops=ops)
+        write_snapshot(stop, field)
 
     drift = abs(field.norm() - norm0)
     cs = params.cprofile.sample(t_reach, xs)

@@ -223,6 +223,8 @@ class SweepReport:
     adjustments: list[str] = dc_field(default_factory=list)
     flags: list[str] = dc_field(default_factory=list)
     crossval_gap: float | None = None  # alpha = 0 homogeneous sweeps only
+    kappa_range: list[float] | None = None  # [min, max] of kappa = epsilon^alpha over the rows
+    predicted_order: float | None = None  # _predicted_order(alpha); None at alpha 0 and 1
     # what produced the report; not part of the spec, so not in spec_hash
     environment: dict = dc_field(default_factory=lambda: dict(_environment()))
 
@@ -413,6 +415,18 @@ def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> fl
     return float(np.linalg.norm(lattice_side.data - dirac_side.data))
 
 
+def _predicted_order(alpha: float) -> float | None:
+    """Convergence order the scaling analysis predicts for 0 < alpha < 1, else None.
+
+    At most first order, lowered by two error terms: the coin's mass rule
+    carries cos(pi kappa) = 1 + O(kappa^2), a mass error of
+    O(epsilon^(2 alpha)), and the walk's lattice dispersion differs from
+    the continuum one by O(dx^2) = O(epsilon^(2 - 2 alpha)). At alpha = 0
+    and 1 no such rule is derived.
+    """
+    return min(1.0, 2.0 * alpha, 2.0 - 2.0 * alpha) if 0.0 < alpha < 1.0 else None
+
+
 def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     """Run the walk against its reference for every epsilon and fit the order.
 
@@ -424,8 +438,10 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     ref_kind = spec.resolved_reference()
     adjustments: list[str] = []
     rows: list[SweepRow] = []
+    kappas: list[float] = []
     for params, planned, notes in spec._plan():
         adjustments.extend(notes)
+        kappas.append(params.kappa)
         try:
             rows.append(_run_row(spec, params, planned, ref_kind))
         except Exception as exc:  # per-row failures must not abort the sweep
@@ -454,6 +470,13 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     elif good and all(r.error_l2 <= 1e-12 for r in good):
         exact = True
 
+    predicted = _predicted_order(spec.alpha)
+    if fitted is not None and predicted is not None and predicted - fitted > ci:
+        flags.append(
+            f"fitted order {fitted:.4g} is below the predicted {predicted:.4g} "
+            f"by more than its CI {ci:.2g}"
+        )
+
     gap: float | None = None
     if spec.alpha == 0.0 and spec.cprofile.homogeneous and good:
         # the two references must agree well below the walk's smallest error
@@ -477,6 +500,8 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
         adjustments=adjustments,
         flags=flags,
         crossval_gap=gap,
+        kappa_range=[min(kappas), max(kappas)],
+        predicted_order=predicted,
     )
 
 

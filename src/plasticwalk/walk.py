@@ -16,12 +16,20 @@ sampled at the crossing midpoints x + dx/2, mixing powers at the cell
 centers x, all at the step's start time (a homogeneous profile is sampled
 at one point and broadcast over the ring). A step's operators hold each
 stack as its four entries, each a contiguous 1-D array, and ``qw_step``
-applies them by component arithmetic on the plus and minus arrays.
-``evolve_walk`` is the one stepping loop, one ``qw_step`` per step. For a
+applies them by component arithmetic on the plus and minus arrays. For a
 static profile the operators are the same on every step, so
-``trajectory_operators`` builds them once and every ``qw_step`` of the
-trajectory reuses them; otherwise each ``qw_step`` builds its own at its
-start time.
+``trajectory_operators`` builds them once for a whole trajectory.
+
+``evolve_walk`` runs a trajectory. On a homogeneous profile the step
+commutes with translations, so it acts on each ring momentum k as one 2x2
+block: the same four operators with each shift replaced by its phase
+e^{+-ik dx} (``momentum_block``). There ``evolve_walk`` takes one FFT of
+the field, multiplies each momentum by its block raised to the number of
+steps and transforms back. The block is built and raised (binary powering,
+log2(steps) squarings) in long double, so its rounding does not grow with
+the number of steps. Every other profile is stepped by ``qw_step`` one
+step at a time, and a profile that depends on t builds each step's
+operators at that step's start time.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .errors import DomainError, InhomogeneousError
 from .fields import SpinorField
 from .scaling import ScalingParams, derive_angle_arrays
 
+_TWO_PI = 2 * np.longdouble("3.14159265358979323846264338327950288")
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
 
@@ -110,27 +119,20 @@ def shift_minus(data: np.ndarray) -> np.ndarray:
 StepOperators = tuple[tuple[np.ndarray, ...], ...]
 
 
-def _step_stacks(params: ScalingParams, t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda^kappa at the sites xs and C(zeta) at the crossings xs + dx/2, at start time t.
+def _step_operators(params: ScalingParams, t: float, xs: np.ndarray) -> StepOperators:
+    """The four pointwise stacks of one step at start time t, in order of application.
 
-    A homogeneous profile is sampled at one point, giving (1, 2, 2) stacks.
+    Lambda^kappa is sampled at the sites xs and C(zeta) at the crossings
+    xs + dx/2 (a homogeneous profile at one point). Returns (Lambda^kappa,
+    C(zeta), C(-zeta), Lambda^(-kappa)), each as its entries (a00, a01,
+    a10, a11), each a contiguous array over the sites (length 1 for a
+    homogeneous profile). C(-zeta) is the transpose of C(zeta), so it
+    shares C(zeta)'s arrays.
     """
     if params.cprofile.homogeneous:
         xs = xs[:1]
     lam = lambda_power(params.cprofile.sample(t, xs), params.kappa)
     coin = coin_matrix(*derive_angle_arrays(params, t, xs + 0.5 * params.dx))
-    return lam, coin
-
-
-def _step_operators(params: ScalingParams, t: float, xs: np.ndarray) -> StepOperators:
-    """The four pointwise stacks of one step at start time t, in order of application.
-
-    Returns (Lambda^kappa, C(zeta), C(-zeta), Lambda^(-kappa)), each as its
-    entries (a00, a01, a10, a11), each a contiguous array over the sites
-    (length 1 for a homogeneous profile). C(-zeta) is the transpose of
-    C(zeta), so it shares C(zeta)'s arrays.
-    """
-    lam, coin = _step_stacks(params, t, xs)
     lam_e = tuple(np.ascontiguousarray(lam[:, i, j]) for i in (0, 1) for j in (0, 1))
     c00, c01, c10, c11 = (np.ascontiguousarray(coin[:, i, j]) for i in (0, 1) for j in (0, 1))
     return lam_e, (c00, c01, c10, c11), (c00, c10, c01, c11), tuple(a.conj() for a in lam_e)
@@ -157,6 +159,57 @@ def _shift(p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((p[1:], p[:1])), np.concatenate((m[-1:], m[:-1]))
 
 
+def _apply(ops: StepOperators, p, m, shift) -> tuple[np.ndarray, np.ndarray]:
+    """One step's operators on the components (p, m), with ``shift`` as the full shift."""
+    lam, coin, coin_t, lam_inv = ops
+    p, m = _mix(coin, *_mix(lam, p, m))
+    p, m = _mix(coin_t, *shift(p, m))
+    return _mix(lam_inv, *shift(p, m))
+
+
+def _block(ops: StepOperators, angle) -> tuple[np.ndarray, ...]:
+    """Entries (b00, b01, b10, b11) of one homogeneous step on the plane waves e^{ikx}.
+
+    ``angle`` holds k dx: on a plane wave the full shift multiplies plus by
+    e^{ik dx} and minus by its conjugate. Column j of the block is the step
+    applied to the j-th unit spinor. The entries are complex long doubles,
+    because a block is raised to the number of steps: rounded to double,
+    its rounding would grow with that number.
+    """
+    phase = np.exp(1j * np.asarray(angle, dtype=np.longdouble))
+    back = phase.conj()
+
+    def shift(p, m):
+        return phase * p, back * m
+
+    ops = tuple(tuple(a.astype(np.clongdouble) for a in op) for op in ops)
+    (b00, b10), (b01, b11) = (_apply(ops, p, m, shift) for p, m in ((1.0, 0.0), (0.0, 1.0)))
+    return b00, b01, b10, b11
+
+
+def _product(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11
+
+
+def _power(block: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
+    """block^n for n >= 1 by binary powering: floor(log2 n) squarings."""
+    out = None
+    while True:
+        if n & 1:
+            out = block if out is None else _product(out, block)
+        n >>= 1
+        if not n:
+            return out
+        block = _product(block, block)
+
+
+def _check_spacing(field: SpinorField, params: ScalingParams) -> None:
+    if abs(field.dx - params.dx) > 1e-12 * max(field.dx, params.dx):
+        raise DomainError(f"field.dx = {field.dx} does not match params.dx = {params.dx}")
+
+
 def qw_step(
     field: SpinorField, params: ScalingParams, t: float = 0.0, *, ops: StepOperators | None = None
 ) -> SpinorField:
@@ -180,25 +233,42 @@ def qw_step(
     SpinorField
         The field at time t + 2*dt.
     """
-    if abs(field.dx - params.dx) > 1e-12 * max(field.dx, params.dx):
-        raise DomainError(f"field.dx = {field.dx} does not match params.dx = {params.dx}")
+    _check_spacing(field, params)
     if ops is None:
         ops = _step_operators(params, t, field.positions())
-    lam, coin, coin_t, lam_inv = ops
-    p, m = _mix(coin, *_mix(lam, field.plus, field.minus))
-    p, m = _mix(coin_t, *_shift(p, m))
-    p, m = _mix(lam_inv, *_shift(p, m))
+    p, m = _apply(ops, field.plus, field.minus, _shift)
     return field.with_data(np.stack([p, m], axis=1))
 
 
 def evolve_walk(
-    field: SpinorField, params: ScalingParams, steps: int, t0: float = 0.0
+    field: SpinorField,
+    params: ScalingParams,
+    steps: int,
+    t0: float = 0.0,
+    *,
+    ops: StepOperators | None = None,
 ) -> SpinorField:
     """Apply ``steps`` walk steps; step j starts at t0 + 2*dt*j.
 
-    A static profile's operators are built once for all steps.
+    ``ops`` are the trajectory's operators as ``trajectory_operators``
+    returns them for this field's ring; None builds them here, once for a
+    static profile. A homogeneous profile's steps are applied as one
+    Fourier multiplier: the FFT of the field, each ring momentum's block
+    to the power ``steps``, and the inverse FFT. They agree with the
+    stepped loop to roundoff, not bitwise. Every other profile takes one
+    ``qw_step`` per step.
     """
-    ops = trajectory_operators(params, field, t0)
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
+    if ops is None:
+        ops = trajectory_operators(params, field, t0)
+    if params.cprofile.homogeneous and steps:
+        _check_spacing(field, params)
+        angle = _TWO_PI * np.arange(field.n_sites) / field.n_sites  # k dx of each FFT bin
+        power = tuple(b.astype(np.complex128) for b in _power(_block(ops, angle), int(steps)))
+        ft = np.fft.fft(field.data, axis=0)
+        p, m = _mix(power, ft[:, 0], ft[:, 1])
+        return field.with_data(np.fft.ifft(np.stack([p, m], axis=1), axis=0))
     out = field
     for j in range(steps):
         out = qw_step(out, params, t0 + 2.0 * params.epsilon * j, ops=ops)
@@ -209,19 +279,16 @@ def momentum_block(params: ScalingParams, k, t: float = 0.0) -> np.ndarray:
     """Block of one walk step on the plane wave e^{ikx}, stacked over the shape of k.
 
     Only defined for homogeneous profiles, where the step commutes with
-    translations. Constructed as
+    translations. Equals
     Lambda^(-kappa) D(k) C(-zeta) D(k) C(zeta) Lambda^(kappa) with
-    D(k) = diag(e^{ik dx}, e^{-ik dx}).
+    D(k) = diag(e^{ik dx}, e^{-ik dx}), built from the step's operators
+    as ``evolve_walk`` builds it for a homogeneous trajectory.
     """
     if not params.cprofile.homogeneous:
         raise InhomogeneousError("momentum_block requires a homogeneous profile")
-    lam, coin = (op[0] for op in _step_stacks(params, t, np.zeros(1)))
-    coin_t, lam_inv = coin.T, lam.conj()
-    phase = np.exp(1j * np.asarray(k, dtype=float) * params.dx)
-    d = np.zeros(phase.shape + (2, 2), dtype=np.complex128)
-    d[..., 0, 0] = phase
-    d[..., 1, 1] = phase.conj()
-    return lam_inv @ d @ coin_t @ d @ coin @ lam
+    angle = np.asarray(k, dtype=np.longdouble) * params.dx
+    block = _block(_step_operators(params, t, np.zeros(1)), angle)
+    return np.stack(block, axis=-1).astype(np.complex128).reshape(angle.shape + (2, 2))
 
 
 def ring_momenta(n_sites: int, dx: float) -> np.ndarray:

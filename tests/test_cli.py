@@ -153,6 +153,32 @@ def test_simulate_final_snapshot_equals_evolve_walk(tmp_path):
     assert np.array_equal(cols[:, 3] + 1j * cols[:, 4], walked.minus)
 
 
+def test_simulate_flat_snapshots_equal_evolve_walk(tmp_path):
+    # a flat profile steps as a Fourier multiplier, one evolve_walk call per snapshot interval
+    from plasticwalk import ScalingParams, evolve_walk, make_wavepacket
+    from plasticwalk.harness import _grid
+
+    for stride in (3, 8):
+        out = tmp_path / f"run{stride}"
+        path, cfg = write_config(
+            tmp_path, command="simulate", out=str(out), alpha=0.5, length=16.0, T=1.0,
+            epsilon=0.0625, snapshot_stride=stride, profile={"name": "flat", "c0": 0.6},
+            initial={"x0": 6.0, "w": 2.0, "k0": 0.5, "chirality_mix": 0.3},
+        )
+        assert main(["simulate", "--config", str(path)]) == 0
+        eps, n, steps, _, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
+        assert steps == 8
+        params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
+        walked = make_wavepacket(n, params.dx, *cfg._packet())
+        for start in range(0, steps, stride):  # stride 8: one call, as a sweep row makes it
+            stop = min(start + stride, steps)
+            walked = evolve_walk(walked, params, stop - start, 2.0 * eps * start)
+            rows = (out / f"snapshot_{stop:06d}.csv").read_text().splitlines()[1:]
+            cols = np.array([[float(v) for v in row.split(",")] for row in rows])
+            assert np.array_equal(cols[:, 1] + 1j * cols[:, 2], walked.plus)
+            assert np.array_equal(cols[:, 3] + 1j * cols[:, 4], walked.minus)
+
+
 def test_simulate_single_site_ring_exits_one(tmp_path, capsys):
     # alpha = 1 fixes dx = 1, so length 1 snaps to a one-site ring, as in sweep
     path, _ = write_config(
@@ -232,6 +258,36 @@ def test_sweep_outputs_and_exit(tmp_path):
     payload = json.loads((out / "sweep.json").read_text())
     assert payload["fitted_order"] >= 0.9
     assert all(chk["passed"] for chk in payload["checks"])
+
+
+@pytest.mark.parametrize(
+    "alpha, eps_list, predicted",
+    [(0.25, [0.1, 0.05, 0.025], 0.5), (1.0, [0.2, 0.1, 0.05], None)],
+    ids=["alpha_quarter", "alpha_one"],
+)
+def test_sweep_records_kappa_range_and_predicted_order(tmp_path, alpha, eps_list, predicted):
+    out = tmp_path / "sweep"
+    path, _ = write_config(
+        tmp_path, command="sweep", out=str(out), alpha=alpha, m=0.2, length=32.0, T=2.0,
+        epsilon_list=eps_list,
+        initial={"x0": 16.0, "w": 4.0, "k0": float(np.pi / 8), "chirality_mix": 0.5},
+    )
+    assert main(["sweep", "--config", str(path)]) == 0
+    payload = json.loads((out / "sweep.json").read_text())
+    kappas = [row["epsilon"] ** alpha for row in payload["rows"]]  # epsilon as snapped
+    assert payload["kappa_range"] == [min(kappas), max(kappas)]
+    assert payload["predicted_order"] == predicted
+    below = [f for f in payload["flags"] if "below the predicted" in f]
+    if predicted is None:
+        assert not below
+    else:  # alpha = 1/4 converges at order ~0.4 under the cos(pi kappa) mass rule
+        assert payload["fitted_order"] < predicted - payload["fitted_ci"]
+        assert len(below) == 1
+    assert [c["name"] for c in payload["checks"]] == [
+        "rows_completed", "monotone_errors", "reference_cross_validation"]
+    assert all(c["passed"] for c in payload["checks"])
+    header = (out / "sweep.csv").read_text().splitlines()[0]
+    assert header == "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
 
 
 @pytest.mark.parametrize(

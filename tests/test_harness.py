@@ -271,6 +271,21 @@ def test_sweep_curved_alpha_half_first_order():
     assert report.fitted_order is not None and report.fitted_order >= 0.9
 
 
+def test_predicted_order_from_the_scaling():
+    orders = [harness._predicted_order(a) for a in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)]
+    assert orders == [None, 0.2, 0.5, 1.0, 0.5, pytest.approx(0.2), None]
+
+
+def test_predicted_order_flag_needs_a_fitted_order_below_its_ci():
+    # alpha = 1/2 predicts first order; the sweep's fit sits within its CI of it or not
+    spec = _spec(0.5, CProfile.constant(0.5), [(32.0 / n) ** 2 for n in (128, 256, 512)])
+    report = run_convergence_sweep(spec)
+    assert report.predicted_order == 1.0
+    assert report.kappa_range == [32.0 / 512, 32.0 / 128]
+    below = [f for f in report.flags if "below the predicted" in f]
+    assert len(below) == int(1.0 - report.fitted_order > report.fitted_ci)
+
+
 def test_sweep_csv_shape():
     spec = _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05])
     report = run_convergence_sweep(spec)

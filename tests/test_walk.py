@@ -19,7 +19,7 @@ from plasticwalk import (
     ring_momenta,
 )
 from plasticwalk.scaling import derive_angle_arrays
-from plasticwalk.walk import shift_minus, shift_plus
+from plasticwalk.walk import shift_minus, shift_plus, trajectory_operators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -31,6 +31,14 @@ def random_field(n, rng, dx=1.0):
 
 def params_for(c, m, eps, alpha):
     return ScalingParams(m=m, cprofile=CProfile.constant(c), epsilon=eps, alpha=alpha)
+
+
+def step_loop(f, p, steps):
+    """``steps`` bare qw_steps with the trajectory's operators: the position-space oracle."""
+    ops = trajectory_operators(p, f)
+    for _ in range(steps):
+        f = qw_step(f, p, ops=ops)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +279,7 @@ def test_uniform_profile_steps_like_homogeneous():
         m=0.3, cprofile=CProfile.from_function(lambda t, x: 0.5), epsilon=0.0625, alpha=0.5
     )
     f = random_field(32, np.random.default_rng(43), dx=flat.dx)
-    assert np.array_equal(evolve_walk(f, flat, 20).data, evolve_walk(f, uniform, 20).data)
+    assert np.array_equal(step_loop(f, flat, 20).data, step_loop(f, uniform, 20).data)
 
 
 def test_step_translation_covariance():
@@ -347,11 +355,10 @@ def test_momentum_block_eigenphase_expansion_halving():
     "prof",
     [
         CProfile.from_function(lambda t, x: 0.4 + 0.2 * np.sin(t)),
-        CProfile.constant(0.4),
         CProfile.gaussian_well(0.8, 0.3, center=2.0, width=1.0),
         CProfile.sine_bump(0.5, 0.3, 4.0),
     ],
-    ids=["inhomogeneous", "homogeneous", "gaussian-well", "sine-bump"],
+    ids=["inhomogeneous", "gaussian-well", "sine-bump"],
 )
 def test_evolve_walk_threads_step_start_times(prof):
     # evolve_walk builds a static profile's operators once; each bare qw_step builds its own
@@ -405,3 +412,91 @@ def test_static_profile_builds_operators_once_per_trajectory(monkeypatch):
     )
     evolve_walk(f, moving, 7)
     assert builds == [2.0 * 0.0625 * j for j in range(7)]
+
+
+# ---------------------------------------------------------------------------
+# a homogeneous trajectory as one Fourier multiplier
+
+
+def eigen_oracle(f, p, steps):
+    """Each ring momentum's block, eigen-decomposed and raised to ``steps``, between FFTs."""
+    w, v = np.linalg.eig(momentum_block(p, ring_momenta(f.n_sites, p.dx)))
+    power = v @ (w[:, :, None] ** steps * np.linalg.inv(v))
+    return np.fft.ifft(np.einsum("kij,kj->ki", power, np.fft.fft(f.data, axis=0)), axis=0)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 256])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_homogeneous_walk_matches_step_loop_and_eigen_oracle(alpha, steps):
+    p = params_for(0.5, 0.2, 0.1, alpha)
+    f = random_field(33, np.random.default_rng(59), dx=p.dx)
+    out = evolve_walk(f, p, steps)
+    assert np.linalg.norm(out.data - step_loop(f, p, steps).data) <= 1e-13
+    assert np.linalg.norm(out.data - eigen_oracle(f, p, steps)) <= 1e-13
+    assert abs(out.norm() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_homogeneous_walk_rounding_does_not_grow_with_steps(alpha):
+    # blocks raised in double would drift from the loop by ~n * 1e-16 (~4e-13 here)
+    p = params_for(0.5, 0.2, 0.1, alpha)
+    f = random_field(33, np.random.default_rng(97), dx=p.dx)
+    assert np.linalg.norm(evolve_walk(f, p, 2048).data - step_loop(f, p, 2048).data) <= 5e-14
+
+
+def test_homogeneous_walk_takes_no_qw_step(monkeypatch):
+    from plasticwalk import walk
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("qw_step called on a homogeneous trajectory")
+
+    monkeypatch.setattr(walk, "qw_step", refuse)
+    p = params_for(0.5, 0.2, 0.0625, 0.5)
+    f = random_field(64, np.random.default_rng(61), dx=p.dx)
+    assert abs(evolve_walk(f, p, 100).norm() - 1.0) <= 1e-12
+
+
+def test_evolve_walk_uses_the_given_operators():
+    p = params_for(0.5, 0.2, 0.0625, 0.5)
+    other = params_for(0.3, 0.4, 0.0625, 0.5)
+    f = random_field(16, np.random.default_rng(67), dx=p.dx)
+    given = evolve_walk(f, p, 9, ops=trajectory_operators(other, f))
+    assert np.array_equal(given.data, evolve_walk(f, other, 9).data)
+
+
+@pytest.mark.parametrize("prof", [CProfile.constant(0.5), CProfile.sine_bump(0.5, 0.2, 4.0)],
+                         ids=["homogeneous", "sine-bump"])
+@pytest.mark.parametrize("steps", [-3, 2.5, True])
+def test_evolve_walk_refuses_a_bad_step_count(prof, steps):
+    p = ScalingParams(m=0.2, cprofile=prof, epsilon=0.25, alpha=0.5)
+    f = random_field(8, np.random.default_rng(71), dx=p.dx)
+    with pytest.raises(DomainError):
+        evolve_walk(f, p, steps)
+
+
+def test_evolve_walk_accepts_a_numpy_step_count():
+    p = params_for(0.5, 0.2, 0.25, 0.5)
+    f = random_field(8, np.random.default_rng(73), dx=p.dx)
+    assert np.array_equal(evolve_walk(f, p, np.int64(5)).data, evolve_walk(f, p, 5).data)
+
+
+def test_homogeneous_walk_rejects_wrong_spacing():
+    p = params_for(0.5, 0.1, 0.25, 0.5)  # dx = 0.5
+    f = random_field(8, np.random.default_rng(79), dx=1.0)
+    with pytest.raises(DomainError, match="does not match"):
+        evolve_walk(f, p, 3)
+
+
+def test_homogeneous_walk_raises_on_a_singular_coin():
+    p = params_for(1.0, 0.2, 0.25, 0.0)  # c * kappa = 1 with m > 0
+    f = random_field(8, np.random.default_rng(83), dx=p.dx)
+    with pytest.raises(SingularMassError):
+        evolve_walk(f, p, 3)
+
+
+def test_homogeneous_walk_refuses_a_non_finite_result():
+    p = params_for(0.5, 0.2, 0.25, 0.5)
+    f = random_field(8, np.random.default_rng(89), dx=p.dx)
+    f.data[3, 1] = np.nan  # written past the constructor's check
+    with pytest.raises(DomainError, match="non-finite"):
+        evolve_walk(f, p, 3)
