@@ -167,9 +167,13 @@ class RunConfig:
             raise ConfigError(f"field 'profile' has the wrong type: {exc}") from exc
 
 
+def _non_number(literal: str):
+    raise ConfigError(f"config is not valid JSON: {literal} is not a JSON number")
+
+
 def _json_object(text: str) -> dict:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_non_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

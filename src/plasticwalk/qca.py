@@ -7,7 +7,8 @@ left subcell of cell l+1), the in-cell swap V, the conjugate crossing gate
 U*, and V again. All gates conserve total occupation, so the evolution is
 block-diagonal over particle-number sectors; the one-particle sector
 reproduces the walk step (with the mixing power set to the identity) up to
-the half-shift encoding checked by :func:`verify_encoding`.
+the half-shift encoding checked by :func:`verify_encoding`, which runs the
+walk's own step kernel.
 
 The automaton is free-fermionic: every sector evolves as the determinant
 (antisymmetrized tensor power) of the one-particle step, which gives it the
@@ -28,9 +29,8 @@ seam gate. The dense step operator is assembled block by block from the
 same plans, and the one-particle matrix steps the 2N x 2N identity
 directly, one row per mode. All of them share one gate arithmetic. Of the
 paths that take or return a state, only the ``QcaState`` constructor and
-its ``amplitudes`` touch 4^N entries; the dense-vector stepper
-:func:`_step` and the dense step operator are kept for checks. Only the
-constructor and ``_step`` read the 4^N popcount table.
+its ``amplitudes`` touch 4^N entries; the dense step operator is kept for
+checks. Only the constructor reads the 4^N popcount table.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover; basis-state index bit q is the occupation of qubit q, which is
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, OrthogonalityError, SectorError
 from .fields import SpinorField
-from .walk import coin_matrix, shift_minus, shift_plus
+from .walk import ID2, _apply, _operators, _shift, coin_matrix
 
 QUBIT_BUDGET = 24
 
@@ -259,26 +259,6 @@ def _step_sector(x: np.ndarray, gates: list[np.ndarray], plan: _SectorPlan) -> n
     return x
 
 
-def _step(amp: np.ndarray, gates: list[np.ndarray]) -> np.ndarray:
-    """One automaton step in place on contiguous amplitudes; returns ``amp``.
-
-    ``amp`` is shaped (4^N,) or (4^N, B); ``gates[l]`` is the crossing gate
-    between cells l and l+1, and the cell count is ``len(gates)``. Layers,
-    right to left: U, V, U*, V. The step reads which number sectors ``amp``
-    occupies (from its nonzero rows, batch axis included) and, for each of
-    them, gathers that sector's amplitudes, steps them by
-    :func:`_step_sector` and scatters them back.
-    """
-    nq = 2 * len(gates)
-    flat = amp.reshape(amp.shape[0], -1)
-    present = np.zeros(nq + 1, dtype=bool)
-    present[_popcount(nq)[flat.any(axis=1)]] = True
-    for k in np.flatnonzero(present).tolist():
-        plan = _sector_plan(len(gates), k)
-        flat[plan.idx] = _step_sector(flat[plan.idx], gates, plan)
-    return amp
-
-
 def _crossing_gates(n_cells: int, theta, zeta) -> list[np.ndarray]:
     """The N crossing gates; each angle is a scalar or one value per crossing."""
     angles = []
@@ -342,33 +322,25 @@ def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
     return w
 
 
-def _walk_no_mixing(data: np.ndarray, theta: float, zeta: float) -> np.ndarray:
-    """Walk step with the mixing power replaced by the identity."""
-    c_p = coin_matrix(theta, zeta)
-    c_m = coin_matrix(theta, -zeta)
-    out = data @ c_p.T
-    out = shift_minus(shift_plus(out))
-    out = out @ c_m.T
-    out = shift_minus(shift_plus(out))
-    return out
-
-
 def verify_encoding(theta: float, zeta: float, N: int) -> float:
     """Max residual of the one-particle sector identity over a full basis.
 
-    The automaton restricted to one particle equals the composition of
-    partial shifts and coins W' = (S^- C(-zeta) S^+)(S^- C(zeta) S^+),
-    which is the walk step (mixing power set to the identity) conjugated
-    by the encoding E = S^+. Every column of :func:`one_particle_matrix`
-    is compared with E^dag W E applied to the same basis mode, all modes
-    in one batched walk step; the residual is the largest column 2-norm
-    difference, and values at roundoff certify the sector equivalence.
+    The automaton restricted to one particle equals the walk step with the
+    mixing power set to the identity, W = S C(-zeta) S C(zeta), conjugated
+    by the encoding E = S^+ (the plus component pulled from the right
+    neighbour): E^dag W E. The walk side is the walk's own kernel,
+    ``walk._apply`` with the full shift, run on all 2N unit modes at once
+    (sites on axis 0, modes on axis 1). Each of them is compared with the
+    same column of :func:`one_particle_matrix`; the residual is the largest
+    column 2-norm difference, and values at roundoff certify the sector
+    equivalence.
     """
-    w1 = one_particle_matrix(N, theta, zeta)
-    modes = np.eye(2 * N, dtype=np.complex128).reshape(2 * N, N, 2)
-    walked = _walk_no_mixing(shift_plus(modes), theta, zeta)
-    walked[..., 0] = np.roll(walked[..., 0], +1, axis=-1)  # E^dag: plus component back one site
-    return float(np.max(np.linalg.norm(w1.T.reshape(2 * N, N, 2) - walked, axis=(1, 2))))
+    w1 = one_particle_matrix(N, theta, zeta).reshape(N, 2, 2 * N)
+    p, m = np.eye(2 * N, dtype=np.complex128).reshape(N, 2, 2 * N).transpose(1, 0, 2)
+    ops = _operators(ID2[None], coin_matrix(theta, zeta)[None])
+    p, m = _apply(ops, np.roll(p, -1, axis=0), m, _shift)
+    walked = np.stack([np.roll(p, 1, axis=0), m], axis=1)  # E^dag: plus component back one site
+    return float(np.max(np.linalg.norm(w1 - walked, axis=(0, 1))))
 
 
 def _gram_deviation(phi: np.ndarray) -> float:

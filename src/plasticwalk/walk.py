@@ -29,7 +29,9 @@ steps and transforms back. The block is built and raised (binary powering,
 log2(steps) squarings) in long double, so its rounding does not grow with
 the number of steps. Every other profile is stepped by ``qw_step`` one
 step at a time, and a profile that depends on t builds each step's
-operators at that step's start time.
+operators at that step's start time. ``qca.verify_encoding`` runs the same
+kernel, ``_apply`` with the full shift ``_shift``, on a step whose mixing
+power is the identity.
 """
 
 from __future__ import annotations
@@ -96,26 +98,6 @@ def lambda_power(c, kappa: float) -> np.ndarray:
     return 0.5 * (ID2 + lam) + 0.5 * np.exp(1j * np.pi * kappa) * (ID2 - lam)
 
 
-def shift_plus(data: np.ndarray) -> np.ndarray:
-    """Partial shift: plus component pulled from the right neighbour.
-
-    ``data`` is (..., N, 2); leading axes are a batch.
-    """
-    out = data.copy()
-    out[..., 0] = np.roll(data[..., 0], -1, axis=-1)
-    return out
-
-
-def shift_minus(data: np.ndarray) -> np.ndarray:
-    """Partial shift: minus component pulled from the left neighbour.
-
-    ``data`` is (..., N, 2); leading axes are a batch.
-    """
-    out = data.copy()
-    out[..., 1] = np.roll(data[..., 1], +1, axis=-1)
-    return out
-
-
 StepOperators = tuple[tuple[np.ndarray, ...], ...]
 
 
@@ -123,16 +105,22 @@ def _step_operators(params: ScalingParams, t: float, xs: np.ndarray) -> StepOper
     """The four pointwise stacks of one step at start time t, in order of application.
 
     Lambda^kappa is sampled at the sites xs and C(zeta) at the crossings
-    xs + dx/2 (a homogeneous profile at one point). Returns (Lambda^kappa,
-    C(zeta), C(-zeta), Lambda^(-kappa)), each as its entries (a00, a01,
-    a10, a11), each a contiguous array over the sites (length 1 for a
-    homogeneous profile). C(-zeta) is the transpose of C(zeta), so it
-    shares C(zeta)'s arrays.
+    xs + dx/2 (a homogeneous profile at one point), and split into entry
+    arrays over the sites by ``_operators``.
     """
     if params.cprofile.homogeneous:
         xs = xs[:1]
     lam = lambda_power(params.cprofile.sample(t, xs), params.kappa)
-    coin = coin_matrix(*derive_angle_arrays(params, t, xs + 0.5 * params.dx))
+    return _operators(lam, coin_matrix(*derive_angle_arrays(params, t, xs + 0.5 * params.dx)))
+
+
+def _operators(lam: np.ndarray, coin: np.ndarray) -> StepOperators:
+    """A step's operators from its (n, 2, 2) stacks Lambda^kappa and C(zeta).
+
+    Returns (Lambda^kappa, C(zeta), C(-zeta), Lambda^(-kappa)), each as its
+    entries (a00, a01, a10, a11), each a contiguous array of length n.
+    C(-zeta) is the transpose of C(zeta), so it shares C(zeta)'s arrays.
+    """
     lam_e = tuple(np.ascontiguousarray(lam[:, i, j]) for i in (0, 1) for j in (0, 1))
     c00, c01, c10, c11 = (np.ascontiguousarray(coin[:, i, j]) for i in (0, 1) for j in (0, 1))
     return lam_e, (c00, c01, c10, c11), (c00, c10, c01, c11), tuple(a.conj() for a in lam_e)

@@ -71,6 +71,21 @@ def test_config_file_that_is_not_a_json_object_exits_two(tmp_path, capsys, text)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"T": NaN}', '{"length": Infinity}', '{"m": NaN}', '{"epsilon_list": [0.1, -Infinity]}'],
+    ids=["T_nan", "length_infinity", "m_nan", "epsilon_minus_infinity"],
+)
+def test_config_with_a_non_finite_literal_exits_two(tmp_path, capsys, text):
+    # Python's json reads NaN and +-Infinity, which JSON itself does not have
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "is not a JSON number" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_blank_config_file_is_the_default_config(tmp_path):
     from plasticwalk.cli import build_parser, load_config
 
@@ -282,7 +297,10 @@ def test_sweep_records_kappa_range_and_predicted_order(tmp_path, alpha, eps_list
         assert not below
     else:  # alpha = 1/4 converges at order ~0.4 under the cos(pi kappa) mass rule
         assert payload["fitted_order"] < predicted - payload["fitted_ci"]
-        assert len(below) == 1
+        # the flag reads the local order of the two finest rows
+        a, b = payload["rows"][-2:]
+        local = np.log(a["error_l2"] / b["error_l2"]) / np.log(a["epsilon"] / b["epsilon"])
+        assert len(below) == int(predicted - local > 0.1)
     assert [c["name"] for c in payload["checks"]] == [
         "rows_completed", "monotone_errors", "reference_cross_validation"]
     assert all(c["passed"] for c in payload["checks"])

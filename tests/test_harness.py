@@ -276,14 +276,35 @@ def test_predicted_order_from_the_scaling():
     assert orders == [None, 0.2, 0.5, 1.0, 0.5, pytest.approx(0.2), None]
 
 
-def test_predicted_order_flag_needs_a_fitted_order_below_its_ci():
-    # alpha = 1/2 predicts first order; the sweep's fit sits within its CI of it or not
+def _local_orders(rows):
+    return [np.log(a.error_l2 / b.error_l2) / np.log(a.epsilon / b.epsilon) for a, b in zip(rows, rows[1:])]
+
+
+def test_predicted_order_flag_spares_a_converging_sweep():
+    # alpha = 1/2 predicts first order; the fit sits below it by more than
+    # its CI, pulled down by the coarse row, but the finest local order is
+    # within 0.1 of it, so the sweep is not flagged
     spec = _spec(0.5, CProfile.constant(0.5), [(32.0 / n) ** 2 for n in (128, 256, 512)])
     report = run_convergence_sweep(spec)
     assert report.predicted_order == 1.0
     assert report.kappa_range == [32.0 / 512, 32.0 / 128]
+    assert 1.0 - report.fitted_order > report.fitted_ci
+    assert 0.9 < _local_orders(report.rows)[-1] < 1.0
+    assert not [f for f in report.flags if "below the predicted" in f]
+
+
+def test_predicted_order_flag_fires_on_a_low_finest_order(monkeypatch):
+    # alpha = 1/4 converges at order ~0.4 under the cos(pi kappa) mass rule;
+    # against a predicted first order its finest local order is far too low
+    monkeypatch.setattr(harness, "_predicted_order", lambda alpha: 1.0)
+    spec = _spec(0.25, CProfile.constant(0.5), [(64.0 / n) ** (4 / 3) for n in (256, 512, 1024, 2048)],
+                 length=64.0, T=4.0)
+    report = run_convergence_sweep(spec)
+    local = _local_orders(report.rows)
+    assert report.predicted_order == 1.0 and local[-1] < 0.5
     below = [f for f in report.flags if "below the predicted" in f]
-    assert len(below) == int(1.0 - report.fitted_order > report.fitted_ci)
+    assert below == [
+        f"local order {local[-1]:.4g} of the two finest rows is below the predicted 1 by more than 0.1"]
 
 
 def test_sweep_csv_shape():
@@ -334,6 +355,19 @@ def test_environment_blas_unknown_without_config_dicts(monkeypatch):
         assert dict(harness._environment())["blas"] == "unknown"
     finally:
         harness._environment.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("T", -1.0), ("T", 0.0), ("T", float("nan")), ("T", float("inf")),
+     ("length", 0.0), ("length", -32.0), ("length", float("inf"))],
+)
+def test_spec_refuses_a_time_or_length_that_is_not_finite_and_positive(field, value):
+    # a nonpositive T used to pass every row at t = 2 epsilon, a nonpositive
+    # length failed every row, and T = NaN raised a bare ValueError
+    kwargs = {"length": 32.0, "T": 2.0, field: value}
+    with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
+        _spec(0.5, CProfile.constant(0.5), [0.25, 0.0625, 0.015625], **kwargs)
 
 
 def test_spec_validation():

@@ -36,6 +36,19 @@ def one_particle_step(theta, zeta):
     return step
 
 
+def dense_step(amp, gates):
+    """One automaton step in place on a dense (4^N,) or (4^N, B) array, with caller-given gates.
+
+    ``gates[l]`` is the crossing gate between cells l and l+1; every number
+    sector is gathered, stepped through its plan and scattered back.
+    """
+    n = len(gates)
+    for k in range(2 * n + 1):
+        plan = qca._sector_plan(n, k)
+        amp[plan.idx] = qca._step_sector(amp[plan.idx], gates, plan)
+    return amp
+
+
 # ---------------------------------------------------------------------------
 # gates
 
@@ -207,6 +220,17 @@ def test_encoding_identity_grid():
         assert verify_encoding(float(theta), float(zeta), 6) <= 1e-12
 
 
+def test_encoding_check_runs_the_walks_shift(monkeypatch):
+    # the walk side of the check is walk._apply with the walk's full shift,
+    # so a shift the wrong way round must show in the residual
+    def backward(p, m):
+        return np.roll(p, 1, axis=0), np.roll(m, -1, axis=0)
+
+    assert verify_encoding(1.0, 0.3, 6) <= 1e-12
+    monkeypatch.setattr(qca, "_shift", backward)
+    assert verify_encoding(1.0, 0.3, 6) > 0.5
+
+
 def test_encoding_beyond_twelve_cells():
     # the one-particle sector is stepped on its 2N modes, so neither check
     # has a cell limit
@@ -320,7 +344,7 @@ def test_two_particle_dynamics_is_not_a_determinant_evolution():
     phi[2 * 4 + 1, 1] = 1.0
     amp = slater_determinant_state(SlaterState(phi), n).amplitudes
     for _ in range(4):
-        qca._step(amp, [contact] * n)
+        dense_step(amp, [contact] * n)
     slater = slater_evolve(SlaterState(phi), one_particle_step(theta, zeta), 4)
     gap = np.max(np.abs(QcaState(amp, n).occupations() - slater.occupations()))
     assert gap > 0.1
@@ -348,10 +372,10 @@ def test_det_consistent_variant_with_seam_twist_is_free():
     one_particle = 1 << np.arange(2 * n)
     embedded = np.zeros((4 ** n, 2 * n), dtype=complex)
     embedded[one_particle, np.arange(2 * n)] = 1.0
-    w1 = qca._step(embedded, gates)[one_particle]
+    w1 = dense_step(embedded, gates)[one_particle]
     orb = phi.copy()
     for _ in range(4):
-        qca._step(amp, gates)
+        dense_step(amp, gates)
         orb = w1 @ orb
     occ_slater = np.sum(np.abs(orb) ** 2, axis=1)
     assert np.max(np.abs(QcaState(amp, n).occupations() - occ_slater)) <= 1e-12
@@ -438,9 +462,8 @@ def _sector_state(n, sectors, rng):
 @pytest.mark.parametrize("batched", [False, True])
 def test_gathered_step_matches_strided_dense_operator(n, array_angles, batched):
     # the dense operator is assembled from each sector's stepped identity;
-    # qca_step, or _step on a batch of three states, must agree with it on
-    # one sector, on unions of sectors and on full support, and qca_step on
-    # the held sectors is bitwise _step on the dense vector
+    # qca_step, or dense_step on a batch of three states, must agree with it
+    # on one sector, on unions of sectors and on full support
     rng = np.random.default_rng(83 + 10 * n + 2 * array_angles + batched)
     if array_angles:
         theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
@@ -450,11 +473,10 @@ def test_gathered_step_matches_strided_dense_operator(n, array_angles, batched):
     for sectors in [(1,), (2,), (1, 3), (0, 2 * n), range(2 * n + 1)]:
         if batched:
             amp = np.stack([_sector_state(n, sectors, rng) for _ in range(3)], axis=1)
-            out = qca._step(amp.copy(), qca._crossing_gates(n, theta, zeta))
+            out = dense_step(amp.copy(), qca._crossing_gates(n, theta, zeta))
         else:
             amp = _sector_state(n, sectors, rng)
             out = qca_step(QcaState(amp, n), theta, zeta).amplitudes
-            np.testing.assert_array_equal(out, qca._step(amp.copy(), qca._crossing_gates(n, theta, zeta)))
         assert np.max(np.abs(out - g @ amp)) <= 1e-13
 
 
@@ -646,8 +668,8 @@ def test_amplitudes_round_trip_through_the_sectors(n):
     for amp in (np.zeros(4 ** n, dtype=complex), QcaState.vacuum(n).amplitudes, full):
         state = QcaState(amp, n)
         np.testing.assert_array_equal(state.amplitudes, amp)
-        np.testing.assert_array_equal(qca_step(state, 1.0, 0.3).amplitudes,
-                                      qca._step(amp.copy(), qca._crossing_gates(n, 1.0, 0.3)))
+        stepped = qca_step(state, 1.0, 0.3).amplitudes
+        assert np.max(np.abs(stepped - dense_step_operator(n, 1.0, 0.3) @ amp), initial=0.0) <= 1e-13
     zero = QcaState(np.zeros(4 ** n), n)
     assert zero.sectors == {} and zero.norm() == 0.0
     assert list(QcaState.vacuum(n).sectors) == [0]

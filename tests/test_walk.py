@@ -19,7 +19,7 @@ from plasticwalk import (
     ring_momenta,
 )
 from plasticwalk.scaling import derive_angle_arrays
-from plasticwalk.walk import shift_minus, shift_plus, trajectory_operators
+from plasticwalk.walk import _shift, trajectory_operators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -178,9 +178,14 @@ def test_walk_builders_vectorize_scalar_calls():
 # shifts
 
 
+def full_shift(data):
+    """The walk's full shift S = S^- S^+ on an (N, 2) array."""
+    return np.stack(_shift(data[:, 0], data[:, 1]), axis=1)
+
+
 def test_shift_two_sites():
     f = SpinorField(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), 1.0)
-    out = shift_minus(shift_plus(f.data))
+    out = full_shift(f.data)
     np.testing.assert_allclose(out, [[0.0, 0.0], [1.0, 0.0]], atol=0)
 
 
@@ -190,8 +195,10 @@ def test_shift_plane_wave_eigenvector():
     x = np.arange(n) * dx
     data = np.zeros((n, 2), dtype=complex)
     data[:, 0] = np.exp(1j * k * x)
-    out = shift_minus(shift_plus(data))
+    data[:, 1] = np.exp(1j * k * x)
+    out = full_shift(data)
     np.testing.assert_allclose(out[:, 0], np.exp(1j * k * dx) * data[:, 0], atol=1e-14)
+    np.testing.assert_allclose(out[:, 1], np.exp(-1j * k * dx) * data[:, 1], atol=1e-14)
 
 
 def test_shift_periodicity():
@@ -199,7 +206,7 @@ def test_shift_periodicity():
     f = random_field(7, rng)
     g = f.data
     for _ in range(7):
-        g = shift_minus(shift_plus(g))
+        g = full_shift(g)
     np.testing.assert_allclose(g, f.data, atol=0)
 
 
