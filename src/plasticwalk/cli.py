@@ -95,6 +95,8 @@ class RunConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"field 'alpha': got {self.alpha}, valid range is [0, 1]")
+        for name in ("m", "length", "T"):
+            _require_real(name, getattr(self, name))
         if self.m < 0:
             raise ConfigError(f"field 'm': got {self.m}, must be >= 0")
         if self.length <= 0:
@@ -128,8 +130,8 @@ class RunConfig:
             raise ConfigError("field 'epsilon_list': every value must lie in (0, 1]")
         if not isinstance(self.qca_cells, int):
             raise ConfigError(f"field 'qca_cells': got {self.qca_cells!r}, must be an integer")
-        if self.qca_cells < 2 or self.qca_cells > 12:
-            raise ConfigError(f"field 'qca_cells': got {self.qca_cells}, valid range is [2, 12]")
+        if self.qca_cells < 2:
+            raise ConfigError(f"field 'qca_cells': got {self.qca_cells}, must be >= 2")
         _require_real("qca_theta", self.qca_theta)
         _require_real("qca_zeta", self.qca_zeta)
         if self.min_order is not None and self.min_order < 0:
@@ -182,8 +184,9 @@ def _json_object(text: str) -> dict:
 
 
 def _require_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{name}': got {value!r}, must be a real number")
+    # a literal such as 1e400 parses to inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ConfigError(f"field '{name}': got {value!r}, must be a finite real number")
 
 
 def _fmt(v: float) -> str:
@@ -280,6 +283,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     checks.append({"name": "monotone_errors", "passed": monotone, "detail": ""})
     crossval = not any("cross-validation gap" in f for f in report.flags)
     checks.append({"name": "reference_cross_validation", "passed": crossval, "detail": ""})
+    resolved = not any(f.startswith("reference error") for f in report.flags)
+    detail = "" if report.reference_error is None else f"reference error {report.reference_error:.3e}"
+    checks.append({"name": "reference_resolution", "passed": resolved, "detail": detail})
     if cfg.min_order is not None:
         ok = report.exact or (report.fitted_order is not None and report.fitted_order >= cfg.min_order)
         detail = "exact" if report.exact else f"fitted {report.fitted_order}"

@@ -10,11 +10,15 @@ speed, ``dirac_momentum``), or the pseudo-spectral curved Dirac evolution
 The lattice reference, flat or curved, is one Chebyshev propagation of the
 lattice Hamiltonian (``evolve_exact``). The flat continuum reference is
 propagated per ring momentum with closed-form 2x2 blocks. The curved
-continuum reference is a Chebyshev propagation on the walk's own grid; each
-of its rows also records the reference's own error, its distance to the same
-propagation on a 2x refined grid. At alpha = 0 the two homogeneous
-references are cross-validated: the lattice one on an 8x refined grid must
-agree with the closed-form continuum one.
+continuum reference is a Chebyshev propagation on the walk's own grid; its
+sweep records the reference's own error once, on the coarsest row that
+completed: the distance to the same propagation on a 2x refined grid. Every
+row solves the same continuous problem, and a finer grid resolves it at
+least as well, so the coarsest row's error bounds the others'. At alpha = 0
+the two homogeneous references are cross-validated: the lattice one on an
+8x refined grid must agree with the closed-form continuum one. Each of the
+two checks flags the sweep when it exceeds a tenth of the walk's smallest
+error.
 
 Comparison frame. The walk does not converge to the references in the raw
 component basis: its step operator is a frame conjugation of the reference
@@ -47,6 +51,7 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -88,10 +93,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         """Refuse a spec whose rows would all fail or whose order fit would."""
-        for name in ("length", "T"):
+        for name in ("length", "T", "w"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and positive, got {value}")
+        for name in ("x0", "k0"):
+            if not np.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         derived = self.resolved_reference()
         if self.reference not in ("auto", derived):
             raise DomainError(f"reference {self.reference!r} is not the walk's limit here; "
@@ -189,8 +197,6 @@ class SweepRow:
     frame_s: float = dc_field(default=0.0, metadata={"csv": False})
     reference_s: float = dc_field(default=0.0, metadata={"csv": False})
     norm_drift: float = dc_field(default=float("nan"), metadata={"csv": False})
-    # curved_fine_grid rows: relative distance between the reference and its 2x refined twin
-    reference_error: float | None = dc_field(default=None, metadata={"csv": False})
     time_reached: float = dc_field(default=0.0, metadata={"csv": False})
     failure: str | None = dc_field(default=None, metadata={"csv": False})
 
@@ -198,9 +204,35 @@ class SweepRow:
 _CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.metadata.get("csv", True))
 
 
+_CHECKOUT = Path(__file__).resolve().parents[2]  # src/plasticwalk/harness.py -> the source tree
+
+
+def _git_commit(checkout: Path) -> str | None:
+    """The commit checked out in ``checkout``, read from its ``.git`` directory.
+
+    Reads HEAD, then the branch's loose ref or its line in ``packed-refs``;
+    no process is started. None outside a git checkout, or where the commit
+    cannot be read this way (a ``.git`` file, an unborn branch).
+    """
+    git = checkout / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # detached HEAD
+        ref = head.removeprefix("ref: ")
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
 @functools.cache
-def _environment() -> tuple[tuple[str, str], ...]:
-    """Versions of plasticwalk, Python, NumPy and NumPy's BLAS, read once per process."""
+def _environment() -> tuple[tuple[str, str | None], ...]:
+    """Versions of plasticwalk, Python, NumPy and NumPy's BLAS, and the commit, read once per process."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_name = f"{blas['name']} {blas['version']}"
@@ -211,6 +243,7 @@ def _environment() -> tuple[tuple[str, str], ...]:
         ("python", platform.python_version()),
         ("numpy", np.__version__),
         ("blas", blas_name),
+        ("commit", _git_commit(_CHECKOUT)),
     )
 
 
@@ -227,6 +260,8 @@ class SweepReport:
     adjustments: list[str] = dc_field(default_factory=list)
     flags: list[str] = dc_field(default_factory=list)
     crossval_gap: float | None = None  # alpha = 0 homogeneous sweeps only
+    # curved_fine_grid sweeps only: the coarsest completed row's reference against its 2x refined twin
+    reference_error: float | None = None
     kappa_range: list[float] | None = None  # [min, max] of kappa = epsilon^alpha over the rows
     predicted_order: float | None = None  # _predicted_order(alpha); None at alpha 0 and 1
     # what produced the report; not part of the spec, so not in spec_hash
@@ -370,8 +405,15 @@ def _reference_evolution(
     return curved_dirac_reference(psi0, params.cprofile, params.m, t_reach, refinement=1)
 
 
-def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str) -> SweepRow:
-    """Fill in the errors of a planned row: the walk against its reference, in the frame."""
+def _run_row(
+    spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str, twin: bool
+) -> tuple[SweepRow, float | None]:
+    """Fill in the errors of a planned row: the walk against its reference, in the frame.
+
+    With ``twin`` the curved reference is also propagated on a 2x refined
+    grid, and the relative distance between the two is returned with the
+    row (else None); the twin's time counts in the row's ``reference_s``.
+    """
     t_start = time.perf_counter()
     psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
 
@@ -385,11 +427,11 @@ def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: s
     ref_final = _reference_evolution(params, ref_initial, row.time_reached, kind)
     ref_norm = np.linalg.norm(ref_final.data)
     reference_error = None
-    if kind == "curved_fine_grid":
-        twin = curved_dirac_reference(
+    if twin:
+        fine = curved_dirac_reference(
             ref_initial, params.cprofile, params.m, row.time_reached, refinement=2
         )
-        reference_error = float(np.linalg.norm(twin.data - ref_final.data) / ref_norm)
+        reference_error = float(np.linalg.norm(fine.data - ref_final.data) / ref_norm)
     t3 = time.perf_counter()
 
     diff = walked_in_frame - ref_final.data
@@ -402,8 +444,7 @@ def _run_row(spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: s
         frame_s=t2 - t1,
         reference_s=t3 - t2,
         norm_drift=abs(walked.norm() - psi0.norm()),
-        reference_error=reference_error,
-    )
+    ), reference_error
 
 
 def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> float:
@@ -437,19 +478,26 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     The epsilon list is snapped to the grid once, before any row runs, and
     the rows run one after another in list order (descending epsilon).
     Per-row failures are recorded in the row and excluded from the fit
-    instead of aborting the sweep.
+    instead of aborting the sweep. A curved sweep measures its reference's
+    own error on its first completed row, the coarsest grid.
     """
     ref_kind = spec.resolved_reference()
     adjustments: list[str] = []
     rows: list[SweepRow] = []
     kappas: list[float] = []
+    reference_error: float | None = None
     for params, planned, notes in spec._plan():
         adjustments.extend(notes)
         kappas.append(params.kappa)
+        twin = ref_kind == "curved_fine_grid" and reference_error is None
         try:
-            rows.append(_run_row(spec, params, planned, ref_kind))
+            row, row_reference_error = _run_row(spec, params, planned, ref_kind, twin)
         except Exception as exc:  # per-row failures must not abort the sweep
             rows.append(replace(planned, failure=f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append(row)
+        if twin:
+            reference_error = row_reference_error
 
     flags: list[str] = []
     good = [r for r in rows if r.failure is None]
@@ -485,16 +533,21 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
                 f"{predicted:.4g} by more than 0.1"
             )
 
+    # the references' cross-validation gap and own error must sit well below the walk's smallest error
+    smallest = min((r.error_l2 for r in good), default=float("nan"))
     gap: float | None = None
     if spec.alpha == 0.0 and spec.cprofile.homogeneous and good:
-        # the two references must agree well below the walk's smallest error
         gap = _cross_validate_references(spec, good)
-        smallest = min(r.error_l2 for r in good)
         if gap > smallest / 10.0:
             flags.append(
                 f"reference cross-validation gap {gap:.3e} exceeds smallest error/10 "
                 f"({smallest / 10.0:.3e}); sweep flagged invalid"
             )
+    if reference_error is not None and reference_error > smallest / 10.0:
+        flags.append(
+            f"reference error {reference_error:.3e} exceeds smallest error/10 "
+            f"({smallest / 10.0:.3e}); reference under-resolved"
+        )
 
     return SweepReport(
         rows=rows,
@@ -508,6 +561,7 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
         adjustments=adjustments,
         flags=flags,
         crossval_gap=gap,
+        reference_error=reference_error,
         kappa_range=[min(kappas), max(kappas)],
         predicted_order=predicted,
     )

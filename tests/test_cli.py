@@ -86,6 +86,22 @@ def test_config_with_a_non_finite_literal_exits_two(tmp_path, capsys, text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize(
+    "raw",
+    [{"m": 1e400}, {"length": 1e400}, {"T": 1e400}, {"initial": {"w": 1e400}}, {"initial": {"x0": -1e400}}],
+    ids=["m", "length", "T", "initial_w", "initial_x0"],
+)
+def test_config_with_a_number_that_overflows_exits_two(tmp_path, capsys, command, raw):
+    # 1e400 is a JSON number, but Python's json reads it as inf
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw).replace("Infinity", "1e400"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "must be a finite real number" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_blank_config_file_is_the_default_config(tmp_path):
     from plasticwalk.cli import build_parser, load_config
 
@@ -302,7 +318,8 @@ def test_sweep_records_kappa_range_and_predicted_order(tmp_path, alpha, eps_list
         local = np.log(a["error_l2"] / b["error_l2"]) / np.log(a["epsilon"] / b["epsilon"])
         assert len(below) == int(predicted - local > 0.1)
     assert [c["name"] for c in payload["checks"]] == [
-        "rows_completed", "monotone_errors", "reference_cross_validation"]
+        "rows_completed", "monotone_errors", "reference_cross_validation", "reference_resolution"]
+    assert payload["reference_error"] is None  # not a curved sweep
     assert all(c["passed"] for c in payload["checks"])
     header = (out / "sweep.csv").read_text().splitlines()[0]
     assert header == "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
@@ -339,6 +356,35 @@ def test_sweep_invalid_spec_exits_two(tmp_path, capsys, raw):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "length, profile, initial, resolved",
+    [
+        (32.0, {"name": "sine-bump", "c0": 0.5, "a": 0.3}, {"x0": 16.0, "w": 4.0}, True),
+        (64.0, {"name": "gaussian-well", "c0": 0.9, "depth": 0.5, "center": 32.0, "width": 0.4},
+         {"x0": 32.0, "w": 8.0, "k0": float(np.pi / 8 * 1.03)}, False),
+    ],
+    ids=["sine_bump", "narrow_well"],
+)
+def test_sweep_reference_resolution_check(tmp_path, length, profile, initial, resolved):
+    # a well narrower than the coarsest spacing leaves the curved reference's
+    # own error above a tenth of the walk's smallest error
+    out = tmp_path / "sweep"
+    path, _ = write_config(
+        tmp_path, command="sweep", out=str(out), alpha=0.0, m=0.1, length=length, T=length / 16,
+        profile=profile, initial=initial, epsilon_list=[0.5, 0.25, 0.125, 0.0625],
+    )
+    assert main(["sweep", "--config", str(path)]) == (0 if resolved else 1)
+    payload = json.loads((out / "sweep.json").read_text())
+    assert payload["reference"] == "curved_fine_grid"
+    assert isinstance(payload["reference_error"], float)
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks == {"rows_completed": True, "monotone_errors": True,
+                      "reference_cross_validation": True, "reference_resolution": resolved}
+    assert any(f.startswith("reference error") for f in payload["flags"]) is not resolved
+    if resolved:
+        assert payload["reference_error"] <= 1e-12
 
 
 def test_sweep_min_order_failure_exits_one(tmp_path):
@@ -410,6 +456,19 @@ def test_qca_report(tmp_path, capsys):
     assert report["number_conservation_exact"] is True
     printed = capsys.readouterr().out
     assert "encoding residual" in printed
+
+
+def test_qca_report_on_many_cells(tmp_path):
+    # neither check touches the 4^N statevector, so the cell count has no upper limit
+    out = tmp_path / "qca"
+    path, _ = write_config(tmp_path, command="qca", out=str(out), qca_cells=64)
+    assert main(["qca", "--config", str(path)]) == 0
+    report = json.loads((out / "qca_report.json").read_text())
+    assert report["cells"] == 64
+    assert report["encoding_residual"] <= 1e-12
+    assert report["number_conservation_exact"] is True
+    path, _ = write_config(tmp_path, command="qca", out=str(out), qca_cells=1)  # still at least 2
+    assert main(["qca", "--config", str(path)]) == 2
 
 
 def test_qca_number_conservation_check_can_fail(tmp_path, monkeypatch, capsys):

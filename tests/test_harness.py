@@ -14,6 +14,7 @@ from plasticwalk import (
     ExperimentSpec,
     ResolutionError,
     ScalingParams,
+    curved_dirac_reference,
     dispersion_scan,
     estimate_order,
     make_wavepacket,
@@ -138,7 +139,7 @@ def test_sweep_alpha_one_first_order():
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert not report.flags
     assert report.crossval_gap is None  # cross-validation runs at alpha = 0 only
-    assert all(r.reference_error is None for r in report.rows)  # curved_fine_grid rows only
+    assert report.reference_error is None  # curved_fine_grid sweeps only
 
 
 def test_sweep_alpha_one_beyond_dense_budget():
@@ -236,18 +237,19 @@ def test_sweep_curved_inhomogeneous_reference_selected():
     assert all(r.failure is None for r in report.rows)
 
 
-def test_curved_rows_record_the_reference_error():
-    # the criterion-5 alpha = 0 input: the reference on the walk's grid against
-    # its 2x refined twin, far below the walk's own error on every row
+def test_curved_sweep_records_the_reference_error():
+    # the criterion-5 alpha = 0 input: the reference on the coarsest grid against
+    # its 2x refined twin, far below the walk's smallest error
     spec = _spec(0.0, CProfile.sine_bump(0.5, 0.3, 64.0), [0.5, 0.25, 0.125, 0.0625],
                  m=0.1, length=64.0, T=4.0)
     report = run_convergence_sweep(spec)
     assert report.reference == "curved_fine_grid"
-    for row in report.rows:
-        assert isinstance(row.reference_error, float)
-        assert row.reference_error < row.error_l2 / 10.0
+    assert isinstance(report.reference_error, float)
+    assert report.reference_error < min(r.error_l2 for r in report.rows) / 10.0
+    assert not report.flags
     payload = report.to_json_dict()
-    assert [r["reference_error"] for r in payload["rows"]] == [r.reference_error for r in report.rows]
+    assert payload["reference_error"] == report.reference_error
+    assert all("reference_error" not in row for row in payload["rows"])
     assert report.to_csv().splitlines()[0] == "epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"
 
 
@@ -258,7 +260,69 @@ def test_curved_reference_error_is_roundoff_off_the_ring_momenta():
                  k0=np.pi / 8 * 1.03)
     report = run_convergence_sweep(spec)
     assert report.reference == "curved_fine_grid"
-    assert all(row.reference_error <= 1e-12 for row in report.rows)
+    assert report.reference_error <= 1e-12
+
+
+def _bump_alpha0_spec(profile, x0=32.0, w=8.0, k0=np.pi / 8 * 1.03):
+    # the benchmark's curved alpha = 0 sweep, with the profile and packet open
+    return ExperimentSpec(alpha=0.0, m=0.1, cprofile=profile, length=64.0, T=4.0,
+                          epsilon_list=[0.5, 0.25, 0.125, 0.0625], x0=x0, w=w, k0=k0, chirality_mix=0.5)
+
+
+def _own_twin_errors(spec):
+    """Each row's reference against its own 2x refined twin, computed row by row."""
+    errors = []
+    for params, row, _ in spec._plan():
+        psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
+        initial = psi0.with_data(harness.comparison_frame(params, psi0.positions()).apply_adjoint(psi0.data))
+        ref, twin = (curved_dirac_reference(initial, params.cprofile, params.m, row.time_reached, r)
+                     for r in (1, 2))
+        errors.append(float(np.linalg.norm(twin.data - ref.data) / np.linalg.norm(ref.data)))
+    return errors
+
+
+@pytest.mark.parametrize(
+    "spec, flagged",
+    [
+        (_bump_alpha0_spec(CProfile.sine_bump(0.5, 0.3, 64.0), w=4.0, k0=5.0), False),
+        (_bump_alpha0_spec(CProfile.gaussian_well(0.9, 0.5, 32.0, 0.4)), True),
+    ],
+    ids=["sine_bump_k0_5", "narrow_well"],
+)
+def test_coarsest_row_reference_error_bounds_every_rows_twin(spec, flagged):
+    # a packet near the coarse grid's Nyquist momentum, or a well narrower than
+    # the coarse spacing: the coarsest row's twin is the largest of all rows'
+    report = run_convergence_sweep(spec)
+    own = _own_twin_errors(spec)
+    assert own[0] == max(own)
+    assert report.reference_error >= 1e-3
+    assert report.reference_error >= max(own) - 1e-12
+    # the flag compares it with the walk's smallest error, which at k0 = 5 is
+    # more than ten times larger still
+    smallest = min(r.error_l2 for r in report.rows)
+    flag = (f"reference error {report.reference_error:.3e} exceeds smallest error/10 "
+            f"({smallest / 10.0:.3e}); reference under-resolved")
+    assert (flag in report.flags) is flagged
+    assert (report.reference_error > smallest / 10.0) is flagged
+
+
+def test_reference_error_is_measured_on_the_first_completed_row(monkeypatch):
+    # a row that fails leaves the twin to the next row; later rows run none
+    real_run_row = harness._run_row
+    twins = []
+
+    def first_row_fails(spec, params, row, kind, twin):
+        twins.append(twin)
+        if len(twins) == 1:
+            raise RuntimeError("row failed")
+        return real_run_row(spec, params, row, kind, twin)
+
+    monkeypatch.setattr(harness, "_run_row", first_row_fails)
+    spec = _spec(0.0, CProfile.sine_bump(0.5, 0.3, 64.0), [0.5, 0.25, 0.125], m=0.1, length=64.0, T=4.0)
+    report = run_convergence_sweep(spec)
+    assert twins == [True, True, False]
+    assert report.rows[0].failure == "RuntimeError: row failed"
+    assert report.reference_error <= 1e-12
 
 
 def test_sweep_curved_alpha_half_first_order():
@@ -327,6 +391,7 @@ def test_report_records_its_environment(monkeypatch):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": a.environment["blas"],
+        "commit": harness._git_commit(harness._CHECKOUT),
     }
     assert isinstance(a.environment["blas"], str) and a.environment["blas"]
     payload = a.to_json_dict()
@@ -343,6 +408,36 @@ def test_report_records_its_environment(monkeypatch):
     b = run_convergence_sweep(spec)
     assert b.environment == a.environment and b.environment is not a.environment
     assert b.spec_hash == a.spec_hash
+
+
+def test_environment_commit_stays_out_of_the_spec_hash(monkeypatch):
+    spec = _spec(1.0, CProfile.constant(0.5), [0.2, 0.1])
+    a = run_convergence_sweep(spec)
+    assert "commit" in a.to_json_dict()["environment"]
+    monkeypatch.setattr(harness, "_git_commit", lambda checkout: "0" * 40)
+    harness._environment.cache_clear()
+    try:
+        b = run_convergence_sweep(spec)
+    finally:
+        harness._environment.cache_clear()
+    assert b.environment["commit"] == "0" * 40
+    assert b.spec_hash == a.spec_hash
+
+
+def test_git_commit_read_from_the_checkout_files(tmp_path):
+    sha, other = "1" * 40, "2" * 40
+    assert harness._git_commit(tmp_path) is None  # not a git checkout
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert harness._git_commit(tmp_path) is None  # unborn branch
+    (git / "packed-refs").write_text(
+        f"# pack-refs with: peeled fully-peeled sorted\n{other} refs/heads/mainline\n{sha} refs/heads/main\n")
+    assert harness._git_commit(tmp_path) == sha
+    (git / "refs" / "heads" / "main").write_text(other + "\n")  # a loose ref wins over packed-refs
+    assert harness._git_commit(tmp_path) == other
+    (git / "HEAD").write_text(sha + "\n")  # detached
+    assert harness._git_commit(tmp_path) == sha
 
 
 def test_environment_blas_unknown_without_config_dicts(monkeypatch):
@@ -368,6 +463,24 @@ def test_spec_refuses_a_time_or_length_that_is_not_finite_and_positive(field, va
     kwargs = {"length": 32.0, "T": 2.0, field: value}
     with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
         _spec(0.5, CProfile.constant(0.5), [0.25, 0.0625, 0.015625], **kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("m", float("nan")), ("m", float("inf")), ("x0", float("nan")), ("x0", float("inf")),
+     ("w", float("inf")), ("w", float("nan")), ("w", 0.0), ("k0", float("nan")), ("k0", -float("inf"))],
+)
+def test_spec_refuses_non_finite_physics_inputs(field, value):
+    # m = NaN and a NaN x0 or k0 used to fail every row with non-finite
+    # amplitudes, and w = inf ran to completion
+    kwargs = dict(alpha=0.5, m=0.2, cprofile=CProfile.constant(0.5), length=32.0, T=2.0,
+                  epsilon_list=[0.25, 0.0625], x0=16.0, w=4.0, k0=0.4)
+    kwargs[field] = value
+    with pytest.raises(DomainError, match="must be finite"):
+        ExperimentSpec(**kwargs)
+    if field == "m":
+        with pytest.raises(DomainError, match="must be finite"):
+            ScalingParams(m=value, cprofile=kwargs["cprofile"], epsilon=0.25, alpha=0.5)
 
 
 def test_spec_validation():
