@@ -4,12 +4,15 @@ A single JSON document configures a run; command-line flags override
 config fields, which override defaults. Exit codes: 0 success, 1 runtime
 or numerical failure, 2 configuration error. All files are written
 atomically (temp file in the target directory, then rename) and floats are
-printed with 17 significant digits so they round-trip exactly.
+printed with 17 significant digits (``%.17g``) so they round-trip exactly;
+the CSV tables (snapshots, sweep rows, dispersion scans) are formatted on
+whole arrays by ``_csv.rows``, with the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,7 +37,7 @@ from .qca import dense_step_operator  # not called here; perfbench/probes.py pat
 from .scaling import ScalingParams
 from .walk import evolve_walk, trajectory_operators
 from .walk import qw_step  # not called here; perfbench/probes.py patches it on this module
-from . import __version__
+from . import __version__, _csv
 
 PROFILE_NAMES = ("flat", "sine-bump", "gaussian-well")
 
@@ -216,14 +219,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError(f"coin at epsilon {eps:.6g}: {exc}") from exc
     norm0 = field.norm()
     xs = field.positions()
-
-    row_fmt = ",".join(["%.17g"] * 6)  # the bytes of _fmt, one format per row
+    x_text = _csv.records(xs[:, None])  # the x column is the same in every snapshot
 
     def write_snapshot(idx: int, fld) -> None:
-        cols = (xs, fld.plus.real, fld.plus.imag, fld.minus.real, fld.minus.imag, fld.density())
-        lines = ["x,re_plus,im_plus,re_minus,im_minus,density"]
-        lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
-        atomic_write(out_dir / f"snapshot_{idx:06d}.csv", "\n".join(lines) + "\n")
+        cols = np.column_stack((fld.plus.real, fld.plus.imag, fld.minus.real, fld.minus.imag, fld.density()))
+        text = "x,re_plus,im_plus,re_minus,im_minus,density\n" + _csv.rows(cols, head=x_text)
+        atomic_write(out_dir / f"snapshot_{idx:06d}.csv", text)
 
     write_snapshot(0, field)
     for start in range(0, steps, cfg.snapshot_stride):
@@ -371,6 +372,7 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
     return 0 if (residual_ok and conservation_exact) else 1
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plasticwalk",

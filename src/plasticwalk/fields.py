@@ -77,6 +77,14 @@ class SpinorField:
     def with_data(self, data: np.ndarray) -> "SpinorField":
         return SpinorField(data, self.dx)
 
+    @classmethod
+    def _unchecked(cls, data: np.ndarray, dx: float) -> "SpinorField":
+        """A field from (N, 2) complex128 data known to be valid, without validating it again."""
+        field = object.__new__(cls)
+        field.data = data
+        field.dx = dx
+        return field
+
 
 @dataclass
 class CProfile:

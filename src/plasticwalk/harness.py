@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__ as _code_version
+from . import __version__ as _code_version, _csv
 from .errors import DegenerateError, DomainError, ResolutionError, SingularMassError
 from .fields import CProfile, SpinorField
 from .hamiltonians import (
@@ -270,11 +270,9 @@ class SweepReport:
     CSV_HEADER = ",".join(_CSV_FIELDS)
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            values = (getattr(r, name) for name in _CSV_FIELDS)
-            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values))
-        return "\n".join(lines) + "\n"
+        # the integer fields N and steps print as str(int) does
+        table = np.array([[getattr(r, name) for name in _CSV_FIELDS] for r in self.rows], dtype=float)
+        return self.CSV_HEADER + "\n" + _csv.rows(table.reshape(len(self.rows), len(_CSV_FIELDS)))
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -612,21 +610,8 @@ class DispersionTable:
     continuum_energy: np.ndarray  # nonnegative branch sqrt(c^2 k^2 + m^2)
 
     def to_csv(self) -> str:
-        lines = ["k,walk_phase_minus,walk_phase_plus,lattice_energy,continuum_energy"]
-        for i, k in enumerate(self.ks):
-            lines.append(
-                ",".join(
-                    f"{v:.17g}"
-                    for v in (
-                        k,
-                        self.walk_phases[i, 0],
-                        self.walk_phases[i, 1],
-                        self.lattice_energy[i],
-                        self.continuum_energy[i],
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        table = np.column_stack((self.ks, self.walk_phases, self.lattice_energy, self.continuum_energy))
+        return "k,walk_phase_minus,walk_phase_plus,lattice_energy,continuum_energy\n" + _csv.rows(table)
 
 
 def dispersion_scan(params: ScalingParams, k_count: int) -> DispersionTable:

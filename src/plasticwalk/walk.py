@@ -139,7 +139,11 @@ def trajectory_operators(
 
 def _mix(mat: tuple[np.ndarray, ...], p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a00, a01, a10, a11 = mat
-    return a00 * p + a01 * m, a10 * p + a11 * m
+    x = a00 * p
+    x += a01 * m
+    y = a10 * p
+    y += a11 * m
+    return x, y
 
 
 def _shift(p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +228,9 @@ def qw_step(
     _check_spacing(field, params)
     if ops is None:
         ops = _step_operators(params, t, field.positions())
-    p, m = _apply(ops, field.plus, field.minus, _shift)
-    return field.with_data(np.stack([p, m], axis=1))
+    data = np.empty_like(field.data)
+    data[:, 0], data[:, 1] = _apply(ops, field.plus, field.minus, _shift)
+    return SpinorField._unchecked(data, field.dx)  # unitary arithmetic on a valid field
 
 
 def evolve_walk(

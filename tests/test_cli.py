@@ -163,6 +163,35 @@ def test_simulate_snapshot_fields_round_trip(tmp_path):
             assert f"{float(field):.17g}" == field
 
 
+def test_simulate_snapshot_bytes_equal_the_per_row_format(tmp_path):
+    # every snapshot is the row-by-row "%.17g" text of the walked field
+    from plasticwalk import ScalingParams, evolve_walk, make_wavepacket
+    from plasticwalk.harness import _grid
+
+    out = tmp_path / "run"
+    path, cfg = write_config(
+        tmp_path, command="simulate", out=str(out), alpha=0.5, length=16.0, T=1.0,
+        epsilon=0.0625, snapshot_stride=3,
+        profile={"name": "gaussian-well", "c0": 0.8, "depth": 0.3, "center": 8.0, "width": 2.0},
+        initial={"x0": 6.0, "w": 2.0, "k0": 0.5, "chirality_mix": 0.3},
+    )
+    assert main(["simulate", "--config", str(path)]) == 0
+    eps, n, steps, _, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
+    params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
+    field = make_wavepacket(n, params.dx, *cfg._packet())
+    row_fmt = ",".join(["%.17g"] * 6)
+    stops = [0] + [min(s + 3, steps) for s in range(0, steps, 3)]
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [f"snapshot_{s:06d}.csv" for s in stops]
+    for start, stop in zip(stops, stops[1:] + [None]):
+        cols = (field.positions(), field.plus.real, field.plus.imag, field.minus.real, field.minus.imag,
+                field.density())
+        lines = ["x,re_plus,im_plus,re_minus,im_minus,density"]
+        lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
+        assert (out / f"snapshot_{start:06d}.csv").read_text() == "\n".join(lines) + "\n"
+        if stop is not None:
+            field = evolve_walk(field, params, stop - start, 2.0 * eps * start)
+
+
 def test_simulate_final_snapshot_equals_evolve_walk(tmp_path):
     from plasticwalk import ScalingParams, evolve_walk, make_wavepacket
     from plasticwalk.harness import _grid
@@ -250,6 +279,21 @@ def test_simulate_flag_overrides_out(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(target)]) == 0
     assert (target / "simulate.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_consecutive_main_calls_share_no_flag_state(tmp_path):
+    # the parser is built once per process; each call's flags stay its own
+    from plasticwalk.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "qca", tmp_path / "dispersion"
+    (tmp_path / "qca.json").write_text(json.dumps({"qca_cells": 3}))
+    assert main(["qca", "--config", str(tmp_path / "qca.json"), "--out", str(first), "--seed", "7"]) == 0
+    assert main(["dispersion", "--out", str(second)]) == 0
+    assert json.loads((first / "qca_report.json").read_text())["seed"] == 7
+    assert json.loads((second / "dispersion.json").read_text())["seed"] == 0
+    args = build_parser().parse_args(["sweep"])
+    assert (args.command, args.config, args.out, args.seed) == ("sweep", None, None, None)
 
 
 @pytest.mark.parametrize("command", ["simulate", "dispersion"])

@@ -1,6 +1,7 @@
 """Wavepackets, order fitting, sweeps, dispersion tables."""
 
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,6 +384,17 @@ def test_sweep_csv_shape():
     assert payload["rows"][0]["N"] == 32
 
 
+def test_sweep_csv_bytes_equal_the_per_value_format():
+    report = run_convergence_sweep(_spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05]))
+    report.rows[1] = replace(report.rows[1], error_l2=float("nan"), error_max=float("nan"), failure="x")
+    lines = ["epsilon,dt,dx,N,steps,error_l2,error_max,walltime_s"]
+    for r in report.rows:
+        values = (r.epsilon, r.dt, r.dx, r.N, r.steps, r.error_l2, r.error_max, r.walltime_s)
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values))
+    assert report.to_csv() == "\n".join(lines) + "\n"
+    assert "nan" in report.to_csv().splitlines()[2]
+
+
 def test_report_records_its_environment(monkeypatch):
     spec = _spec(1.0, CProfile.constant(0.5), [0.2, 0.1])
     a = run_convergence_sweep(spec)
@@ -621,6 +633,18 @@ def test_dispersion_csv():
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "k,walk_phase_minus,walk_phase_plus,lattice_energy,continuum_energy"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("c, m", [(1.0, 0.0), (0.5, 0.2), (0.8, 1.0)])
+def test_dispersion_csv_bytes_equal_the_per_value_format(c, m):
+    # criterion 4's scans: the array formatter writes the bytes of f"{v:.17g}" on each value
+    params = ScalingParams(m=m, cprofile=CProfile.constant(c), epsilon=0.01, alpha=1.0)
+    table = dispersion_scan(params, 64)
+    lines = ["k,walk_phase_minus,walk_phase_plus,lattice_energy,continuum_energy"]
+    for i, k in enumerate(table.ks):
+        values = (k, *table.walk_phases[i], table.lattice_energy[i], table.continuum_energy[i])
+        lines.append(",".join(f"{v:.17g}" for v in values))
+    assert table.to_csv() == "\n".join(lines) + "\n"
 
 
 def _mode_frame_residual(alpha, c, m, eps, length, T, k_band=None):

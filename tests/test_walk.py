@@ -19,7 +19,7 @@ from plasticwalk import (
     ring_momenta,
 )
 from plasticwalk.scaling import derive_angle_arrays
-from plasticwalk.walk import _shift, trajectory_operators
+from plasticwalk.walk import _apply, _shift, _step_operators, trajectory_operators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -309,6 +309,28 @@ def test_step_inhomogeneous_unitary_and_time_frozen():
     assert abs(out0.norm() - 1.0) < 1e-12
     assert abs(out1.norm() - 1.0) < 1e-12
     assert np.max(np.abs(out0.data - out1.data)) > 1e-6  # profile time actually enters
+
+
+@pytest.mark.parametrize(
+    "prof",
+    [
+        CProfile.gaussian_well(0.8, 0.3, center=4.0, width=1.5),
+        CProfile.from_function(lambda t, x: 0.5 + 0.2 * np.sin(2 * np.pi * x / 8.0 + t)),
+    ],
+    ids=["gaussian-well", "time-dependent"],
+)
+def test_step_is_the_shared_kernel_on_a_new_field(prof):
+    p = ScalingParams(m=0.3, cprofile=prof, epsilon=0.0625, alpha=0.5)
+    rng = np.random.default_rng(31)
+    f = random_field(int(round(8.0 / p.dx)), rng, dx=p.dx)
+    before = f.data.copy()
+    t = 0.75
+    plus, minus = _apply(_step_operators(p, t, f.positions()), f.plus, f.minus, _shift)
+    out = qw_step(f, p, t=t)
+    assert isinstance(out, SpinorField) and out.dx == f.dx
+    assert out.data.shape == (f.n_sites, 2) and out.data.dtype == np.complex128
+    assert np.array_equal(out.plus, plus) and np.array_equal(out.minus, minus)
+    assert np.array_equal(f.data, before)  # the input field is left as it was
 
 
 # ---------------------------------------------------------------------------
