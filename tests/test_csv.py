@@ -38,7 +38,7 @@ def _edges() -> list[float]:
         out += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
     out += [2.0**53, 2.0**53 + 2, 2.0**60, 12345678901234567.0, 99999999999999990.0, 1e22, 1e23]
     # exact decimal ties at the 18th significant digit: n + 1/4 and n + 3/4 with 16 integer digits
-    out += [1234567890123456.25, 1234567890123456.75, 9007199254740990.5 / 2, 1125899906842624.25]
+    out += [1234567890123456.25, 1234567890123456.75, 1999999999999999.75, 1125899906842624.25]
     out += [0.5, 0.25, 0.125, 5e-324 * 3, 1.5, 2.5, 123.456, 1e-4, 1e-5, 0.1, 0.2, 0.3]
     return out
 
