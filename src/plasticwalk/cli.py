@@ -12,22 +12,24 @@ whole arrays by ``_csv.rows``, with the same bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PlasticWalkError, SingularMassError
+from .errors import ConfigError, PlasticWalkError
 from .fields import CProfile
 from .harness import (
     ExperimentSpec,
+    _check_packet,
     _grid,
-    _snap_epsilon,
     dispersion_scan,
     make_wavepacket,
     run_convergence_sweep,
@@ -39,7 +41,44 @@ from .walk import evolve_walk, trajectory_operators
 from .walk import qw_step  # not called here; perfbench/probes.py patches it on this module
 from . import __version__, _csv
 
-PROFILE_NAMES = ("flat", "sine-bump", "gaussian-well")
+# each profile name and its constructor, whose parameters are the profile's config keys
+_PROFILES = {
+    "flat": CProfile.constant, "sine-bump": CProfile.sine_bump, "gaussian-well": CProfile.gaussian_well
+}
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number: not a bool, not inf, not an integer too large for a float."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# what a RunConfig field of each annotation admits, and how a refusal names it
+_SHAPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_real, "a finite real number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite real number or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list) and v != [] and all(map(_is_real, v)),
+             "a non-empty list of finite real numbers"),
+    "dict": (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
+def _wrong(name: str, value, kind: str) -> ConfigError:
+    return ConfigError(f"field '{name}': got {value!r} (type {type(value).__name__}), must be {kind}")
+
+
+@contextlib.contextmanager
+def _building():
+    """The one boundary: a package error raised while a command turns its config into
+    domain objects, before its first write, is a configuration error (exit 2); after, exit 1."""
+    try:
+        yield
+    except PlasticWalkError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -76,15 +115,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         cfg = cls(**raw)
-        try:
-            cfg.validate()
-        except TypeError as exc:
-            raise ConfigError(f"config field has the wrong type: {exc}") from exc
+        cfg.validate()
         return cfg
 
     @classmethod
@@ -92,84 +127,62 @@ class RunConfig:
         return cls.from_dict(_json_object(text))
 
     def validate(self) -> None:
+        """Refuse a bad config with a ConfigError. Each field's JSON shape follows its annotation;
+        each physics range is checked by building the domain object that owns it."""
+        self._check_shape()
         if self.command not in ("simulate", "sweep", "dispersion", "qca"):
             raise ConfigError(
                 f"field 'command': got {self.command!r}, must be one of simulate|sweep|dispersion|qca"
             )
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"field 'alpha': got {self.alpha}, valid range is [0, 1]")
-        for name in ("m", "length", "T"):
-            _require_real(name, getattr(self, name))
-        if self.m < 0:
-            raise ConfigError(f"field 'm': got {self.m}, must be >= 0")
-        if self.length <= 0:
-            raise ConfigError(f"field 'length': got {self.length}, must be > 0")
-        if self.T <= 0:
-            raise ConfigError(f"field 'T': got {self.T}, must be > 0")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ConfigError(f"field 'epsilon': got {self.epsilon}, valid range is (0, 1]")
-        if self.threads < 1:
-            raise ConfigError(f"field 'threads': got {self.threads}, must be >= 1")
-        if self.snapshot_stride < 1:
-            raise ConfigError(f"field 'snapshot_stride': got {self.snapshot_stride}, must be >= 1")
-        if self.k_count < 2:
-            raise ConfigError(f"field 'k_count': got {self.k_count}, must be >= 2")
-        if not isinstance(self.profile, dict) or self.profile.get("name") not in PROFILE_NAMES:
-            raise ConfigError(
-                f"field 'profile.name': got {self.profile.get('name') if isinstance(self.profile, dict) else self.profile!r}, "
-                f"must be one of {PROFILE_NAMES}"
-            )
-        if not isinstance(self.initial, dict):
-            raise ConfigError(f"field 'initial': got {self.initial!r}, must be a JSON object")
-        for key in ("x0", "w", "k0", "chirality_mix"):
-            if key in self.initial:
-                _require_real(f"initial.{key}", self.initial[key])
-        mix = self._packet()[3]
-        if not 0.0 <= mix <= 1.0:
-            raise ConfigError(f"field 'initial.chirality_mix': got {mix}, valid range is [0, 1]")
-        if not self.epsilon_list:
-            raise ConfigError("field 'epsilon_list': must not be empty")
-        if any(not 0.0 < e <= 1.0 for e in self.epsilon_list):
-            raise ConfigError("field 'epsilon_list': every value must lie in (0, 1]")
-        if not isinstance(self.qca_cells, int):
-            raise ConfigError(f"field 'qca_cells': got {self.qca_cells!r}, must be an integer")
-        if self.qca_cells < 2:
-            raise ConfigError(f"field 'qca_cells': got {self.qca_cells}, must be >= 2")
-        _require_real("qca_theta", self.qca_theta)
-        _require_real("qca_zeta", self.qca_zeta)
+        for name, least in (("threads", 1), ("snapshot_stride", 1), ("k_count", 2), ("qca_cells", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"field '{name}': got {getattr(self, name)}, must be >= {least}")
         if self.min_order is not None and self.min_order < 0:
             raise ConfigError(f"field 'min_order': got {self.min_order}, must be >= 0 or null")
+        with _building():
+            profile = self.build_profile()
+            for eps in (self.epsilon, *self.epsilon_list):
+                ScalingParams(m=self.m, cprofile=profile, epsilon=eps, alpha=self.alpha)
+            _grid(self.alpha, self.length, self.T, self.epsilon)
+            _check_packet(*self._packet())
+
+    def _check_shape(self) -> None:
+        """Each field's JSON type against its annotation; profile and initial hold known keys, each a real."""
+        for f in fields(self):
+            admits, kind = _SHAPES[f.type]
+            if not admits(getattr(self, f.name)):
+                raise _wrong(f.name, getattr(self, f.name), kind)
+        name = self.profile.get("name")
+        if name not in _PROFILES:
+            raise ConfigError(f"field 'profile.name': got {name!r}, must be one of {list(_PROFILES)}")
+        for field, entries, known in (
+            ("profile", {k: v for k, v in self.profile.items() if k != "name"}, self._profile_defaults()),
+            ("initial", self.initial, self._packet_defaults()),
+        ):
+            for key, value in entries.items():
+                if key not in known:
+                    raise ConfigError(f"field '{field}.{key}': unknown key; {field} reads {list(known)}")
+                if not _is_real(value):
+                    raise _wrong(f"{field}.{key}", value, "a finite real number")
+
+    def _packet_defaults(self) -> dict:
+        return {"x0": self.length / 2, "w": 8.0, "k0": float(np.pi / 8), "chirality_mix": 0.5}
 
     def _packet(self) -> tuple[float, float, float, float]:
         """Initial packet (x0, w, k0, chirality_mix); a missing key takes its default."""
-        ini = self.initial
-        return (
-            ini.get("x0", self.length / 2),
-            ini.get("w", 8.0),
-            ini.get("k0", float(np.pi / 8)),
-            ini.get("chirality_mix", 0.5),
-        )
+        return tuple({**self._packet_defaults(), **self.initial}.values())
+
+    def _profile_defaults(self) -> dict:
+        """The keys the profile's name reads, each with the value it takes when missing."""
+        return {
+            "flat": {"c0": 0.5},
+            "sine-bump": {"c0": 0.5, "a": 0.3, "length": self.length},
+            "gaussian-well": {"c0": 0.8, "depth": 0.3, "center": self.length / 2, "width": self.length / 8},
+        }[self.profile["name"]]
 
     def build_profile(self) -> CProfile:
-        p = dict(self.profile)
-        name = p.pop("name")
-        try:
-            if name == "flat":
-                return CProfile.constant(p.get("c0", 0.5))
-            if name == "sine-bump":
-                return CProfile.sine_bump(
-                    p.get("c0", 0.5), p.get("a", 0.3), p.get("length", self.length)
-                )
-            return CProfile.gaussian_well(
-                p.get("c0", 0.8),
-                p.get("depth", 0.3),
-                p.get("center", self.length / 2),
-                p.get("width", self.length / 8),
-            )
-        except PlasticWalkError as exc:
-            raise ConfigError(f"field 'profile': {exc}") from exc
-        except TypeError as exc:
-            raise ConfigError(f"field 'profile' has the wrong type: {exc}") from exc
+        args = {**self._profile_defaults(), **self.profile}
+        return _PROFILES[args.pop("name")](**args)
 
 
 def _non_number(literal: str):
@@ -184,12 +197,6 @@ def _json_object(text: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
-
-
-def _require_real(name: str, value) -> None:
-    # a literal such as 1e400 parses to inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-        raise ConfigError(f"field '{name}': got {value!r}, must be a finite real number")
 
 
 def _fmt(v: float) -> str:
@@ -210,13 +217,11 @@ def atomic_write(path: Path, text: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    eps, n, steps, t_reach, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
-    params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
-    field = make_wavepacket(n, params.dx, *cfg._packet())
-    try:  # before any output, so a singular coin leaves no snapshot behind
+    with _building():  # a narrow packet or a singular coin leaves no snapshot behind
+        eps, n, steps, t_reach, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
+        params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
+        field = make_wavepacket(n, params.dx, *cfg._packet())
         ops = trajectory_operators(params, field)
-    except SingularMassError as exc:
-        raise ConfigError(f"coin at epsilon {eps:.6g}: {exc}") from exc
     norm0 = field.norm()
     xs = field.positions()
     x_text = _csv.records(xs[:, None])  # the x column is the same in every snapshot
@@ -255,7 +260,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     x0, w, k0, chirality_mix = cfg._packet()
-    try:
+    with _building():
         spec = ExperimentSpec(
             alpha=cfg.alpha,
             m=cfg.m,
@@ -269,8 +274,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
             chirality_mix=chirality_mix,
             reference=cfg.reference,
         )
-    except DomainError as exc:
-        raise ConfigError(f"sweep spec: {exc}") from exc
     report = run_convergence_sweep(spec)
     atomic_write(out_dir / "sweep.csv", report.to_csv())
 
@@ -310,15 +313,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig, out_dir: Path) -> int:
-    profile = cfg.build_profile()
-    if not profile.homogeneous:
-        raise ConfigError("field 'profile': dispersion requires a homogeneous profile")
-    eps, _, _ = _snap_epsilon(cfg.alpha, cfg.length, cfg.epsilon)
-    params = ScalingParams(m=cfg.m, cprofile=profile, epsilon=eps, alpha=cfg.alpha)
-    try:
+    with _building():  # an inhomogeneous profile or a singular coin leaves no table behind
+        eps = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)[0]
+        params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
         table = dispersion_scan(params, cfg.k_count)
-    except SingularMassError as exc:
-        raise ConfigError(f"coin at epsilon {eps:.6g}: {exc}") from exc
     atomic_write(out_dir / "dispersion.csv", table.to_csv())
     edge = int(np.argmin(np.abs(np.abs(table.ks) - np.pi / params.dx)))
     print(
@@ -392,10 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"field 'config': file {path} does not exist")
-        text = path.read_text()
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")  # JSON text is UTF-8
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
+            raise ConfigError(f"field 'config': cannot read {args.config}: {exc}") from exc
         if text.strip():  # a blank file is the empty config
             raw = _json_object(text)
     raw["command"] = args.command
@@ -413,20 +411,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    handlers = {"simulate": cmd_simulate, "sweep": cmd_sweep, "dispersion": cmd_dispersion, "qca": cmd_qca}
     try:
         cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(cfg.out)
-    handlers = {
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "dispersion": cmd_dispersion,
-        "qca": cmd_qca,
-    }
-    try:
-        return handlers[cfg.command](cfg, out_dir)
+        return handlers[cfg.command](cfg, Path(cfg.out))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -123,6 +123,8 @@ class CProfile:
     @classmethod
     def sine_bump(cls, c0: float, a: float, length: float) -> "CProfile":
         """c(x) = c0 + a*sin(2*pi*x/length), static in time."""
+        if not length > 0:
+            raise DomainError(f"sine-bump length must be positive, got {length}")
         if not (0.0 <= c0 - abs(a) and c0 + abs(a) <= 1.0):
             raise DomainError(f"sine-bump range [{c0 - abs(a)}, {c0 + abs(a)}] leaves [0, 1]")
         return cls(
@@ -136,6 +138,8 @@ class CProfile:
     @classmethod
     def gaussian_well(cls, c0: float, depth: float, center: float, width: float) -> "CProfile":
         """c(x) = c0 - depth*exp(-(x-center)^2 / (2*width^2)), static in time."""
+        if not width > 0:
+            raise DomainError(f"gaussian-well width must be positive, got {width}")
         if not (0.0 <= c0 - depth and c0 <= 1.0 and depth >= 0.0):
             raise DomainError(f"gaussian-well range [{c0 - depth}, {c0}] leaves [0, 1]")
         return cls(
@@ -147,13 +151,10 @@ class CProfile:
         )
 
     def __call__(self, t: float, x: float) -> float:
-        c = float(self.fn(t, x))
-        if not 0.0 <= c <= 1.0:
-            raise DomainError(f"profile value c({t}, {x}) = {c} outside [0, 1]")
-        return c
+        return float(self.sample(t, x))
 
     def sample(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of positions, validating the range once."""
+        """Evaluate at an array of positions (or one), validating the range once."""
         xs = np.asarray(xs, dtype=float)
         try:
             cs = np.asarray(self.fn(t, xs), dtype=float)
@@ -163,8 +164,8 @@ class CProfile:
             cs = np.full(xs.shape, cs)
         if cs is None or cs.shape != xs.shape:
             cs = np.array([float(self.fn(t, x)) for x in xs.ravel().tolist()]).reshape(xs.shape)
-        if cs.size and (cs.min() < 0.0 or cs.max() > 1.0):
-            raise DomainError(
-                f"profile values at t={t} span [{cs.min()}, {cs.max()}], outside [0, 1]"
-            )
+        inside = (cs >= 0.0) & (cs <= 1.0)  # NaN fails both comparisons
+        if not inside.all():
+            i = np.argmin(inside)
+            raise DomainError(f"profile value c({t}, {xs.flat[i]}) = {cs.flat[i]} outside [0, 1]")
         return cs

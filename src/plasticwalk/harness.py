@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _code_version, _csv
-from .errors import DegenerateError, DomainError, ResolutionError, SingularMassError
+from .errors import BudgetError, DegenerateError, DomainError, ResolutionError, SingularMassError
 from .fields import CProfile, SpinorField
 from .hamiltonians import (
     curved_dirac_reference,
@@ -93,13 +93,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         """Refuse a spec whose rows would all fail or whose order fit would."""
-        for name in ("length", "T", "w"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and positive, got {value}")
-        for name in ("x0", "k0"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        plan = self._plan()  # _grid refuses a length or T that is not finite and positive
+        _check_packet(self.x0, self.w, self.k0, self.chirality_mix)
         derived = self.resolved_reference()
         if self.reference not in ("auto", derived):
             raise DomainError(f"reference {self.reference!r} is not the walk's limit here; "
@@ -111,7 +106,6 @@ class ExperimentSpec:
                 f"profile {self.cprofile.name!r} is not static in t, but every reference freezes "
                 f"c at t = 0; a custom profile that ignores t can be built with static=True"
             )
-        _check_chirality_mix(self.chirality_mix)
         if self.alpha == 1.0 and abs(self.length - round(self.length)) > 1e-9:
             raise DomainError(
                 f"alpha = 1 fixes the spacing at 1, so length must be an integer; got {self.length}"
@@ -123,7 +117,6 @@ class ExperimentSpec:
                     f"reference 'curved_fine_grid' needs a speed profile periodic on the ring; "
                     f"|c(0, {self.length}) - c(0, 0)| = {seam:.3g}"
                 )
-        plan = self._plan()
         snapped = [row.epsilon for _, row, _ in plan]
         if any(b >= a for a, b in zip(snapped, snapped[1:])):
             raise DomainError(
@@ -282,7 +275,13 @@ class SweepReport:
 # initial data
 
 
-def _check_chirality_mix(chirality_mix: float) -> None:
+def _check_packet(x0: float, w: float, k0: float, chirality_mix: float) -> None:
+    """The packet's own ranges: finite x0 and k0, a finite positive w, chirality_mix in [0, 1]."""
+    if not (np.isfinite(w) and w > 0):
+        raise DomainError(f"w must be finite and positive, got {w}")
+    for name, value in (("x0", x0), ("k0", k0)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not 0.0 <= chirality_mix <= 1.0:
         raise DomainError(f"chirality_mix must lie in [0, 1], got {chirality_mix}")
 
@@ -297,9 +296,9 @@ def make_wavepacket(
     periodized by summing its images over a few ring lengths, so a k0 that
     is not a ring momentum leaves no phase jump at the seam.
     """
+    _check_packet(x0, w, k0, chirality_mix)
     if w < 4.0 * dx:
         raise ResolutionError(f"width w = {w} below the resolvable minimum 4*dx = {4 * dx}")
-    _check_chirality_mix(chirality_mix)
     length = N * dx
     x = np.arange(N) * dx
     wave = np.zeros(N, dtype=np.complex128)
@@ -363,26 +362,36 @@ def comparison_frame(params: ScalingParams, xs: np.ndarray, t0: float = 0.0) -> 
 # sweep machinery
 
 
-def _snap_epsilon(alpha: float, length: float, eps: float) -> tuple[float, int, list[str]]:
-    """Grid-compatible epsilon and site count; records any adjustment."""
-    notes = []
-    if alpha == 1.0:
-        n = int(round(length))  # dx = 1 by construction of the scaling
-        return eps, n, notes
-    dx = eps ** (1.0 - alpha)
-    n = max(2, int(round(length / dx)))
-    eps_adj = (length / n) ** (1.0 / (1.0 - alpha))
-    if abs(eps_adj - eps) > 1e-12 * eps:
-        notes.append(f"epsilon {eps:.17g} snapped to {eps_adj:.17g} (N = {n})")
-    return eps_adj, n, notes
+GRID_BUDGET = 10**9  # sites x steps of one grid; the largest in the tests and benchmark is 2048 x 2048
 
 
 def _grid(
     alpha: float, length: float, T: float, eps: float
 ) -> tuple[float, int, int, float, list[str]]:
-    """Snapped epsilon, site count, walk steps to reach T, the time they reach, and notes."""
-    eps_adj, n, notes = _snap_epsilon(alpha, length, eps)
-    steps = max(1, int(round(T / (2.0 * eps_adj))))
+    """Snapped epsilon, site count, walk steps to reach T, the time they reach, and notes.
+
+    The one grid rule: refuses a length or T that is not finite and positive,
+    a ring of fewer than 2 sites, and (BudgetError) more than ``GRID_BUDGET``
+    sites x steps. Below alpha = 1, epsilon snaps to a whole number of sites.
+    """
+    for name, value in (("length", length), ("T", T)):
+        if not (np.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+    if alpha == 1.0 and round(length) < 2:  # dx = 1 by construction of the scaling
+        raise DomainError(f"length = {length} at alpha = 1 is a ring of under 2 sites; "
+                          f"the walk needs at least 2 sites")
+    try:
+        n = round(length) if alpha == 1.0 else max(2, round(length / eps ** (1.0 - alpha)))
+        eps_adj = eps if alpha == 1.0 else (length / n) ** (1.0 / (1.0 - alpha))
+        steps = max(1, round(T / (2.0 * eps_adj)))
+    except (OverflowError, ZeroDivisionError):
+        n = steps = np.inf  # a grid too fine to count in floats
+    if n * steps > GRID_BUDGET:
+        raise BudgetError(f"length = {length} and T = {T} at epsilon = {eps} need more than "
+                          f"{GRID_BUDGET:.0e} sites x steps, the grid budget")
+    notes = []
+    if abs(eps_adj - eps) > 1e-12 * eps:
+        notes.append(f"epsilon {eps:.17g} snapped to {eps_adj:.17g} (N = {n})")
     t_reach = 2.0 * eps_adj * steps
     if abs(t_reach - T) > eps_adj + 1e-12:
         notes.append(f"target time {T} reached as {t_reach:.17g} at epsilon {eps_adj:.17g}")
@@ -569,9 +578,9 @@ def estimate_order(rows: list[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(epsilon).
 
     Returns the slope and the standard-error half-width of the fit. Raises
-    DegenerateError when any error sits at the noise floor (<= 1e-14), in
-    which case callers should report the comparison as exact instead of
-    quoting an order.
+    DomainError for a negative or non-finite error, and DegenerateError when
+    any error sits at the noise floor (<= 1e-14), in which case callers
+    should report the comparison as exact instead of quoting an order.
     """
     if len(rows) < 3:
         raise DomainError(f"need at least 3 rows to fit an order, got {len(rows)}")
@@ -579,10 +588,10 @@ def estimate_order(rows: list[tuple[float, float]]) -> tuple[float, float]:
     err = np.array([r[1] for r in rows], dtype=float)
     if np.any(np.diff(eps) >= 0):
         raise DomainError("epsilon values must be strictly decreasing")
+    if np.any(err < 0) or not np.all(np.isfinite(err)):
+        raise DomainError("errors must be nonnegative and finite")
     if np.any(err <= 1e-14):
         raise DegenerateError("errors at the noise floor; comparison is exact")
-    if np.any(err < 0) or not np.all(np.isfinite(err)):
-        raise DomainError("errors must be positive and finite")
     x = np.log(eps)
     y = np.log(err)
     n = len(x)
@@ -591,10 +600,7 @@ def estimate_order(rows: list[tuple[float, float]]) -> tuple[float, float]:
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     intercept = y.mean() - slope * xbar
     resid = y - (intercept + slope * x)
-    if n > 2:
-        se = float(np.sqrt(np.sum(resid ** 2) / (n - 2) / sxx))
-    else:
-        se = 0.0
+    se = float(np.sqrt(np.sum(resid ** 2) / (n - 2) / sxx))
     return slope, se
 
 

@@ -35,7 +35,7 @@ class ScalingParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.m) and self.m >= 0):
-            raise DomainError(f"mass must be finite and nonnegative, got {self.m}")
+            raise DomainError(f"mass m must be finite and nonnegative, got {self.m}")
         if not 0.0 < self.epsilon <= 1.0:
             raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -278,7 +278,7 @@ def momentum_block(params: ScalingParams, k, t: float = 0.0) -> np.ndarray:
     as ``evolve_walk`` builds it for a homogeneous trajectory.
     """
     if not params.cprofile.homogeneous:
-        raise InhomogeneousError("momentum_block requires a homogeneous profile")
+        raise InhomogeneousError(f"momentum_block requires a homogeneous profile; {params.cprofile.name!r} is not")
     angle = np.asarray(k, dtype=np.longdouble) * params.dx
     block = _block(_step_operators(params, t, np.zeros(1)), angle)
     return np.stack(block, axis=-1).astype(np.complex128).reshape(angle.shape + (2, 2))

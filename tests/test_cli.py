@@ -1,6 +1,7 @@
 """Command-line surface: config round-trips, exit codes, file outputs."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_config_file_that_is_not_a_json_object_exits_two(tmp_path, capsys, text)
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert ("not valid JSON" if text == "x{" else "JSON object") in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_text"])
+def test_unreadable_config_file_exits_two(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_text":
+        path.write_bytes(b"\xff\xfe{")
+    assert main(["qca", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: field 'config': cannot read")
     assert not (tmp_path / "o").exists()
 
 
@@ -239,14 +253,16 @@ def test_simulate_flat_snapshots_equal_evolve_walk(tmp_path):
             assert np.array_equal(cols[:, 3] + 1j * cols[:, 4], walked.minus)
 
 
-def test_simulate_single_site_ring_exits_one(tmp_path, capsys):
-    # alpha = 1 fixes dx = 1, so length 1 snaps to a one-site ring, as in sweep
+def test_simulate_single_site_ring_exits_two(tmp_path, capsys):
+    # alpha = 1 fixes dx = 1, so length 1 snaps to a one-site ring, which the grid refuses
     path, _ = write_config(
         tmp_path, command="simulate", out=str(tmp_path / "o"), alpha=1.0, length=1.0, T=0.5,
         initial={"x0": 0.5, "w": 4.0, "k0": 0.0, "chirality_mix": 0.5},
     )
-    assert main(["simulate", "--config", str(path)]) == 1
-    assert "at least 2 sites" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "length = 1.0" in err and "at least 2 sites" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_packet_defaults_match_default_config(tmp_path):
@@ -296,15 +312,45 @@ def test_consecutive_main_calls_share_no_flag_state(tmp_path):
     assert (args.command, args.config, args.out, args.seed) == ("sweep", None, None, None)
 
 
-@pytest.mark.parametrize("command", ["simulate", "dispersion"])
-def test_singular_coin_exits_two_and_writes_nothing(tmp_path, capsys, command):
-    # c * kappa = 1 with m > 0 at alpha = 0: sin(theta) = 0 in every coin, as in sweep
-    path = tmp_path / "singular.json"
-    path.write_text(json.dumps(
-        {"alpha": 0.0, "m": 0.2, "profile": {"name": "flat", "c0": 1.0}, "epsilon": 0.5, "T": 1.0}
-    ))
+_WELL = {"name": "gaussian-well", "c0": 0.8, "depth": 0.3, "center": 32.0}
+_BUMP = {"name": "sine-bump", "c0": 0.5, "a": 0.3}
+
+
+@pytest.mark.parametrize(
+    "command, raw, named",
+    [
+        # c * kappa = 1 with m > 0 at alpha = 0: sin(theta) = 0 in every coin, as in sweep
+        *(pytest.param(command, {"alpha": 0.0, "m": 0.2, "profile": {"name": "flat", "c0": 1.0},
+                                 "epsilon": 0.5, "T": 1.0}, "m = 0.2", id=command)
+          for command in ("simulate", "dispersion")),
+        # a grid past the budget, refused before the first snapshot
+        pytest.param("simulate", {"T": 1e300}, "T = 1e+300", id="T_budget-simulate"),
+        *(pytest.param(command, {"alpha": 0.5, "epsilon": eps}, f"epsilon = {eps}", id=f"{label}-{command}")
+          for command in ("simulate", "dispersion")
+          for label, eps in (("epsilon_budget", 1e-12), ("epsilon_underflow_budget", 1e-300))),
+        # a packet narrower than 4 dx, or of no width
+        pytest.param("simulate", {"initial": {"w": 0.5}}, "width w = 0.5", id="narrow_packet-simulate"),
+        pytest.param("simulate", {"initial": {"w": 0}}, "w must be finite and positive", id="zero_w-simulate"),
+        # a profile of no width
+        *(pytest.param(command, {"profile": dict(_WELL, width=0)}, "width must be positive",
+                       id=f"zero_well_width-{command}")
+          for command in ("simulate", "dispersion")),
+        *(pytest.param(command, {"profile": dict(_BUMP, length=0)}, "length must be positive",
+                       id=f"zero_bump_length-{command}")
+          for command in ("simulate", "dispersion")),
+        pytest.param("dispersion", {"alpha": 1.0, "length": 1.0}, "at least 2 sites",
+                     id="single_site_ring-dispersion"),
+    ],
+)
+def test_singular_coin_exits_two_and_writes_nothing(tmp_path, capsys, command, raw, named):
+    # every refusal while the config becomes domain objects comes before the first write
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+    assert time.perf_counter() - start < 1.0  # a grid past the budget is refused, not walked
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
     assert not (tmp_path / "o").exists()
 
 
@@ -370,35 +416,44 @@ def test_sweep_records_kappa_range_and_predicted_order(tmp_path, alpha, eps_list
 
 
 @pytest.mark.parametrize(
-    "raw",
+    "raw, named",
     [
-        {"reference": "bogus"},
-        {"alpha": 1.0, "length": 64.5},
-        {"alpha": 0.0, "reference": "dirac_momentum",
-         "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 64.0}},
-        {"alpha": 1.0, "reference": "dirac_momentum"},
-        {"alpha": 1.0, "reference": "curved_fine_grid",
-         "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 64.0}},
-        {"alpha": 0.5, "reference": "lattice_exact"},
-        {"alpha": 0.5, "reference": "curved_fine_grid"},
-        {"alpha": 0.5, "length": 32.0, "initial": {"x0": 16.0, "w": 4.0},
-         "epsilon_list": [0.1, 0.0999, 0.05]},
-        {"alpha": 0.0, "m": 0.1, "profile": {"name": "flat", "c0": 1.0},
-         "epsilon_list": [0.5, 0.25, 0.125]},
-        {"alpha": 0.5, "length": 64.0, "epsilon_list": [0.25, 0.0625],
-         "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 48.0}},
+        ({"reference": "bogus"}, "reference 'bogus'"),
+        ({"alpha": 1.0, "length": 64.5}, "length must be an integer"),
+        ({"alpha": 0.0, "reference": "dirac_momentum",
+          "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 64.0}}, "reference 'dirac_momentum'"),
+        ({"alpha": 1.0, "reference": "dirac_momentum"}, "reference 'dirac_momentum'"),
+        ({"alpha": 1.0, "reference": "curved_fine_grid",
+          "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 64.0}}, "reference 'curved_fine_grid'"),
+        ({"alpha": 0.5, "reference": "lattice_exact"}, "reference 'lattice_exact'"),
+        ({"alpha": 0.5, "reference": "curved_fine_grid"}, "reference 'curved_fine_grid'"),
+        ({"alpha": 0.5, "length": 32.0, "initial": {"x0": 16.0, "w": 4.0},
+          "epsilon_list": [0.1, 0.0999, 0.05]}, "epsilon_list must be strictly decreasing"),
+        ({"alpha": 0.0, "m": 0.1, "profile": {"name": "flat", "c0": 1.0},
+          "epsilon_list": [0.5, 0.25, 0.125]}, "m = 0.1"),
+        ({"alpha": 0.5, "length": 64.0, "epsilon_list": [0.25, 0.0625],
+          "profile": {"name": "sine-bump", "c0": 0.5, "a": 0.3, "length": 48.0}}, "periodic on the ring"),
+        ({"T": 1e300}, "T = 1e+300"),
+        ({"epsilon_list": [0.2, 0.1, 1e-12]}, "epsilon = 1e-12"),
+        ({"initial": {"w": 0}}, "w must be finite and positive"),
+        ({"profile": dict(_WELL, width=0)}, "width must be positive"),
+        ({"profile": dict(_BUMP, length=0)}, "length must be positive"),
+        ({"alpha": 1.0, "length": 1.0, "initial": {"x0": 0.5, "w": 4.0}}, "at least 2 sites"),
     ],
     ids=["unknown_reference", "fractional_length", "dirac_momentum_on_bump",
          "dirac_momentum_at_alpha_one", "curved_fine_grid_at_alpha_one",
          "lattice_exact_at_alpha_half", "curved_fine_grid_on_flat", "snapped_duplicate_epsilon",
          "singular_coin",
-         "non_periodic_curved_profile"],
+         "non_periodic_curved_profile",
+         "T_budget", "epsilon_list_budget", "zero_w", "zero_well_width", "zero_bump_length",
+         "single_site_ring"],
 )
-def test_sweep_invalid_spec_exits_two(tmp_path, capsys, raw):
+def test_sweep_invalid_spec_exits_two(tmp_path, capsys, raw, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
     assert not (tmp_path / "o").exists()
 
 
@@ -545,22 +600,39 @@ def test_no_subcommand_exits_two(capsys):
     assert main([]) == 2
 
 
+_COMMANDS = ("simulate", "sweep", "dispersion", "qca")
+
+
 @pytest.mark.parametrize(
-    "raw, named",
+    "command, raw, named",
     [
-        ({"alpha": "one"}, "type"),
-        ({"initial": []}, "'initial'"),
-        ({"profile": {"name": "flat", "c0": "x"}}, "'profile'"),
-        ({"qca_theta": "x"}, "'qca_theta'"),
-        ({"qca_cells": 2.5}, "'qca_cells'"),
-        ({"initial": {"x0": "a"}}, "'initial.x0'"),
+        pytest.param("sweep", {"alpha": "one"}, "type", id="alpha"),
+        pytest.param("sweep", {"initial": []}, "'initial'", id="initial"),
+        pytest.param("sweep", {"profile": {"name": "flat", "c0": "x"}}, "'profile.c0'", id="profile"),
+        pytest.param("sweep", {"qca_theta": "x"}, "'qca_theta'", id="qca_theta"),
+        pytest.param("sweep", {"qca_cells": 2.5}, "'qca_cells'", id="qca_cells"),
+        pytest.param("sweep", {"initial": {"x0": "a"}}, "'initial.x0'", id="initial_x0"),
+        *(pytest.param(command, raw, named, id=f"{label}-{command}")
+          for label, commands, raw, named in [
+              ("out", _COMMANDS, {"out": 5}, "'out'"),
+              ("seed", _COMMANDS, {"seed": "x"}, "'seed'"),
+              ("profile_unknown_key", ("simulate", "sweep", "dispersion"),
+               {"profile": {"name": "flat", "c0": 0.5, "zz": 1}}, "'profile.zz'"),
+              ("snapshot_stride", ("simulate",), {"snapshot_stride": 2.5}, "'snapshot_stride'"),
+              ("k_count", ("dispersion",), {"k_count": 2.5}, "'k_count'"),
+              ("bump_length", ("simulate", "sweep"), {"profile": dict(_BUMP, length="x")}, "'profile.length'"),
+              ("well_center", ("simulate", "sweep"),
+               {"profile": dict(_WELL, width=8.0, center="x")}, "'profile.center'"),
+          ]
+          for command in commands),
     ],
-    ids=["alpha", "initial", "profile", "qca_theta", "qca_cells", "initial_x0"],
 )
-def test_config_wrong_type_exits_two(tmp_path, capsys, raw, named):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+def test_config_wrong_type_exits_two(tmp_path, monkeypatch, capsys, command, raw, named):
+    monkeypatch.chdir(tmp_path)  # the out field is read as a path relative to here
+    (tmp_path / "bad.json").write_text(json.dumps(raw))
+    flags = [] if "out" in raw else ["--out", "o"]
+    assert main([command, "--config", "bad.json", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert named in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]

@@ -41,6 +41,9 @@ def test_profile_constant():
 def test_profile_sine_bump_range_check():
     with pytest.raises(DomainError):
         CProfile.sine_bump(0.9, 0.3, 16.0)
+    for length in (0.0, -16.0, float("nan")):
+        with pytest.raises(DomainError, match="length must be positive"):
+            CProfile.sine_bump(0.5, 0.3, length)
     p = CProfile.sine_bump(0.5, 0.3, 16.0)
     assert not p.homogeneous
     xs = np.linspace(0, 16, 33)
@@ -54,6 +57,10 @@ def test_profile_gaussian_well():
     assert p(0.0, 0.0) == pytest.approx(0.8, abs=1e-3)
     with pytest.raises(DomainError):
         CProfile.gaussian_well(0.2, 0.5, 8.0, 2.0)
+    # a well of no width used to be flat wherever no site hits its center
+    for width in (0.0, -2.0, float("nan")):
+        with pytest.raises(DomainError, match="width must be positive"):
+            CProfile.gaussian_well(0.8, 0.3, 8.0, width)
 
 
 def test_profile_out_of_range_at_sample_time():
@@ -62,6 +69,14 @@ def test_profile_out_of_range_at_sample_time():
         p(0.0, 10.0)
     with pytest.raises(DomainError):
         p.sample(0.0, np.array([0.0, 10.0]))
+    # one range check, through sample, refuses a non-finite value at a point and on an array
+    for bad in (float("nan"), float("inf")):
+        p = CProfile.from_function(lambda t, x: np.where(x > 1.0, bad, 0.5))
+        assert p(0.0, 0.0) == 0.5
+        with pytest.raises(DomainError, match="outside"):
+            p(0.0, 2.0)
+        with pytest.raises(DomainError, match="outside"):
+            p.sample(0.0, np.array([0.0, 2.0]))
 
 
 def test_profile_static_flags():

@@ -99,6 +99,8 @@ def test_estimate_order_degenerate_and_domain():
         estimate_order([(0.02, 1e-3), (0.01, 1e-4)])
     with pytest.raises(DomainError):
         estimate_order([(0.01, 1e-3), (0.02, 1e-4), (0.005, 1e-5)])
+    with pytest.raises(DomainError):  # a negative error is not at the noise floor
+        estimate_order([(0.02, 1e-3), (0.01, -1e-4), (0.005, 1e-5)])
 
 
 # ---------------------------------------------------------------------------
