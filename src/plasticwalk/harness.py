@@ -16,9 +16,10 @@ completed: the distance to the same propagation on a 2x refined grid. Every
 row solves the same continuous problem, and a finer grid resolves it at
 least as well, so the coarsest row's error bounds the others'. At alpha = 0
 the two homogeneous references are cross-validated: the lattice one on an
-8x refined grid must agree with the closed-form continuum one. Each of the
-two checks flags the sweep when it exceeds a tenth of the walk's smallest
-error.
+8x refined grid must agree with the row's own continuum one. Both numbers
+pass one gate: above max(smallest walk error / 10, ``NOISE_FLOOR``) each
+adds a flag and fails its check. The harness decides every check of a
+sweep from its numbers, and ``SweepReport.checks`` carries them.
 
 Comparison frame. The walk does not converge to the references in the raw
 component basis: its step operator is a frame conjugation of the reference
@@ -63,7 +64,6 @@ from .hamiltonians import (
     dirac_propagator,
     evolve_exact,
     lattice_hamiltonian_curved,
-    lattice_hamiltonian_flat,
     restrict,
     trig_interpolate,
 )
@@ -90,10 +90,11 @@ class ExperimentSpec:
     k0: float
     chirality_mix: float = 0.5
     reference: str = "auto"  # or exactly resolved_reference(); nothing else is accepted
+    _planned: list = dc_field(init=False, repr=False, compare=False)  # _plan(), built once
 
     def __post_init__(self):
         """Refuse a spec whose rows would all fail or whose order fit would."""
-        plan = self._plan()  # _grid refuses a length or T that is not finite and positive
+        self._planned = plan = self._plan()  # _grid refuses a length, T or grid it cannot build
         _check_packet(self.x0, self.w, self.k0, self.chirality_mix)
         derived = self.resolved_reference()
         if self.reference not in ("auto", derived):
@@ -105,10 +106,6 @@ class ExperimentSpec:
             raise DomainError(
                 f"profile {self.cprofile.name!r} is not static in t, but every reference freezes "
                 f"c at t = 0; a custom profile that ignores t can be built with static=True"
-            )
-        if self.alpha == 1.0 and abs(self.length - round(self.length)) > 1e-9:
-            raise DomainError(
-                f"alpha = 1 fixes the spacing at 1, so length must be an integer; got {self.length}"
             )
         if derived == "curved_fine_grid":
             seam = abs(self.cprofile(0.0, self.length) - self.cprofile(0.0, 0.0))
@@ -259,6 +256,7 @@ class SweepReport:
     predicted_order: float | None = None  # _predicted_order(alpha); None at alpha 0 and 1
     # what produced the report; not part of the spec, so not in spec_hash
     environment: dict = dc_field(default_factory=lambda: dict(_environment()))
+    checks: list[dict] = dc_field(default_factory=list)  # each {"name", "passed", "detail"}, decided here
 
     CSV_HEADER = ",".join(_CSV_FIELDS)
 
@@ -363,6 +361,7 @@ def comparison_frame(params: ScalingParams, xs: np.ndarray, t0: float = 0.0) -> 
 
 
 GRID_BUDGET = 10**9  # sites x steps of one grid; the largest in the tests and benchmark is 2048 x 2048
+NOISE_FLOOR = 1e-14  # an error or reference gap at or below it is double roundoff
 
 
 def _grid(
@@ -371,12 +370,15 @@ def _grid(
     """Snapped epsilon, site count, walk steps to reach T, the time they reach, and notes.
 
     The one grid rule: refuses a length or T that is not finite and positive,
-    a ring of fewer than 2 sites, and (BudgetError) more than ``GRID_BUDGET``
-    sites x steps. Below alpha = 1, epsilon snaps to a whole number of sites.
+    a fractional length or a ring of fewer than 2 sites at alpha = 1, and
+    (BudgetError) more than ``GRID_BUDGET`` sites x steps. Below alpha = 1,
+    epsilon snaps to a whole number of sites.
     """
     for name, value in (("length", length), ("T", T)):
         if not (np.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and positive, got {value}")
+    if alpha == 1.0 and abs(length - round(length)) > 1e-9:
+        raise DomainError(f"alpha = 1 fixes the spacing at 1, so length must be an integer; got {length}")
     if alpha == 1.0 and round(length) < 2:  # dx = 1 by construction of the scaling
         raise DomainError(f"length = {length} at alpha = 1 is a ring of under 2 sites; "
                           f"the walk needs at least 2 sites")
@@ -454,17 +456,17 @@ def _run_row(
     ), reference_error
 
 
-def _cross_validate_references(spec: ExperimentSpec, rows: list[SweepRow]) -> float:
-    """L2 gap between the lattice reference on an 8x refined grid and the continuum one."""
-    base = rows[0]  # largest epsilon: coarsest grid
+def _cross_validate_references(
+    spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str
+) -> float:
+    """L2 gap between the lattice reference on an 8x refined grid and the row's own reference."""
     refinement = 8
-    psi0 = make_wavepacket(base.N, base.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
-    c0 = spec.cprofile(0.0, 0.0)
+    psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
     fine = trig_interpolate(psi0, refinement)
-    h = lattice_hamiltonian_flat(fine.n_sites, fine.dx, spec.m, c0)
-    lattice_side = restrict(evolve_exact(h, fine, base.time_reached), refinement)
-    dirac_side = dirac_propagator(base.N, base.dx, spec.m, c0, base.time_reached).apply(psi0)
-    return float(np.linalg.norm(lattice_side.data - dirac_side.data))
+    h = lattice_hamiltonian_curved(fine.n_sites, fine.dx, params.m, params.cprofile)
+    lattice_side = restrict(evolve_exact(h, fine, row.time_reached), refinement)
+    continuum_side = _reference_evolution(params, psi0, row.time_reached, kind)
+    return float(np.linalg.norm(lattice_side.data - continuum_side.data))
 
 
 def _predicted_order(alpha: float) -> float | None:
@@ -486,37 +488,38 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     the rows run one after another in list order (descending epsilon).
     Per-row failures are recorded in the row and excluded from the fit
     instead of aborting the sweep. A curved sweep measures its reference's
-    own error on its first completed row, the coarsest grid.
+    own error on its first completed row, the coarsest grid; an alpha = 0
+    flat sweep cross-validates its references there. Each check is decided
+    here, from these numbers, next to the flag it raises.
     """
     ref_kind = spec.resolved_reference()
     adjustments: list[str] = []
     rows: list[SweepRow] = []
     kappas: list[float] = []
+    coarsest: tuple[ScalingParams, SweepRow] | None = None  # the first completed row and its params
     reference_error: float | None = None
-    for params, planned, notes in spec._plan():
+    for params, planned, notes in spec._planned:
         adjustments.extend(notes)
         kappas.append(params.kappa)
-        twin = ref_kind == "curved_fine_grid" and reference_error is None
+        twin = ref_kind == "curved_fine_grid" and coarsest is None
         try:
             row, row_reference_error = _run_row(spec, params, planned, ref_kind, twin)
         except Exception as exc:  # per-row failures must not abort the sweep
             rows.append(replace(planned, failure=f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(row)
-        if twin:
-            reference_error = row_reference_error
+        if coarsest is None:
+            coarsest, reference_error = (params, row), row_reference_error
 
-    flags: list[str] = []
     good = [r for r in rows if r.failure is None]
-    for a, b in zip(good, good[1:]):
-        if b.error_l2 > a.error_l2 + 1e-15:
-            flags.append(
-                f"non-monotone errors: {a.error_l2:.3e} at eps={a.epsilon:.3g} -> "
-                f"{b.error_l2:.3e} at eps={b.epsilon:.3g}"
-            )
-    for r in rows:
-        if r.failure is not None:
-            flags.append(f"row epsilon={r.epsilon:.3g} failed: {r.failure}")
+    rises = [(a, b) for a, b in zip(good, good[1:]) if b.error_l2 > a.error_l2 + 1e-15]
+    flags = [f"non-monotone errors: {a.error_l2:.3e} at eps={a.epsilon:.3g} -> "
+             f"{b.error_l2:.3e} at eps={b.epsilon:.3g}" for a, b in rises]
+    flags += [f"row epsilon={r.epsilon:.3g} failed: {r.failure}" for r in rows if r.failure is not None]
+    checks = [
+        {"name": "rows_completed", "passed": len(good) == len(rows), "detail": f"{len(good)}/{len(rows)} rows"},
+        {"name": "monotone_errors", "passed": not rises, "detail": ""},
+    ]
 
     fitted: float | None = None
     ci: float | None = None
@@ -540,21 +543,21 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
                 f"{predicted:.4g} by more than 0.1"
             )
 
-    # the references' cross-validation gap and own error must sit well below the walk's smallest error
-    smallest = min((r.error_l2 for r in good), default=float("nan"))
+    # the references' cross-validation gap and own error must sit well below the walk's
+    # smallest error, or at roundoff; with no completed row neither exists (and bound is NaN)
     gap: float | None = None
-    if spec.alpha == 0.0 and spec.cprofile.homogeneous and good:
-        gap = _cross_validate_references(spec, good)
-        if gap > smallest / 10.0:
-            flags.append(
-                f"reference cross-validation gap {gap:.3e} exceeds smallest error/10 "
-                f"({smallest / 10.0:.3e}); sweep flagged invalid"
-            )
-    if reference_error is not None and reference_error > smallest / 10.0:
-        flags.append(
-            f"reference error {reference_error:.3e} exceeds smallest error/10 "
-            f"({smallest / 10.0:.3e}); reference under-resolved"
-        )
+    if spec.alpha == 0.0 and spec.cprofile.homogeneous and coarsest is not None:
+        gap = _cross_validate_references(spec, *coarsest, ref_kind)
+    bound = max(min((r.error_l2 for r in good), default=float("nan")) / 10.0, NOISE_FLOOR)
+    resolution = "" if reference_error is None else f"reference error {reference_error:.3e}"
+    for name, value, what, verdict, detail in (
+        ("reference_cross_validation", gap, "reference cross-validation gap", "sweep flagged invalid", ""),
+        ("reference_resolution", reference_error, "reference error", "reference under-resolved", resolution),
+    ):
+        failed = value is not None and value > bound
+        if failed:
+            flags.append(f"{what} {value:.3e} exceeds smallest error/10 ({bound:.3e}); {verdict}")
+        checks.append({"name": name, "passed": not failed, "detail": detail})
 
     return SweepReport(
         rows=rows,
@@ -571,6 +574,7 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
         reference_error=reference_error,
         kappa_range=[min(kappas), max(kappas)],
         predicted_order=predicted,
+        checks=checks,
     )
 
 
@@ -579,7 +583,7 @@ def estimate_order(rows: list[tuple[float, float]]) -> tuple[float, float]:
 
     Returns the slope and the standard-error half-width of the fit. Raises
     DomainError for a negative or non-finite error, and DegenerateError when
-    any error sits at the noise floor (<= 1e-14), in which case callers
+    any error sits at the noise floor (<= ``NOISE_FLOOR``), in which case callers
     should report the comparison as exact instead of quoting an order.
     """
     if len(rows) < 3:
@@ -590,7 +594,7 @@ def estimate_order(rows: list[tuple[float, float]]) -> tuple[float, float]:
         raise DomainError("epsilon values must be strictly decreasing")
     if np.any(err < 0) or not np.all(np.isfinite(err)):
         raise DomainError("errors must be nonnegative and finite")
-    if np.any(err <= 1e-14):
+    if np.any(err <= NOISE_FLOOR):
         raise DegenerateError("errors at the noise floor; comparison is exact")
     x = np.log(eps)
     y = np.log(err)

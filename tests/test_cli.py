@@ -280,6 +280,13 @@ def test_simulate_packet_defaults_match_default_config(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_packet_defaults_are_one_table():
+    # a config without initial and one with an empty initial take the same x0 = length/2
+    for text in ('{"length": 128}', '{"length": 128, "initial": {}}'):
+        assert RunConfig.parse(text)._packet() == (64.0, 8.0, float(np.pi / 8), 0.5)
+    assert RunConfig().build_profile().params == {"c0": 0.5}
+
+
 def test_simulate_flag_overrides_out(tmp_path):
     path, _ = write_config(
         tmp_path,
@@ -340,6 +347,10 @@ _BUMP = {"name": "sine-bump", "c0": 0.5, "a": 0.3}
           for command in ("simulate", "dispersion")),
         pytest.param("dispersion", {"alpha": 1.0, "length": 1.0}, "at least 2 sites",
                      id="single_site_ring-dispersion"),
+        # alpha = 1 fixes dx = 1: the grid refuses a fractional length on every command
+        *(pytest.param(command, {"alpha": 1.0, "length": 64.5, "T": 0.5}, "length must be an integer",
+                       id=f"fractional_length-{command}")
+          for command in ("simulate", "dispersion")),
     ],
 )
 def test_singular_coin_exits_two_and_writes_nothing(tmp_path, capsys, command, raw, named):
@@ -484,6 +495,40 @@ def test_sweep_reference_resolution_check(tmp_path, length, profile, initial, re
     assert any(f.startswith("reference error") for f in payload["flags"]) is not resolved
     if resolved:
         assert payload["reference_error"] <= 1e-12
+
+
+_EXACT = {"alpha": 0.0, "m": 0.0, "profile": {"name": "flat", "c0": 0.0}, "epsilon_list": [0.5, 0.25, 0.125],
+          "initial": {"x0": 32.0, "w": 8.0, "k0": 0.4}}
+
+
+def test_exact_sweep_passes_every_check(tmp_path, capsys):
+    # errors and cross-validation gap at roundoff: the gate's floor keeps the gap from failing
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(_EXACT))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "fitted_order=exact" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    assert payload["exact"] and not payload["flags"]
+    assert [c["name"] for c in payload["checks"]] == [
+        "rows_completed", "monotone_errors", "reference_cross_validation", "reference_resolution"]
+    assert all(c["passed"] for c in payload["checks"])
+
+
+def test_cross_validation_gap_fails_its_check(tmp_path, monkeypatch):
+    from plasticwalk import harness
+
+    monkeypatch.setattr(harness, "_cross_validate_references", lambda *args: 1.0)
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(dict(_EXACT, m=0.2, profile={"name": "flat", "c0": 0.5})))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    payload = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    assert payload["crossval_gap"] == 1.0
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks == {"rows_completed": True, "monotone_errors": True,
+                      "reference_cross_validation": False, "reference_resolution": True}
+    assert [f for f in payload["flags"] if "cross-validation gap" in f] == [
+        f"reference cross-validation gap 1.000e+00 exceeds smallest error/10 "
+        f"({min(r['error_l2'] for r in payload['rows']) / 10:.3e}); sweep flagged invalid"]
 
 
 def test_sweep_min_order_failure_exits_one(tmp_path):

@@ -130,6 +130,40 @@ def test_sweep_identity_case_reports_exact():
     assert report.fitted_order is None
     for row in report.rows:
         assert row.error_l2 <= 1e-12
+    # the cross-validation gap sits at roundoff too: the gate's floor, not error/10, bounds it
+    assert min(r.error_l2 for r in report.rows) / 10 < report.crossval_gap <= harness.NOISE_FLOOR
+    assert not report.flags
+    assert all(c["passed"] for c in report.checks)
+
+
+def test_cross_validation_equals_the_flat_formula():
+    # the lattice side through the spec's profile and the continuum side through
+    # _reference_evolution are bitwise the flat Hamiltonian and the Dirac propagator
+    from plasticwalk.hamiltonians import (
+        dirac_propagator, evolve_exact, lattice_hamiltonian_flat, restrict, trig_interpolate)
+
+    spec = _spec(0.0, CProfile.constant(0.5), [0.5, 0.25, 0.125], m=0.2)
+    params, row, _ = spec._planned[0]
+    psi0 = make_wavepacket(row.N, row.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
+    fine = trig_interpolate(psi0, 8)
+    lattice = restrict(evolve_exact(lattice_hamiltonian_flat(fine.n_sites, fine.dx, 0.2, 0.5), fine,
+                                    row.time_reached), 8)
+    dirac = dirac_propagator(row.N, row.dx, 0.2, 0.5, row.time_reached).apply(psi0)
+    gap = harness._cross_validate_references(spec, params, row, "dirac_momentum")
+    assert gap == float(np.linalg.norm(lattice.data - dirac.data))
+    assert run_convergence_sweep(spec).crossval_gap == gap
+
+
+def test_spec_plans_its_rows_once(monkeypatch):
+    # the spec plans on construction; the sweep reads that plan
+    plan, calls = ExperimentSpec._plan, []
+    monkeypatch.setattr(ExperimentSpec, "_plan", lambda self: calls.append(self) or plan(self))
+    for alpha, profile, eps_list in ((1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05]),
+                                     (0.0, CProfile.sine_bump(0.5, 0.3, 32.0), [0.5, 0.25, 0.125])):
+        calls.clear()
+        spec = _spec(alpha, profile, eps_list)
+        report = run_convergence_sweep(spec)
+        assert calls == [spec] and len(report.rows) == 3
 
 
 def test_sweep_alpha_one_first_order():
@@ -587,6 +621,10 @@ def test_failed_row_keeps_its_grid_and_frame():
     assert [(r.N, r.steps) for r in report.rows] == [(64, 2), (128, 4), (256, 8)]
     assert report.frame == "polarization-rotation"
     assert report.fitted_order is None and not report.exact
+    assert report.crossval_gap is None  # with no completed row neither reference gate has a value
+    assert [(c["name"], c["passed"], c["detail"]) for c in report.checks] == [
+        ("rows_completed", False, "0/3 rows"), ("monotone_errors", True, ""),
+        ("reference_cross_validation", True, ""), ("reference_resolution", True, "")]
     rows = report.to_json_dict()["rows"]
     assert [r["epsilon"] for r in rows] == [0.5, 0.25, 0.125]
     assert all(np.isnan(r["error_l2"]) for r in rows)
