@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .errors import (
     BudgetError,
     ConfigError,
-    DegenerateError,
     DomainError,
     InhomogeneousError,
     OrthogonalityError,
@@ -76,7 +75,6 @@ __all__ = [
     "__version__",
     "BudgetError",
     "ConfigError",
-    "DegenerateError",
     "DomainError",
     "InhomogeneousError",
     "OrthogonalityError",

@@ -33,10 +33,6 @@ class OrthogonalityError(PlasticWalkError):
     """Orbital set is too far from orthonormal."""
 
 
-class DegenerateError(PlasticWalkError):
-    """Convergence data sits at the noise floor; no order can be fitted."""
-
-
 class ResolutionError(PlasticWalkError):
     """Requested feature is too narrow for the grid spacing."""
 

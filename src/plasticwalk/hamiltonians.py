@@ -109,10 +109,10 @@ def lattice_hamiltonian_curved(
     """
     if N < 2:
         raise DomainError(f"need N >= 2 sites, got {N}")
-    if dx <= 0:
-        raise DomainError(f"dx must be positive, got {dx}")
-    if m < 0:
-        raise DomainError(f"mass must be nonnegative, got {m}")
+    if not (np.isfinite(dx) and dx > 0):
+        raise DomainError(f"dx must be finite and positive, got {dx}")
+    if not (np.isfinite(m) and m >= 0):
+        raise DomainError(f"mass must be finite and nonnegative, got {m}")
     xs = np.arange(N) * dx
     c_plus = cprofile.sample(t0, xs + 0.5 * dx)
     c_minus = np.roll(c_plus, 1)
@@ -214,8 +214,12 @@ def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPr
     """Continuum propagator: ``dirac_block(k_i)`` over the N ring momenta k_i."""
     if not 0.0 <= c <= 1.0:
         raise DomainError(f"c must lie in [0, 1], got {c}")
-    if m < 0:
-        raise DomainError(f"mass must be nonnegative, got {m}")
+    if not (np.isfinite(m) and m >= 0):
+        raise DomainError(f"mass must be finite and nonnegative, got {m}")
+    if not (np.isfinite(dx) and dx > 0):
+        raise DomainError(f"dx must be finite and positive, got {dx}")
+    if not np.isfinite(T):
+        raise DomainError(f"T must be finite, got {T}")
     ks = ring_momenta(N, dx)
     return DiracPropagator(ks=ks, blocks=dirac_block(ks, c, m, T), m=m, c=c, T=T)
 
@@ -282,6 +286,8 @@ def _chebyshev_propagate(apply, data: np.ndarray, T: float, radius: float) -> np
     runs in H / radius. The result's norm is checked against the input's,
     which also catches a radius too small for H.
     """
+    if not np.isfinite(T):
+        raise DomainError(f"T must be finite, got {T}")
     if radius * T == 0.0:
         return data.copy()
     a = _chebyshev_coefficients(radius * T)
@@ -339,8 +345,8 @@ def curved_dirac_reference(
     coarse grid every refinement gives the same result to roundoff, so
     comparing two refinements measures the reference's own error.
     """
-    if m < 0:
-        raise DomainError(f"mass must be nonnegative, got {m}")
+    if not (np.isfinite(m) and m >= 0):
+        raise DomainError(f"mass must be finite and nonnegative, got {m}")
     fine = trig_interpolate(psi0, refinement)
     apply, radius = _spectral_dirac(cprofile.sample(0.0, fine.positions()), fine.dx, m)
     evolved = _chebyshev_propagate(apply, fine.data.T.copy(), T, radius)

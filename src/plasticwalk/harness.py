@@ -18,8 +18,10 @@ least as well, so the coarsest row's error bounds the others'. At alpha = 0
 the two homogeneous references are cross-validated: the lattice one on an
 8x refined grid must agree with the row's own continuum one. Both numbers
 pass one gate: above max(smallest walk error / 10, ``NOISE_FLOOR``) each
-adds a flag and fails its check. The harness decides every check of a
-sweep from its numbers, and ``SweepReport.checks`` carries them.
+adds a flag and fails its check. The same floor decides exactness: a sweep
+is exact iff every completed error sits at or below it, and one with only
+some there is flagged and fits no order. The harness decides every check of
+a sweep from its numbers, ``min_order`` too; ``SweepReport.checks`` carries them.
 
 Comparison frame. The walk does not converge to the references in the raw
 component basis: its step operator is a frame conjugation of the reference
@@ -57,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _code_version, _csv
-from .errors import BudgetError, DegenerateError, DomainError, ResolutionError, SingularMassError
+from .errors import BudgetError, DomainError, ResolutionError, SingularMassError
 from .fields import CProfile, SpinorField
 from .hamiltonians import (
     curved_dirac_reference,
@@ -481,7 +483,7 @@ def _predicted_order(alpha: float) -> float | None:
     return min(1.0, 2.0 * alpha, 2.0 - 2.0 * alpha) if 0.0 < alpha < 1.0 else None
 
 
-def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
+def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) -> SweepReport:
     """Run the walk against its reference for every epsilon and fit the order.
 
     The epsilon list is snapped to the grid once, before any row runs, and
@@ -490,7 +492,7 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     instead of aborting the sweep. A curved sweep measures its reference's
     own error on its first completed row, the coarsest grid; an alpha = 0
     flat sweep cross-validates its references there. Each check is decided
-    here, from these numbers, next to the flag it raises.
+    here, from these numbers, next to the flag it raises; ``min_order`` last.
     """
     ref_kind = spec.resolved_reference()
     adjustments: list[str] = []
@@ -512,7 +514,7 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
             coarsest, reference_error = (params, row), row_reference_error
 
     good = [r for r in rows if r.failure is None]
-    rises = [(a, b) for a, b in zip(good, good[1:]) if b.error_l2 > a.error_l2 + 1e-15]
+    rises = [(a, b) for a, b in zip(good, good[1:]) if b.error_l2 > a.error_l2 + NOISE_FLOOR]
     flags = [f"non-monotone errors: {a.error_l2:.3e} at eps={a.epsilon:.3g} -> "
              f"{b.error_l2:.3e} at eps={b.epsilon:.3g}" for a, b in rises]
     flags += [f"row epsilon={r.epsilon:.3g} failed: {r.failure}" for r in rows if r.failure is not None]
@@ -521,16 +523,15 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
         {"name": "monotone_errors", "passed": not rises, "detail": ""},
     ]
 
-    fitted: float | None = None
-    ci: float | None = None
-    exact = False
-    if len(good) >= 3:
-        try:
-            fitted, ci = estimate_order([(r.epsilon, r.error_l2) for r in good])
-        except DegenerateError:
-            exact = True
-    elif good and all(r.error_l2 <= 1e-12 for r in good):
-        exact = True
+    # one roundoff rule: exact iff every completed error is at the floor; a partial floor fits nothing
+    at_floor = sum(r.error_l2 <= NOISE_FLOOR for r in good)
+    exact = bool(good) and at_floor == len(good)
+    fitted = ci = None
+    if 0 < at_floor < len(good):
+        flags.append(f"{at_floor} of {len(good)} completed errors at or below the noise floor "
+                     f"({NOISE_FLOOR:.0e}); no order fitted")
+    elif not at_floor and len(good) >= 3:
+        fitted, ci = estimate_order([(r.epsilon, r.error_l2) for r in good])
 
     predicted = _predicted_order(spec.alpha)
     if fitted is not None and predicted is not None:
@@ -548,7 +549,8 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     gap: float | None = None
     if spec.alpha == 0.0 and spec.cprofile.homogeneous and coarsest is not None:
         gap = _cross_validate_references(spec, *coarsest, ref_kind)
-    bound = max(min((r.error_l2 for r in good), default=float("nan")) / 10.0, NOISE_FLOOR)
+    tenth = min((r.error_l2 for r in good), default=float("nan")) / 10.0
+    bound, bound_name = (NOISE_FLOOR, "the noise floor") if tenth < NOISE_FLOOR else (tenth, "smallest error/10")
     resolution = "" if reference_error is None else f"reference error {reference_error:.3e}"
     for name, value, what, verdict, detail in (
         ("reference_cross_validation", gap, "reference cross-validation gap", "sweep flagged invalid", ""),
@@ -556,8 +558,11 @@ def run_convergence_sweep(spec: ExperimentSpec) -> SweepReport:
     ):
         failed = value is not None and value > bound
         if failed:
-            flags.append(f"{what} {value:.3e} exceeds smallest error/10 ({bound:.3e}); {verdict}")
+            flags.append(f"{what} {value:.3e} exceeds {bound_name} ({bound:.3e}); {verdict}")
         checks.append({"name": name, "passed": not failed, "detail": detail})
+    if min_order is not None:
+        passed = exact or (fitted is not None and fitted >= min_order)
+        checks.append({"name": "min_order", "passed": passed, "detail": "exact" if exact else f"fitted {fitted}"})
 
     return SweepReport(
         rows=rows,
@@ -582,9 +587,8 @@ def estimate_order(rows: list[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(epsilon).
 
     Returns the slope and the standard-error half-width of the fit. Raises
-    DomainError for a negative or non-finite error, and DegenerateError when
-    any error sits at the noise floor (<= ``NOISE_FLOOR``), in which case callers
-    should report the comparison as exact instead of quoting an order.
+    DomainError for fewer than 3 rows, epsilons that do not decrease, or an
+    error that is not finite and above ``NOISE_FLOOR``: roundoff has no order.
     """
     if len(rows) < 3:
         raise DomainError(f"need at least 3 rows to fit an order, got {len(rows)}")
@@ -592,10 +596,8 @@ def estimate_order(rows: list[tuple[float, float]]) -> tuple[float, float]:
     err = np.array([r[1] for r in rows], dtype=float)
     if np.any(np.diff(eps) >= 0):
         raise DomainError("epsilon values must be strictly decreasing")
-    if np.any(err < 0) or not np.all(np.isfinite(err)):
-        raise DomainError("errors must be nonnegative and finite")
-    if np.any(err <= NOISE_FLOOR):
-        raise DegenerateError("errors at the noise floor; comparison is exact")
+    if not np.all(np.isfinite(err) & (err > NOISE_FLOOR)):
+        raise DomainError(f"errors must be finite and above the noise floor {NOISE_FLOOR:.0e}, got {err.tolist()}")
     x = np.log(eps)
     y = np.log(err)
     n = len(x)

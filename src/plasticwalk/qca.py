@@ -386,6 +386,8 @@ def slater_evolve(orbitals: SlaterState, one_particle_step, steps: int) -> Slate
     deviation exceeds 1e-10, and counts how often that happened. A Gram
     deviation above 1e-6 at any point raises OrthogonalityError.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
     dev = orbitals.gram_deviation()
     if dev > 1e-6:
         raise OrthogonalityError(f"input orbitals deviate from orthonormal by {dev:.3e}")

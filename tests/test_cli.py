@@ -514,6 +514,33 @@ def test_exact_sweep_passes_every_check(tmp_path, capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_exact_sweep_passes_min_order_as_exact(tmp_path):
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(dict(_EXACT, min_order=0.9)))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    checks = json.loads((tmp_path / "o" / "sweep.json").read_text())["checks"]
+    assert checks[-1] == {"name": "min_order", "passed": True, "detail": "exact"}
+
+
+def test_partial_noise_floor_fails_min_order(tmp_path, monkeypatch):
+    # the finest error at roundoff, the others converging: neither exact nor fitted, so min_order fails
+    from dataclasses import replace
+
+    from plasticwalk import harness
+
+    errors = iter([0.1, 0.01, 1e-15])
+    monkeypatch.setattr(harness, "_run_row", lambda spec, params, row, kind, twin: (
+        replace(row, error_l2=next(errors)), None))
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"alpha": 1.0, "length": 32.0, "T": 2.0, "epsilon_list": [0.2, 0.1, 0.05],
+                                "min_order": 0.9, "initial": {"x0": 16.0, "w": 4.0}}))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    payload = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    assert not payload["exact"] and payload["fitted_order"] is None
+    assert any("at or below the noise floor" in f for f in payload["flags"])
+    assert payload["checks"][-1] == {"name": "min_order", "passed": False, "detail": "fitted None"}
+
+
 def test_cross_validation_gap_fails_its_check(tmp_path, monkeypatch):
     from plasticwalk import harness
 

@@ -95,6 +95,26 @@ def test_flat_domain_checks():
         lattice_hamiltonian_flat(8, 1.0, -0.2, 0.5)
 
 
+_BUMP = CProfile.sine_bump(0.5, 0.3, 8.0)
+_PSI = make_wavepacket(8, 1.0, 4.0, 4.0, 0.3)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda v: evolve_exact(lattice_hamiltonian_curved(8, 1.0, 0.2, _BUMP), _PSI, v), "T"),
+    (lambda v: lattice_hamiltonian_curved(8, 1.0, v, _BUMP), "mass"),
+    (lambda v: lattice_hamiltonian_curved(8, v, 0.2, _BUMP), "dx"),
+    (lambda v: curved_dirac_reference(_PSI, _BUMP, v, 1.0, 1), "mass"),
+    (lambda v: curved_dirac_reference(_PSI, _BUMP, 0.2, v, 1), "T"),
+    (lambda v: dirac_propagator(8, 1.0, v, 0.5, 1.0), "mass"),
+    (lambda v: dirac_propagator(8, v, 0.2, 0.5, 1.0), "dx"),
+    (lambda v: dirac_propagator(8, 1.0, 0.2, 0.5, v), "T"),
+], ids=["evolve_exact-T", "lattice-m", "lattice-dx", "curved-m", "curved-T", "dirac-m", "dirac-dx", "dirac-T"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_references_refuse_non_finite_inputs(build, named, value):
+    with pytest.raises(DomainError, match=rf"^{named} must be finite.*, got {value}$"):
+        build(value)
+
+
 def _dense_by_site_loop(h):
     n = h.n_sites
     out = np.zeros((2 * n, 2 * n), dtype=np.complex128)

@@ -10,7 +10,6 @@ import plasticwalk
 from plasticwalk import harness
 from plasticwalk import (
     CProfile,
-    DegenerateError,
     DomainError,
     ExperimentSpec,
     ResolutionError,
@@ -93,7 +92,7 @@ def test_estimate_order_noisy_synthetic():
 
 
 def test_estimate_order_degenerate_and_domain():
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DomainError, match="noise floor"):  # an error at roundoff has no order
         estimate_order([(0.02, 1e-3), (0.01, 1e-15), (0.005, 1e-16)])
     with pytest.raises(DomainError):
         estimate_order([(0.02, 1e-3), (0.01, 1e-4)])
@@ -134,6 +133,45 @@ def test_sweep_identity_case_reports_exact():
     assert min(r.error_l2 for r in report.rows) / 10 < report.crossval_gap <= harness.NOISE_FLOOR
     assert not report.flags
     assert all(c["passed"] for c in report.checks)
+
+
+def _sweep_with_errors(monkeypatch, errors, min_order=None):
+    """A sweep at alpha = 1 whose rows report the given errors, in order."""
+    queue = iter(errors)
+    monkeypatch.setattr(harness, "_run_row", lambda spec, params, row, kind, twin: (
+        replace(row, error_l2=next(queue)), None))
+    spec = _spec(1.0, CProfile.constant(0.5), [0.5, 0.25, 0.125][:len(errors)])
+    return run_convergence_sweep(spec, min_order)
+
+
+@pytest.mark.parametrize("errors, exact", [
+    ([1e-13, 1e-13], False), ([1e-13, 1e-13, 1e-13], False),
+    ([1e-16], True), ([1e-16, 1e-16], True), ([1e-16, 1e-16, 1e-16], True),
+], ids=["above_floor_2", "above_floor_3", "at_floor_1", "at_floor_2", "at_floor_3"])
+def test_one_exactness_rule_for_any_row_count(monkeypatch, errors, exact):
+    # exact iff every completed error is at or below NOISE_FLOOR, however many rows ran
+    report = _sweep_with_errors(monkeypatch, errors, min_order=0.9)
+    assert report.exact is exact
+    assert report.checks[-1] == {"name": "min_order", "passed": exact,
+                                 "detail": "exact" if exact else f"fitted {report.fitted_order}"}
+
+
+def test_partial_noise_floor_is_neither_exact_nor_fitted(monkeypatch):
+    # a converging sweep whose finest error reaches roundoff must not pass a min_order as exact
+    report = _sweep_with_errors(monkeypatch, [0.1, 0.01, 1e-15], min_order=0.9)
+    assert not report.exact and report.fitted_order is None and report.fitted_ci is None
+    assert "1 of 3 completed errors at or below the noise floor (1e-14); no order fitted" in report.flags
+    assert report.checks[-1] == {"name": "min_order", "passed": False, "detail": "fitted None"}
+    assert [c["name"] for c in report.checks if not c["passed"]] == ["min_order"]
+
+
+def test_gate_flag_names_the_noise_floor_when_it_sets_the_bound(monkeypatch):
+    # the identity sweep's errors sit near 1e-16, so the floor, not smallest error/10, bounds the gap
+    monkeypatch.setattr(harness, "_cross_validate_references", lambda *args: 1e-13)
+    report = run_convergence_sweep(_spec(0.0, CProfile.constant(0.0), [0.5, 0.25, 0.125], m=0.0))
+    assert min(r.error_l2 for r in report.rows) / 10 < harness.NOISE_FLOOR
+    assert report.flags == [
+        "reference cross-validation gap 1.000e-13 exceeds the noise floor (1.000e-14); sweep flagged invalid"]
 
 
 def test_cross_validation_equals_the_flat_formula():

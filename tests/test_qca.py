@@ -275,6 +275,12 @@ def test_slater_rejects_nonorthonormal():
         slater_evolve(SlaterState(vecs), one_particle_step(1.0, 0.0), 1)
 
 
+@pytest.mark.parametrize("steps", [-3, 2.5, True])
+def test_slater_evolve_refuses_a_bad_step_count(steps):
+    with pytest.raises(DomainError, match="steps must be a nonnegative integer"):
+        slater_evolve(SlaterState(np.eye(8, 2, dtype=complex)), one_particle_step(1.0, 0.3), steps)
+
+
 def test_zero_particle_determinant_evolves_as_the_vacuum():
     empty = SlaterState(np.zeros((6, 0), dtype=complex))
     assert empty.gram_deviation() == 0.0

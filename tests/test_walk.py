@@ -503,6 +503,21 @@ def test_evolve_walk_refuses_a_bad_step_count(prof, steps):
         evolve_walk(f, p, steps)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("profile", ["flat", "sine-bump", "gaussian-well"])
+def test_even_and_odd_sites_decouple_on_an_even_ring(alpha, profile):
+    # every step taps only sites x +- 2, so an odd-sites-only field never reaches an even site
+    n, eps = 64, 0.25
+    length = n * eps ** (1.0 - alpha)
+    prof = {"flat": CProfile.constant(0.5), "sine-bump": CProfile.sine_bump(0.5, 0.3, length),
+            "gaussian-well": CProfile.gaussian_well(0.8, 0.3, length / 2, length / 16)}[profile]
+    p = ScalingParams(m=0.2, cprofile=prof, epsilon=eps, alpha=alpha)
+    f = random_field(n, np.random.default_rng(97), dx=p.dx)
+    f.data[::2] = 0.0
+    out = evolve_walk(f, p, 500)
+    assert np.sum(np.abs(out.data[::2]) ** 2) <= 1e-28
+
+
 def test_evolve_walk_accepts_a_numpy_step_count():
     p = params_for(0.5, 0.2, 0.25, 0.5)
     f = random_field(8, np.random.default_rng(73), dx=p.dx)
