@@ -20,7 +20,6 @@ from .errors import (
     PlasticWalkError,
     ResolutionError,
     SectorError,
-    SingularMassError,
     SolverError,
 )
 from .fields import CProfile, SpinorField
@@ -81,7 +80,6 @@ __all__ = [
     "PlasticWalkError",
     "ResolutionError",
     "SectorError",
-    "SingularMassError",
     "SolverError",
     "CProfile",
     "SpinorField",

@@ -24,9 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PlasticWalkError
+from .errors import BudgetError, ConfigError, PlasticWalkError
 from .fields import CProfile
 from .harness import (
+    CELL_BUDGET,
+    MOMENTUM_BUDGET,
     ExperimentSpec,
     _check_packet,
     _grid,
@@ -36,7 +38,6 @@ from .harness import (
 )
 from .qca import _crossing_gates, _popcount, gate_V, verify_encoding
 from .qca import dense_step_operator  # not called here; perfbench/probes.py patches it on this module
-from .scaling import ScalingParams
 from .walk import evolve_walk, trajectory_operators
 from .walk import qw_step  # not called here; perfbench/probes.py patches it on this module
 from . import __version__, _csv
@@ -138,10 +139,12 @@ class RunConfig:
         if self.min_order is not None and self.min_order < 0:
             raise ConfigError(f"field 'min_order': got {self.min_order}, must be >= 0 or null")
         with _building():
+            for name, budget in (("k_count", MOMENTUM_BUDGET), ("qca_cells", CELL_BUDGET)):
+                if getattr(self, name) > budget:
+                    raise BudgetError(f"field '{name}': got {getattr(self, name)}, over its budget of {budget}")
             profile = self.build_profile()
             for eps in (self.epsilon, *self.epsilon_list):
-                ScalingParams(m=self.m, cprofile=profile, epsilon=eps, alpha=self.alpha)
-            _grid(self.alpha, self.length, self.T, self.epsilon)
+                _grid(self.m, profile, self.alpha, self.length, self.T, eps)
             _check_packet(*self._packet())
 
     def _check_shape(self) -> None:
@@ -215,9 +218,9 @@ def atomic_write(path: Path, text: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    with _building():  # a narrow packet or a singular coin leaves no snapshot behind
-        eps, n, steps, t_reach, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
-        params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
+    with _building():  # a narrow packet leaves no snapshot behind
+        params, n, steps, t_reach, _ = _grid(
+            cfg.m, cfg.build_profile(), cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
         field = make_wavepacket(n, params.dx, *cfg._packet())
         ops = trajectory_operators(params, field)
     norm0 = field.norm()
@@ -232,18 +235,18 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     write_snapshot(0, field)
     for start in range(0, steps, cfg.snapshot_stride):
         stop = min(start + cfg.snapshot_stride, steps)
-        field = evolve_walk(field, params, stop - start, 2.0 * eps * start, ops=ops)
+        field = evolve_walk(field, params, stop - start, 2.0 * params.epsilon * start, ops=ops)
         write_snapshot(stop, field)
 
     drift = abs(field.norm() - norm0)
     cs = params.cprofile.sample(t_reach, xs)
     current = float(np.sum(cs * (np.abs(field.minus) ** 2 - np.abs(field.plus) ** 2)))
-    print(f"simulate: N={n} epsilon={_fmt(eps)} steps={steps} t={_fmt(t_reach)}")
+    print(f"simulate: N={n} epsilon={_fmt(params.epsilon)} steps={steps} t={_fmt(t_reach)}")
     print(f"final norm = {_fmt(field.norm())}  (drift {drift:.3e})")
     print(f"probability current (rightward, summed) = {_fmt(current)}")
     summary = {
         "command": "simulate",
-        "epsilon": eps,
+        "epsilon": params.epsilon,
         "N": n,
         "steps": steps,
         "final_norm": field.norm(),
@@ -291,9 +294,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig, out_dir: Path) -> int:
-    with _building():  # an inhomogeneous profile or a singular coin leaves no table behind
-        eps = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)[0]
-        params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
+    with _building():  # an inhomogeneous profile leaves no table behind
+        params = _grid(cfg.m, cfg.build_profile(), cfg.alpha, cfg.length, cfg.T, cfg.epsilon)[0]
         table = dispersion_scan(params, cfg.k_count)
     atomic_write(out_dir / "dispersion.csv", table.to_csv())
     edge = int(np.argmin(np.abs(np.abs(table.ks) - np.pi / params.dx)))
@@ -304,7 +306,7 @@ def cmd_dispersion(cfg: RunConfig, out_dir: Path) -> int:
     )
     summary = {
         "command": "dispersion",
-        "epsilon": eps,
+        "epsilon": params.epsilon,
         "k_count": cfg.k_count,
         "zone_edge_lattice_energy": float(table.lattice_energy[edge]),
         "zone_edge_continuum_energy": float(table.continuum_energy[edge]),

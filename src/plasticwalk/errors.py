@@ -9,10 +9,6 @@ class DomainError(PlasticWalkError):
     """A parameter is outside its admissible range."""
 
 
-class SingularMassError(PlasticWalkError):
-    """Massive coin angle undefined because sin(theta) vanishes."""
-
-
 class InhomogeneousError(PlasticWalkError):
     """Operation requires a homogeneous propagation-speed profile."""
 

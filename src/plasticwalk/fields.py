@@ -36,8 +36,8 @@ class SpinorField:
             raise DomainError(f"field data must have shape (N, 2), got {self.data.shape}")
         if self.data.shape[0] < 2:
             raise DomainError("field needs at least 2 sites")
-        if not self.dx > 0:
-            raise DomainError(f"dx must be positive, got {self.dx}")
+        if not (np.isfinite(self.dx) and self.dx > 0):
+            raise DomainError(f"dx must be finite and positive, got {self.dx}")
         if not np.all(np.isfinite(self.data)):
             raise DomainError("field contains non-finite amplitudes")
 

@@ -230,8 +230,8 @@ def trig_interpolate(field: SpinorField, refinement: int) -> SpinorField:
     Exact for band-limited fields; the Nyquist mode of an even-length grid
     is split symmetrically to keep real data real.
     """
-    if refinement < 1:
-        raise DomainError(f"refinement must be >= 1, got {refinement}")
+    if isinstance(refinement, bool) or not isinstance(refinement, (int, np.integer)) or refinement < 1:
+        raise DomainError(f"refinement must be an integer >= 1, got {refinement!r}")
     if refinement == 1:
         return field.copy()
     n = field.n_sites

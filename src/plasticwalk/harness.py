@@ -23,6 +23,10 @@ is exact iff every completed error sits at or below it, and one with only
 some there is flagged and fits no order. The harness decides every check of
 a sweep from its numbers, ``min_order`` too; ``SweepReport.checks`` carries them.
 
+Grids. ``_grid`` is the one grid rule: every command passes each epsilon
+through it, and it returns the snapped ``ScalingParams`` or refuses a grid
+the walk cannot step.
+
 Comparison frame. The walk does not converge to the references in the raw
 component basis: its step operator is a frame conjugation of the reference
 generator by exact, parameter-free unitaries of the model itself. Measured
@@ -59,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _code_version, _csv
-from .errors import BudgetError, DomainError, ResolutionError, SingularMassError
+from .errors import BudgetError, DomainError, ResolutionError
 from .fields import CProfile, SpinorField
 from .hamiltonians import (
     curved_dirac_reference,
@@ -96,7 +100,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         """Refuse a spec whose rows would all fail or whose order fit would."""
-        self._planned = plan = self._plan()  # _grid refuses a length, T or grid it cannot build
+        self._planned = plan = self._plan()  # _grid refuses a grid the walk cannot step
         _check_packet(self.x0, self.w, self.k0, self.chirality_mix)
         derived = self.resolved_reference()
         if self.reference not in ("auto", derived):
@@ -121,27 +125,13 @@ class ExperimentSpec:
             raise DomainError(
                 f"epsilon_list must be strictly decreasing on the grid; it snaps to {snapped}"
             )
-        for params, row, _ in plan:
-            # the walk's coin rule at t = 0 on each grid's crossings: c*kappa > 1 has no
-            # angle, and c*kappa = 1 with m > 0 makes every coin singular
-            try:
-                derive_angle_arrays(params, 0.0, (np.arange(row.N) + 0.5) * params.dx)
-            except SingularMassError as exc:
-                raise DomainError(f"epsilon {row.epsilon:.6g}: {exc}") from exc
 
     def _plan(self) -> list[tuple[ScalingParams, SweepRow, list[str]]]:
-        """Each epsilon's snapped scaling, its row before it runs, and the snapping notes.
-
-        ``ScalingParams`` holds the alpha, epsilon and mass rule. It checks
-        each epsilon as given (snapping is undefined for epsilon <= 0, and an
-        epsilon just above 1 can snap back inside) and again once snapped.
-        """
+        """Each epsilon's snapped scaling and row before it runs, from ``_grid``, and its notes."""
         plan = []
         for eps in self.epsilon_list:
-            ScalingParams(m=self.m, cprofile=self.cprofile, epsilon=eps, alpha=self.alpha)
-            eps_adj, n, steps, t_reach, notes = _grid(self.alpha, self.length, self.T, eps)
-            params = ScalingParams(m=self.m, cprofile=self.cprofile, epsilon=eps_adj, alpha=self.alpha)
-            row = SweepRow(epsilon=eps_adj, dt=params.dt, dx=params.dx, N=n, steps=steps,
+            params, n, steps, t_reach, notes = _grid(self.m, self.cprofile, self.alpha, self.length, self.T, eps)
+            row = SweepRow(epsilon=params.epsilon, dt=params.dt, dx=params.dx, N=n, steps=steps,
                            time_reached=t_reach)
             plan.append((params, row, notes))
         return plan
@@ -363,19 +353,25 @@ def comparison_frame(params: ScalingParams, xs: np.ndarray, t0: float = 0.0) -> 
 
 
 GRID_BUDGET = 10**9  # sites x steps of one grid; the largest in the tests and benchmark is 2048 x 2048
+MOMENTUM_BUDGET = 2**16  # k_count of one dispersion scan, ~400 B a momentum; a process peaks near 60 MB
+CELL_BUDGET = 512  # qca_cells of the encoding check, memory ~ cells^2; a process peaks near 120 MB
 NOISE_FLOOR = 1e-14  # an error or reference gap at or below it is double roundoff
 
 
 def _grid(
-    alpha: float, length: float, T: float, eps: float
-) -> tuple[float, int, int, float, list[str]]:
-    """Snapped epsilon, site count, walk steps to reach T, the time they reach, and notes.
+    m: float, cprofile: CProfile, alpha: float, length: float, T: float, eps: float
+) -> tuple[ScalingParams, int, int, float, list[str]]:
+    """Snapped scaling, site count, walk steps to reach T, the time they reach, and notes.
 
-    The one grid rule: refuses a length or T that is not finite and positive,
-    a fractional length or a ring of fewer than 2 sites at alpha = 1, and
-    (BudgetError) more than ``GRID_BUDGET`` sites x steps. Below alpha = 1,
-    epsilon snaps to a whole number of sites.
+    The one grid rule, for every command and every epsilon. ``ScalingParams``
+    checks alpha, m and epsilon as given and once snapped (below alpha = 1
+    epsilon snaps to a whole number of sites). It refuses a length or T that
+    is not finite and positive, a fractional length or a ring of under 2
+    sites at alpha = 1, (BudgetError) more than ``GRID_BUDGET`` sites x
+    steps, and a grid whose coins the walk cannot build at t = 0 on the
+    crossings (at one crossing for a homogeneous profile).
     """
+    ScalingParams(m=m, cprofile=cprofile, epsilon=eps, alpha=alpha)
     for name, value in (("length", length), ("T", T)):
         if not (np.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and positive, got {value}")
@@ -393,13 +389,15 @@ def _grid(
     if n * steps > GRID_BUDGET:
         raise BudgetError(f"length = {length} and T = {T} at epsilon = {eps} need more than "
                           f"{GRID_BUDGET:.0e} sites x steps, the grid budget")
+    params = ScalingParams(m=m, cprofile=cprofile, epsilon=eps_adj, alpha=alpha)
+    derive_angle_arrays(params, 0.0, (np.arange(1 if cprofile.homogeneous else n) + 0.5) * params.dx)
     notes = []
     if abs(eps_adj - eps) > 1e-12 * eps:
         notes.append(f"epsilon {eps:.17g} snapped to {eps_adj:.17g} (N = {n})")
     t_reach = 2.0 * eps_adj * steps
     if abs(t_reach - T) > eps_adj + 1e-12:
         notes.append(f"target time {T} reached as {t_reach:.17g} at epsilon {eps_adj:.17g}")
-    return eps_adj, n, steps, t_reach, notes
+    return params, n, steps, t_reach, notes
 
 
 def _reference_evolution(

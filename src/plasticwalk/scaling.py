@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError, SingularMassError
+from .errors import DomainError
 from .fields import CProfile
 
 
@@ -60,13 +60,14 @@ def derive_angle_arrays(
     ck = params.cprofile.sample(t, xs) * params.kappa
     if np.any(ck > 1.0):
         i = np.argmax(ck > 1.0)
-        raise DomainError(f"c*kappa = {ck.flat[i]} > 1 at (t={t}, x={xs.flat[i]}); arccos undefined")
+        raise DomainError(f"epsilon = {params.epsilon}: c*kappa = {ck.flat[i]} > 1 at "
+                          f"(t={t}, x={xs.flat[i]}); arccos undefined")
     theta = np.arccos(ck)
     if params.m == 0.0:
         return theta, np.zeros_like(theta)
     st = np.sin(theta)
     if np.any(st == 0.0):
         x = xs.flat[np.argmax(st == 0.0)]
-        raise SingularMassError(f"sin(theta) = 0 at (t={t}, x={x}) with m = {params.m} > 0")
+        raise DomainError(f"epsilon = {params.epsilon}: sin(theta) = 0 at (t={t}, x={x}) with m = {params.m} > 0")
     zeta = params.m * np.cos(np.pi * params.kappa) * params.epsilon / st
     return theta, zeta

@@ -126,15 +126,13 @@ def _operators(lam: np.ndarray, coin: np.ndarray) -> StepOperators:
     return lam_e, (c00, c01, c10, c11), (c00, c10, c01, c11), tuple(a.conj() for a in lam_e)
 
 
-def trajectory_operators(
-    params: ScalingParams, field: SpinorField, t0: float = 0.0
-) -> StepOperators | None:
+def trajectory_operators(params: ScalingParams, field: SpinorField) -> StepOperators | None:
     """Operators shared by every step of a trajectory from ``field``.
 
-    A static profile's operators are built once, here; a profile that
-    depends on t gets None, so each ``qw_step`` builds its own.
+    A static profile's operators, the same at every t, are built once, here;
+    a profile that depends on t gets None, so each ``qw_step`` builds its own.
     """
-    return _step_operators(params, t0, field.positions()) if params.cprofile.static else None
+    return _step_operators(params, 0.0, field.positions()) if params.cprofile.static else None
 
 
 def _mix(mat: tuple[np.ndarray, ...], p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +252,7 @@ def evolve_walk(
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
     if ops is None:
-        ops = trajectory_operators(params, field, t0)
+        ops = trajectory_operators(params, field)
     if params.cprofile.homogeneous and steps:
         _check_spacing(field, params)
         angle = _TWO_PI * np.arange(field.n_sites) / field.n_sites  # k dx of each FFT bin
@@ -268,7 +266,7 @@ def evolve_walk(
     return out
 
 
-def momentum_block(params: ScalingParams, k, t: float = 0.0) -> np.ndarray:
+def momentum_block(params: ScalingParams, k) -> np.ndarray:
     """Block of one walk step on the plane wave e^{ikx}, stacked over the shape of k.
 
     Only defined for homogeneous profiles, where the step commutes with
@@ -280,7 +278,7 @@ def momentum_block(params: ScalingParams, k, t: float = 0.0) -> np.ndarray:
     if not params.cprofile.homogeneous:
         raise InhomogeneousError(f"momentum_block requires a homogeneous profile; {params.cprofile.name!r} is not")
     angle = np.asarray(k, dtype=np.longdouble) * params.dx
-    block = _block(_step_operators(params, t, np.zeros(1)), angle)
+    block = _block(_step_operators(params, 0.0, np.zeros(1)), angle)
     return np.stack(block, axis=-1).astype(np.complex128).reshape(angle.shape + (2, 2))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from plasticwalk.cli import RunConfig, main
+from plasticwalk.harness import CELL_BUDGET, MOMENTUM_BUDGET
 
 
 def write_config(tmp_path, **fields):
@@ -179,7 +180,7 @@ def test_simulate_snapshot_fields_round_trip(tmp_path):
 
 def test_simulate_snapshot_bytes_equal_the_per_row_format(tmp_path):
     # every snapshot is the row-by-row "%.17g" text of the walked field
-    from plasticwalk import ScalingParams, evolve_walk, make_wavepacket
+    from plasticwalk import evolve_walk, make_wavepacket
     from plasticwalk.harness import _grid
 
     out = tmp_path / "run"
@@ -190,8 +191,7 @@ def test_simulate_snapshot_bytes_equal_the_per_row_format(tmp_path):
         initial={"x0": 6.0, "w": 2.0, "k0": 0.5, "chirality_mix": 0.3},
     )
     assert main(["simulate", "--config", str(path)]) == 0
-    eps, n, steps, _, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
-    params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
+    params, n, steps, _, _ = _grid(cfg.m, cfg.build_profile(), cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
     field = make_wavepacket(n, params.dx, *cfg._packet())
     row_fmt = ",".join(["%.17g"] * 6)
     stops = [0] + [min(s + 3, steps) for s in range(0, steps, 3)]
@@ -203,11 +203,11 @@ def test_simulate_snapshot_bytes_equal_the_per_row_format(tmp_path):
         lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
         assert (out / f"snapshot_{start:06d}.csv").read_text() == "\n".join(lines) + "\n"
         if stop is not None:
-            field = evolve_walk(field, params, stop - start, 2.0 * eps * start)
+            field = evolve_walk(field, params, stop - start, 2.0 * params.epsilon * start)
 
 
 def test_simulate_final_snapshot_equals_evolve_walk(tmp_path):
-    from plasticwalk import ScalingParams, evolve_walk, make_wavepacket
+    from plasticwalk import evolve_walk, make_wavepacket
     from plasticwalk.harness import _grid
 
     out = tmp_path / "run"
@@ -218,8 +218,7 @@ def test_simulate_final_snapshot_equals_evolve_walk(tmp_path):
         initial={"x0": 6.0, "w": 2.0, "k0": 0.5, "chirality_mix": 0.3},
     )
     assert main(["simulate", "--config", str(path)]) == 0
-    eps, n, steps, _, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
-    params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
+    params, n, steps, _, _ = _grid(cfg.m, cfg.build_profile(), cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
     walked = evolve_walk(make_wavepacket(n, params.dx, *cfg._packet()), params, steps)
     rows = (out / f"snapshot_{steps:06d}.csv").read_text().splitlines()[1:]
     cols = np.array([[float(v) for v in row.split(",")] for row in rows])
@@ -229,7 +228,7 @@ def test_simulate_final_snapshot_equals_evolve_walk(tmp_path):
 
 def test_simulate_flat_snapshots_equal_evolve_walk(tmp_path):
     # a flat profile steps as a Fourier multiplier, one evolve_walk call per snapshot interval
-    from plasticwalk import ScalingParams, evolve_walk, make_wavepacket
+    from plasticwalk import evolve_walk, make_wavepacket
     from plasticwalk.harness import _grid
 
     for stride in (3, 8):
@@ -240,13 +239,12 @@ def test_simulate_flat_snapshots_equal_evolve_walk(tmp_path):
             initial={"x0": 6.0, "w": 2.0, "k0": 0.5, "chirality_mix": 0.3},
         )
         assert main(["simulate", "--config", str(path)]) == 0
-        eps, n, steps, _, _ = _grid(cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
+        params, n, steps, _, _ = _grid(cfg.m, cfg.build_profile(), cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
         assert steps == 8
-        params = ScalingParams(m=cfg.m, cprofile=cfg.build_profile(), epsilon=eps, alpha=cfg.alpha)
         walked = make_wavepacket(n, params.dx, *cfg._packet())
         for start in range(0, steps, stride):  # stride 8: one call, as a sweep row makes it
             stop = min(start + stride, steps)
-            walked = evolve_walk(walked, params, stop - start, 2.0 * eps * start)
+            walked = evolve_walk(walked, params, stop - start, 2.0 * params.epsilon * start)
             rows = (out / f"snapshot_{stop:06d}.csv").read_text().splitlines()[1:]
             cols = np.array([[float(v) for v in row.split(",")] for row in rows])
             assert np.array_equal(cols[:, 1] + 1j * cols[:, 2], walked.plus)
@@ -320,18 +318,27 @@ def test_consecutive_main_calls_share_no_flag_state(tmp_path):
 
 
 _WELL = {"name": "gaussian-well", "c0": 0.8, "depth": 0.3, "center": 32.0}
+_SINGULAR = "epsilon = 0.5: sin(theta) = 0 at (t=0.0, x=0.25) with m = 0.2 > 0"
 _BUMP = {"name": "sine-bump", "c0": 0.5, "a": 0.3}
 
 
 @pytest.mark.parametrize(
     "command, raw, named",
     [
-        # c * kappa = 1 with m > 0 at alpha = 0: sin(theta) = 0 in every coin, as in sweep
+        # c * kappa = 1 with m > 0 at alpha = 0: sin(theta) = 0 in every coin; one grid rule, one message
         *(pytest.param(command, {"alpha": 0.0, "m": 0.2, "profile": {"name": "flat", "c0": 1.0},
-                                 "epsilon": 0.5, "T": 1.0}, "m = 0.2", id=command)
-          for command in ("simulate", "dispersion")),
+                                 "epsilon": 0.5, "T": 1.0}, _SINGULAR, id=command)
+          for command in ("simulate", "dispersion", "sweep", "qca")),
         # a grid past the budget, refused before the first snapshot
         pytest.param("simulate", {"T": 1e300}, "T = 1e+300", id="T_budget-simulate"),
+        # every epsilon_list entry passes the grid rule, on a command that walks none of them
+        pytest.param("simulate", {"epsilon_list": [0.2, 0.1, 1e-12]}, "epsilon = 1e-12",
+                     id="epsilon_list_budget-simulate"),
+        # the two sizes the grid does not see, refused before anything is allocated
+        pytest.param("dispersion", {"k_count": MOMENTUM_BUDGET + 1}, f"'k_count': got {MOMENTUM_BUDGET + 1}, over",
+                     id="k_count_budget-dispersion"),
+        pytest.param("qca", {"qca_cells": CELL_BUDGET + 1}, f"'qca_cells': got {CELL_BUDGET + 1}, over",
+                     id="qca_cells_budget-qca"),
         *(pytest.param(command, {"alpha": 0.5, "epsilon": eps}, f"epsilon = {eps}", id=f"{label}-{command}")
           for command in ("simulate", "dispersion")
           for label, eps in (("epsilon_budget", 1e-12), ("epsilon_underflow_budget", 1e-300))),
@@ -630,7 +637,7 @@ def test_qca_report(tmp_path, capsys):
 
 
 def test_qca_report_on_many_cells(tmp_path):
-    # neither check touches the 4^N statevector, so the cell count has no upper limit
+    # neither check touches the 4^N statevector; only the encoding check's (2N, 2N) arrays bound the cells
     out = tmp_path / "qca"
     path, _ = write_config(tmp_path, command="qca", out=str(out), qca_cells=64)
     assert main(["qca", "--config", str(path)]) == 0

@@ -15,6 +15,9 @@ def test_field_validation():
         SpinorField(np.zeros((4, 3)), 1.0)
     with pytest.raises(DomainError):
         SpinorField(np.zeros((4, 2)), -1.0)
+    for dx in (np.inf, np.nan):  # positions() would read [nan, inf, ...] or all nan
+        with pytest.raises(DomainError, match="dx must be finite and positive"):
+            SpinorField(np.zeros((4, 2)), dx)
     bad = np.zeros((4, 2), dtype=complex)
     bad[0, 0] = np.nan
     with pytest.raises(DomainError):

@@ -528,6 +528,14 @@ def test_trig_interpolation_exact_on_band_limited():
     np.testing.assert_allclose(fine.data, expected, atol=1e-12)
 
 
+def test_trig_interpolation_refuses_a_refinement_that_is_not_an_integer():
+    f = random_field(8, np.random.default_rng(15))
+    for refinement in (2.5, True, 0, -2):
+        with pytest.raises(DomainError, match="refinement must be an integer >= 1"):
+            trig_interpolate(f, refinement)
+    assert trig_interpolate(f, np.int64(2)).n_sites == 16
+
+
 def test_restrict_inverts_interpolation_on_grid_points():
     from plasticwalk.hamiltonians import restrict
 

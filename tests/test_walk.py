@@ -8,7 +8,6 @@ from plasticwalk import (
     DomainError,
     InhomogeneousError,
     ScalingParams,
-    SingularMassError,
     SpinorField,
     coin_matrix,
     evolve_walk,
@@ -70,14 +69,14 @@ def test_angles_high_precision_fixture():
 
 def test_angles_singular_mass():
     p = params_for(1.0, 0.3, 1.0, 0.5)  # c*kappa = 1 and m > 0
-    with pytest.raises(SingularMassError):
+    with pytest.raises(DomainError, match=r"epsilon = 1\.0: sin\(theta\) = 0 .* with m = 0\.3"):
         derive_angle_arrays(p, 0.0, 0.0)
 
 
 def test_angle_errors_name_the_position():
     prof = CProfile.from_function(lambda t, x: np.where(x == 2.0, 1.0, 0.5))
     p = ScalingParams(m=0.3, cprofile=prof, epsilon=1.0, alpha=0.5)  # kappa = 1
-    with pytest.raises(SingularMassError, match=r"x=2\.0\)"):
+    with pytest.raises(DomainError, match=r"x=2\.0\)"):
         derive_angle_arrays(p, 0.0, np.arange(4.0))
 
 
@@ -534,7 +533,7 @@ def test_homogeneous_walk_rejects_wrong_spacing():
 def test_homogeneous_walk_raises_on_a_singular_coin():
     p = params_for(1.0, 0.2, 0.25, 0.0)  # c * kappa = 1 with m > 0
     f = random_field(8, np.random.default_rng(83), dx=p.dx)
-    with pytest.raises(SingularMassError):
+    with pytest.raises(DomainError, match=r"sin\(theta\) = 0"):
         evolve_walk(f, p, 3)
 
 
