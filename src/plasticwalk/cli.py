@@ -38,7 +38,7 @@ from .harness import (
 )
 from .qca import _crossing_gates, _popcount, gate_V, verify_encoding
 from .qca import dense_step_operator  # not called here; perfbench/probes.py patches it on this module
-from .walk import evolve_walk, trajectory_operators
+from .walk import _trajectory, trajectory_operators
 from .walk import qw_step  # not called here; perfbench/probes.py patches it on this module
 from . import __version__, _csv
 
@@ -217,6 +217,11 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _sublattice_weights(field) -> list[float]:
+    """Weights [even, odd] of the even and the odd sites; on an even ring each step keeps both."""
+    return [float(np.sum(np.abs(field.data[parity::2]) ** 2)) for parity in (0, 1)]
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     with _building():  # a narrow packet leaves no snapshot behind
         params, n, steps, t_reach, _ = _grid(
@@ -233,10 +238,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         atomic_write(out_dir / f"snapshot_{idx:06d}.csv", text)
 
     write_snapshot(0, field)
-    for start in range(0, steps, cfg.snapshot_stride):
-        stop = min(start + cfg.snapshot_stride, steps)
-        field = evolve_walk(field, params, stop - start, 2.0 * params.epsilon * start, ops=ops)
-        write_snapshot(stop, field)
+    weights0 = _sublattice_weights(field)
+    for done, field in _trajectory(field, params, steps, cfg.snapshot_stride, ops=ops):
+        write_snapshot(done, field)
 
     drift = abs(field.norm() - norm0)
     cs = params.cprofile.sample(t_reach, xs)
@@ -251,6 +255,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         "steps": steps,
         "final_norm": field.norm(),
         "norm_drift": drift,
+        "sublattice_weights_initial": weights0,
+        "sublattice_weights_final": _sublattice_weights(field),
         "current_sum": current,
         "seed": cfg.seed,
         "code_version": __version__,

@@ -353,6 +353,8 @@ def comparison_frame(params: ScalingParams, xs: np.ndarray, t0: float = 0.0) -> 
 
 
 GRID_BUDGET = 10**9  # sites x steps of one grid; the largest in the tests and benchmark is 2048 x 2048
+# sites of one grid; a sweep row peaks near 2.5 kB a site (alpha = 0 flat, with its 8x lattice), ~2.6 GB here
+SITE_BUDGET = 2**20
 MOMENTUM_BUDGET = 2**16  # k_count of one dispersion scan, ~400 B a momentum; a process peaks near 60 MB
 CELL_BUDGET = 512  # qca_cells of the encoding check, memory ~ cells^2; a process peaks near 120 MB
 NOISE_FLOOR = 1e-14  # an error or reference gap at or below it is double roundoff
@@ -367,9 +369,10 @@ def _grid(
     checks alpha, m and epsilon as given and once snapped (below alpha = 1
     epsilon snaps to a whole number of sites). It refuses a length or T that
     is not finite and positive, a fractional length or a ring of under 2
-    sites at alpha = 1, (BudgetError) more than ``GRID_BUDGET`` sites x
-    steps, and a grid whose coins the walk cannot build at t = 0 on the
-    crossings (at one crossing for a homogeneous profile).
+    sites at alpha = 1, (BudgetError) more than ``SITE_BUDGET`` sites or
+    ``GRID_BUDGET`` sites x steps, and a grid whose coins the walk cannot
+    build at t = 0 on the crossings (at one crossing for a homogeneous
+    profile). Both budgets are checked before anything is sampled.
     """
     ScalingParams(m=m, cprofile=cprofile, epsilon=eps, alpha=alpha)
     for name, value in (("length", length), ("T", T)):
@@ -386,6 +389,9 @@ def _grid(
         steps = max(1, round(T / (2.0 * eps_adj)))
     except (OverflowError, ZeroDivisionError):
         n = steps = np.inf  # a grid too fine to count in floats
+    if n > SITE_BUDGET:
+        raise BudgetError(f"length = {length} at epsilon = {eps} needs more than "
+                          f"{SITE_BUDGET} sites, the site budget")
     if n * steps > GRID_BUDGET:
         raise BudgetError(f"length = {length} and T = {T} at epsilon = {eps} need more than "
                           f"{GRID_BUDGET:.0e} sites x steps, the grid budget")

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, OrthogonalityError, SectorError
 from .fields import SpinorField
-from .walk import ID2, _apply, _operators, _shift, coin_matrix
+from .walk import _apply, _operators, _shift, coin_matrix
 
 QUBIT_BUDGET = 24
 
@@ -325,20 +325,20 @@ def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
 def verify_encoding(theta: float, zeta: float, N: int) -> float:
     """Max residual of the one-particle sector identity over a full basis.
 
-    The automaton restricted to one particle equals the walk step with the
-    mixing power set to the identity, W = S C(-zeta) S C(zeta), conjugated
-    by the encoding E = S^+ (the plus component pulled from the right
-    neighbour): E^dag W E. The walk side is the walk's own kernel,
-    ``walk._apply`` with the full shift, run on all 2N unit modes at once
-    (sites on axis 0, modes on axis 1). Each of them is compared with the
-    same column of :func:`one_particle_matrix`; the residual is the largest
-    column 2-norm difference, and values at roundoff certify the sector
-    equivalence.
+    The automaton restricted to one particle equals the walk step with no
+    mixing power, W = S C(-zeta) S C(zeta), conjugated by the encoding
+    E = S^+ (the plus component pulled from the right neighbour): E^dag W E.
+    That W is exactly the step the walk takes between its mixing powers,
+    and the walk side is its own kernel, ``walk._apply`` with the ring's
+    ``_shift`` (C(zeta), then the two-site taps of S C(-zeta) S), run on
+    all 2N unit modes at once (sites on axis 0, modes on axis 1). Each of
+    them is compared with the same column of :func:`one_particle_matrix`;
+    the residual is the largest column 2-norm difference, and values at
+    roundoff certify the sector equivalence.
     """
     w1 = one_particle_matrix(N, theta, zeta).reshape(N, 2, 2 * N)
     p, m = np.eye(2 * N, dtype=np.complex128).reshape(N, 2, 2 * N).transpose(1, 0, 2)
-    ops = _operators(ID2[None], coin_matrix(theta, zeta)[None])
-    p, m = _apply(ops, np.roll(p, -1, axis=0), m, _shift)
+    p, m = _apply(_operators(None, coin_matrix(theta, zeta)[None]), np.roll(p, -1, axis=0), m, _shift)
     walked = np.stack([np.roll(p, 1, axis=0), m], axis=1)  # E^dag: plus component back one site
     return float(np.max(np.linalg.norm(w1 - walked, axis=(0, 1))))
 

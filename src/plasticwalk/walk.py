@@ -11,27 +11,43 @@ exactly up to roundoff.
 
 The builders ``coin_matrix``, ``lambda_matrix`` and ``lambda_power`` take
 scalars or arrays: a scalar gives one 2x2 matrix, an array gives a stack of
-shape ``shape + (2, 2)``. One step is one set of four such stacks: coins
-sampled at the crossing midpoints x + dx/2, mixing powers at the cell
-centers x, all at the step's start time (a homogeneous profile is sampled
-at one point and broadcast over the ring). A step's operators hold each
-stack as its four entries, each a contiguous 1-D array, and ``qw_step``
-applies them by component arithmetic on the plus and minus arrays. For a
-static profile the operators are the same on every step, so
-``trajectory_operators`` builds them once for a whole trajectory.
+shape ``shape + (2, 2)``. One step is built from such stacks: coins sampled
+at the crossing midpoints x + dx/2, mixing powers at the cell centers x,
+all at the step's start time (a homogeneous profile is sampled at one point
+and broadcast over the ring).
 
-``evolve_walk`` runs a trajectory. On a homogeneous profile the step
-commutes with translations, so it acts on each ring momentum k as one 2x2
-block: the same four operators with each shift replaced by its phase
-e^{+-ik dx} (``momentum_block``). There ``evolve_walk`` takes one FFT of
-the field, multiplies each momentum by its block raised to the number of
-steps and transforms back. The block is built and raised (binary powering,
-log2(steps) squarings) in long double, so its rounding does not grow with
-the number of steps. Every other profile is stepped by ``qw_step`` one
-step at a time, and a profile that depends on t builds each step's
-operators at that step's start time. ``qca.verify_encoding`` runs the same
-kernel, ``_apply`` with the full shift ``_shift``, on a step whose mixing
-power is the identity.
+Between the two shifts sits one pointwise coin, so S . C(-zeta) . S reads
+only the sites x +- 2. With (p1, m1) the components after C(zeta) and
+(a, b, c, d) the entries of C(-zeta),
+
+    p'(x) = a(x+1) p1(x+2) + b(x+1) m1(x)
+    m'(x) = c(x-1) p1(x)   + d(x-1) m1(x-2).
+
+A step's operators are therefore (Lambda^kappa, C(zeta), taps,
+Lambda^(-kappa)), each held as its four entries, each a contiguous 1-D
+array over the sites; the taps are C(-zeta)'s entries moved once, when the
+operators are built, to read x+1 (a, b) and x-1 (c, d). That is 8 complex
+products and two concatenations per site for C(zeta) and the taps. Either
+mixing power may be None, and the step then leaves it out. ``_apply`` is
+the one kernel. ``qw_step`` runs it on the ring. ``_block`` runs it on a
+plane wave, where each two-site tap is the phase e^{+-2ik dx}.
+``qca.verify_encoding`` runs it on the step with no mixing power,
+W = S . C(-zeta) . S . C(zeta).
+
+``evolve_walk`` runs a trajectory. For a static profile the operators are
+the same on every step, so ``trajectory_operators`` builds them once, and
+Lambda^kappa of one step cancels Lambda^(-kappa) of the step before. An
+inhomogeneous static trajectory is therefore stepped in the mixing-power
+frame: Lambda^kappa once, one ``qw_step`` of C(zeta) and the taps per step,
+and Lambda^(-kappa) once (a snapshot applies it to a copy). A profile that
+depends on t takes full steps, each built at its start time. On a
+homogeneous profile the step commutes with translations, so it acts on
+each ring momentum k as one 2x2 block (``momentum_block``). There
+``evolve_walk`` takes one FFT of the field, multiplies each momentum by
+its block raised to the number of steps and transforms back. The block is
+built and raised (binary powering, log2(steps) squarings) in long double,
+so its rounding does not grow with the number of steps. Both static paths
+agree with the product of full steps to roundoff, not bitwise.
 """
 
 from __future__ import annotations
@@ -98,11 +114,11 @@ def lambda_power(c, kappa: float) -> np.ndarray:
     return 0.5 * (ID2 + lam) + 0.5 * np.exp(1j * np.pi * kappa) * (ID2 - lam)
 
 
-StepOperators = tuple[tuple[np.ndarray, ...], ...]
+StepOperators = tuple[tuple[np.ndarray, ...] | None, ...]
 
 
 def _step_operators(params: ScalingParams, t: float, xs: np.ndarray) -> StepOperators:
-    """The four pointwise stacks of one step at start time t, in order of application.
+    """The operators of one step at start time t, in order of application.
 
     Lambda^kappa is sampled at the sites xs and C(zeta) at the crossings
     xs + dx/2 (a homogeneous profile at one point), and split into entry
@@ -114,16 +130,21 @@ def _step_operators(params: ScalingParams, t: float, xs: np.ndarray) -> StepOper
     return _operators(lam, coin_matrix(*derive_angle_arrays(params, t, xs + 0.5 * params.dx)))
 
 
-def _operators(lam: np.ndarray, coin: np.ndarray) -> StepOperators:
-    """A step's operators from its (n, 2, 2) stacks Lambda^kappa and C(zeta).
+def _operators(lam: np.ndarray | None, coin: np.ndarray) -> StepOperators:
+    """A step's operators from its (n, 2, 2) stacks Lambda^kappa (None: no mixing power) and C(zeta).
 
-    Returns (Lambda^kappa, C(zeta), C(-zeta), Lambda^(-kappa)), each as its
-    entries (a00, a01, a10, a11), each a contiguous array of length n.
-    C(-zeta) is the transpose of C(zeta), so it shares C(zeta)'s arrays.
+    Returns (Lambda^kappa, C(zeta), taps, Lambda^(-kappa)), each as its
+    entries, each a contiguous array of length n; both mixing powers are
+    None when ``lam`` is. The taps are C(-zeta)'s entries (a, b, c, d),
+    C(-zeta) being the transpose of C(zeta), with a and b moved to read
+    site x+1 and c and d site x-1: the full shift of ``_shift``.
     """
-    lam_e = tuple(np.ascontiguousarray(lam[:, i, j]) for i in (0, 1) for j in (0, 1))
     c00, c01, c10, c11 = (np.ascontiguousarray(coin[:, i, j]) for i in (0, 1) for j in (0, 1))
-    return lam_e, (c00, c01, c10, c11), (c00, c10, c01, c11), tuple(a.conj() for a in lam_e)
+    (a, c), (b, d) = _shift(c00, c01), _shift(c10, c11)
+    if lam is None:
+        return None, (c00, c01, c10, c11), (a, b, c, d), None
+    lam_e = tuple(np.ascontiguousarray(lam[:, i, j]) for i in (0, 1) for j in (0, 1))
+    return lam_e, (c00, c01, c10, c11), (a, b, c, d), tuple(e.conj() for e in lam_e)
 
 
 def trajectory_operators(params: ScalingParams, field: SpinorField) -> StepOperators | None:
@@ -144,33 +165,49 @@ def _mix(mat: tuple[np.ndarray, ...], p: np.ndarray, m: np.ndarray) -> tuple[np.
     return x, y
 
 
-def _shift(p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full shift: np.roll(p, -1) and np.roll(m, 1), without np.roll's per-call overhead."""
-    return np.concatenate((p[1:], p[:1])), np.concatenate((m[-1:], m[:-1]))
+def _shift(p: np.ndarray, m: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Shift by k sites on axis 0: np.roll(p, -k) and np.roll(m, k), without np.roll's per-call overhead."""
+    return np.concatenate((p[k:], p[:k])), np.concatenate((m[-k:], m[:-k]))
 
 
 def _apply(ops: StepOperators, p, m, shift) -> tuple[np.ndarray, np.ndarray]:
-    """One step's operators on the components (p, m), with ``shift`` as the full shift."""
-    lam, coin, coin_t, lam_inv = ops
-    p, m = _mix(coin, *_mix(lam, p, m))
-    p, m = _mix(coin_t, *shift(p, m))
-    return _mix(lam_inv, *shift(p, m))
+    """One step's operators on the components (p, m): the one step kernel.
+
+    ``shift(p, m, k)`` shifts the components by k sites (the ring's
+    ``_shift``, or a phase on a plane wave). Lambda^kappa, if given, and
+    C(zeta) act pointwise and give (p1, m1). The taps then read p1 two
+    sites to the right and m1 two to the left, p' = a p1(x+2) + b m1 and
+    m' = c p1 + d m1(x-2), which is S . C(-zeta) . S. Lambda^(-kappa), if
+    given, acts last.
+    """
+    lam, coin, taps, lam_inv = ops
+    if lam is not None:
+        p, m = _mix(lam, p, m)
+    p, m = _mix(coin, p, m)
+    a, b, c, d = taps
+    x, y = shift(p, m, 2)  # new arrays of the full shape, even where p and m are not
+    x *= a
+    x += b * m
+    y *= d
+    y += c * p  # d m1(x-2) + c p1 is c p1 + d m1(x-2) bitwise
+    return (x, y) if lam_inv is None else _mix(lam_inv, x, y)
 
 
 def _block(ops: StepOperators, angle) -> tuple[np.ndarray, ...]:
     """Entries (b00, b01, b10, b11) of one homogeneous step on the plane waves e^{ikx}.
 
-    ``angle`` holds k dx: on a plane wave the full shift multiplies plus by
-    e^{ik dx} and minus by its conjugate. Column j of the block is the step
-    applied to the j-th unit spinor. The entries are complex long doubles,
-    because a block is raised to the number of steps: rounded to double,
-    its rounding would grow with that number.
+    ``angle`` holds k dx: on a plane wave a shift by k sites multiplies plus
+    by e^{ik k dx} and minus by its conjugate, so each two-site tap is the
+    phase e^{+-2ik dx}. Column j of the block is the step applied to the
+    j-th unit spinor. The entries are complex long doubles, because a block
+    is raised to the number of steps: rounded to double, its rounding would
+    grow with that number.
     """
-    phase = np.exp(1j * np.asarray(angle, dtype=np.longdouble))
-    back = phase.conj()
+    angle = np.asarray(angle, dtype=np.longdouble)
 
-    def shift(p, m):
-        return phase * p, back * m
+    def shift(p, m, k):
+        phase = np.exp(1j * k * angle)
+        return phase * p, phase.conj() * m
 
     ops = tuple(tuple(a.astype(np.clongdouble) for a in op) for op in ops)
     (b00, b10), (b01, b11) = (_apply(ops, p, m, shift) for p, m in ((1.0, 0.0), (0.0, 1.0)))
@@ -200,6 +237,13 @@ def _check_spacing(field: SpinorField, params: ScalingParams) -> None:
         raise DomainError(f"field.dx = {field.dx} does not match params.dx = {params.dx}")
 
 
+def _pointwise(mat: tuple[np.ndarray, ...], field: SpinorField, order: str = "C") -> SpinorField:
+    """``field`` with the entry arrays ``mat`` applied at each site, stored in ``order``."""
+    data = np.empty((field.n_sites, 2), dtype=np.complex128, order=order)
+    data[:, 0], data[:, 1] = _mix(mat, field.plus, field.minus)
+    return SpinorField._unchecked(data, field.dx)  # unitary arithmetic on a valid field
+
+
 def qw_step(
     field: SpinorField, params: ScalingParams, t: float = 0.0, *, ops: StepOperators | None = None
 ) -> SpinorField:
@@ -217,11 +261,14 @@ def qw_step(
     ops:
         The step's operators, as ``trajectory_operators`` returns them for
         a static profile on this field's ring. None builds them at time t.
+        With both mixing powers None the step is C(zeta) and the taps only:
+        ``evolve_walk`` steps a static trajectory so, between one
+        Lambda^kappa and one Lambda^(-kappa).
 
     Returns
     -------
     SpinorField
-        The field at time t + 2*dt.
+        The field at time t + 2*dt, stored in the input's memory order.
     """
     _check_spacing(field, params)
     if ops is None:
@@ -229,6 +276,49 @@ def qw_step(
     data = np.empty_like(field.data)
     data[:, 0], data[:, 1] = _apply(ops, field.plus, field.minus, _shift)
     return SpinorField._unchecked(data, field.dx)  # unitary arithmetic on a valid field
+
+
+def _trajectory(
+    field: SpinorField, params: ScalingParams, steps: int, stride: int, t0: float = 0.0,
+    ops: StepOperators | None = None,
+):
+    """Yield (steps taken, field) after every ``stride`` steps of ``steps``, and after the last.
+
+    Step j starts at t0 + 2*dt*j; ``ops`` are as ``evolve_walk`` takes
+    them. A static inhomogeneous trajectory is stepped in the mixing-power
+    frame: Lambda^kappa once, then one ``qw_step`` of C(zeta) and the taps
+    per step, and each yield applies Lambda^(-kappa) to a copy while the
+    rotated state carries on. Its field after s steps is therefore bitwise
+    the same for every stride, as is a time-dependent profile's. A
+    homogeneous trajectory takes one Fourier multiplier per chunk of
+    ``stride`` steps.
+    """
+    if ops is None:
+        ops = trajectory_operators(params, field)
+    if not steps:
+        return
+    if params.cprofile.homogeneous:
+        _check_spacing(field, params)
+        angle = _TWO_PI * np.arange(field.n_sites) / field.n_sites  # k dx of each FFT bin
+        block, powers = _block(ops, angle), {}
+        for start in range(0, steps, stride):
+            chunk = min(stride, steps - start)
+            if chunk not in powers:  # the stride's, and a shorter last chunk's
+                powers[chunk] = tuple(b.astype(np.complex128) for b in _power(block, chunk))
+            ft = np.fft.fft(field.data, axis=0)
+            p, m = _mix(powers[chunk], ft[:, 0], ft[:, 1])
+            field = field.with_data(np.fft.ifft(np.stack([p, m], axis=1), axis=0))
+            yield start + chunk, field
+        return
+    if ops is None:  # full steps, each built at its start time
+        state, step_ops, lam_inv = field, None, None
+    else:  # the rotated state keeps its components apart, so each step reads them contiguously
+        state, step_ops, lam_inv = _pointwise(ops[0], field, order="F"), (None, *ops[1:3], None), ops[3]
+    for start in range(0, steps, stride):
+        stop = min(start + stride, steps)
+        for j in range(start, stop):
+            state = qw_step(state, params, t0 + 2.0 * params.epsilon * j, ops=step_ops)
+        yield stop, state if lam_inv is None else _pointwise(lam_inv, state)
 
 
 def evolve_walk(
@@ -245,24 +335,19 @@ def evolve_walk(
     returns them for this field's ring; None builds them here, once for a
     static profile. A homogeneous profile's steps are applied as one
     Fourier multiplier: the FFT of the field, each ring momentum's block
-    to the power ``steps``, and the inverse FFT. They agree with the
-    stepped loop to roundoff, not bitwise. Every other profile takes one
-    ``qw_step`` per step.
+    to the power ``steps``, and the inverse FFT. A static inhomogeneous
+    profile applies Lambda^kappa once, takes one ``qw_step`` of C(zeta) and
+    the taps per step, and applies Lambda^(-kappa) once. Both agree with
+    the product of full ``qw_step``s to roundoff, not bitwise. A profile
+    that depends on t takes one full ``qw_step`` per step, built at its
+    start time. The result is the last field ``_trajectory`` yields in one
+    chunk, so a snapshot loop over the same trajectory meets it bitwise.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
-    if ops is None:
-        ops = trajectory_operators(params, field)
-    if params.cprofile.homogeneous and steps:
-        _check_spacing(field, params)
-        angle = _TWO_PI * np.arange(field.n_sites) / field.n_sites  # k dx of each FFT bin
-        power = tuple(b.astype(np.complex128) for b in _power(_block(ops, angle), int(steps)))
-        ft = np.fft.fft(field.data, axis=0)
-        p, m = _mix(power, ft[:, 0], ft[:, 1])
-        return field.with_data(np.fft.ifft(np.stack([p, m], axis=1), axis=0))
     out = field
-    for j in range(steps):
-        out = qw_step(out, params, t0 + 2.0 * params.epsilon * j, ops=ops)
+    for _, out in _trajectory(field, params, int(steps), max(int(steps), 1), t0, ops):
+        pass
     return out
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from plasticwalk.cli import RunConfig, main
-from plasticwalk.harness import CELL_BUDGET, MOMENTUM_BUDGET
+from plasticwalk.harness import CELL_BUDGET, MOMENTUM_BUDGET, SITE_BUDGET
 
 
 def write_config(tmp_path, **fields):
@@ -196,14 +196,16 @@ def test_simulate_snapshot_bytes_equal_the_per_row_format(tmp_path):
     row_fmt = ",".join(["%.17g"] * 6)
     stops = [0] + [min(s + 3, steps) for s in range(0, steps, 3)]
     assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [f"snapshot_{s:06d}.csv" for s in stops]
-    for start, stop in zip(stops, stops[1:] + [None]):
-        cols = (field.positions(), field.plus.real, field.plus.imag, field.minus.real, field.minus.imag,
-                field.density())
+    for stop in stops:
+        walked = evolve_walk(field, params, stop)  # each snapshot is the walk run to its step
+        cols = (walked.positions(), walked.plus.real, walked.plus.imag, walked.minus.real, walked.minus.imag,
+                walked.density())
         lines = ["x,re_plus,im_plus,re_minus,im_minus,density"]
         lines += [row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]
-        assert (out / f"snapshot_{start:06d}.csv").read_text() == "\n".join(lines) + "\n"
-        if stop is not None:
-            field = evolve_walk(field, params, stop - start, 2.0 * params.epsilon * start)
+        assert (out / f"snapshot_{stop:06d}.csv").read_text() == "\n".join(lines) + "\n"
+
+
+_WELL_16 = {"name": "gaussian-well", "c0": 0.8, "depth": 0.3, "center": 8.0, "width": 2.0}
 
 
 def test_simulate_final_snapshot_equals_evolve_walk(tmp_path):
@@ -224,6 +226,24 @@ def test_simulate_final_snapshot_equals_evolve_walk(tmp_path):
     cols = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.array_equal(cols[:, 1] + 1j * cols[:, 2], walked.plus)
     assert np.array_equal(cols[:, 3] + 1j * cols[:, 4], walked.minus)
+
+
+@pytest.mark.parametrize("profile", [{"name": "flat", "c0": 0.6}, _WELL_16], ids=["flat", "gaussian-well"])
+def test_simulate_records_conserved_sublattice_weights(tmp_path, profile):
+    # on an even ring every step taps only sites x +- 2, so the even and the odd weights stay put
+    out = tmp_path / "run"
+    path, _ = write_config(
+        tmp_path, command="simulate", out=str(out), alpha=0.5, length=16.0, T=4.0,
+        epsilon=0.0625, snapshot_stride=7, profile=profile,
+        initial={"x0": 6.0, "w": 2.0, "k0": 0.5, "chirality_mix": 0.3},
+    )
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads((out / "simulate.json").read_text())
+    assert summary["N"] % 2 == 0 and summary["steps"] == 32
+    initial, final = summary["sublattice_weights_initial"], summary["sublattice_weights_final"]
+    assert min(initial) > 0.1  # the packet sits on both sublattices
+    assert max(abs(a - b) for a, b in zip(initial, final)) <= 1e-12
+    assert abs(sum(final) - summary["final_norm"] ** 2) <= 1e-12
 
 
 def test_simulate_flat_snapshots_equal_evolve_walk(tmp_path):
@@ -334,6 +354,17 @@ _BUMP = {"name": "sine-bump", "c0": 0.5, "a": 0.3}
         # every epsilon_list entry passes the grid rule, on a command that walks none of them
         pytest.param("simulate", {"epsilon_list": [0.2, 0.1, 1e-12]}, "epsilon = 1e-12",
                      id="epsilon_list_budget-simulate"),
+        # a ring too large to hold, refused before the coin rule samples a crossing: 8e8 sites
+        # of one step pass the grid budget, as do 1e9 sites of a well, whose coins are sampled per site
+        pytest.param("simulate", {"alpha": 0.0, "length": 4e8, "epsilon": 0.5, "T": 1.0, "epsilon_list": [0.5]},
+                     "the site budget", id="site_budget-simulate"),
+        *(pytest.param(command, {"alpha": 0.0, "length": 1e9, "epsilon": 1.0, "T": 2.0, "epsilon_list": [1.0],
+                                 "profile": {"name": "gaussian-well"}}, "the site budget",
+                       id=f"well_site_budget-{command}")
+          for command in ("simulate", "dispersion", "sweep", "qca")),
+        pytest.param("dispersion", {"alpha": 1.0, "length": SITE_BUDGET + 1, "T": 1.0},
+                     f"length = {SITE_BUDGET + 1} at epsilon = 0.05 needs more than {SITE_BUDGET} sites",
+                     id="one_site_over_budget-dispersion"),
         # the two sizes the grid does not see, refused before anything is allocated
         pytest.param("dispersion", {"k_count": MOMENTUM_BUDGET + 1}, f"'k_count': got {MOMENTUM_BUDGET + 1}, over",
                      id="k_count_budget-dispersion"),

@@ -668,6 +668,14 @@ def test_failed_row_keeps_its_grid_and_frame():
     assert all(np.isnan(r["error_l2"]) for r in rows)
 
 
+def test_grid_admits_the_site_budget_and_refuses_one_site_more():
+    # alpha = 1 fixes dx = 1, so the length is the site count; a flat coin is sampled at one crossing
+    flat = CProfile.constant(0.5)
+    assert harness._grid(0.2, flat, 1.0, float(harness.SITE_BUDGET), 1.0, 0.05)[1] == harness.SITE_BUDGET
+    with pytest.raises(plasticwalk.BudgetError, match="the site budget"):
+        harness._grid(0.2, flat, 1.0, float(harness.SITE_BUDGET + 1), 1.0, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # dispersion
 

@@ -223,8 +223,8 @@ def test_encoding_identity_grid():
 def test_encoding_check_runs_the_walks_shift(monkeypatch):
     # the walk side of the check is walk._apply with the walk's full shift,
     # so a shift the wrong way round must show in the residual
-    def backward(p, m):
-        return np.roll(p, 1, axis=0), np.roll(m, -1, axis=0)
+    def backward(p, m, k=1):
+        return np.roll(p, k, axis=0), np.roll(m, -k, axis=0)
 
     assert verify_encoding(1.0, 0.3, 6) <= 1e-12
     monkeypatch.setattr(qca, "_shift", backward)

@@ -389,13 +389,18 @@ def test_momentum_block_eigenphase_expansion_halving():
     ids=["inhomogeneous", "gaussian-well", "sine-bump"],
 )
 def test_evolve_walk_threads_step_start_times(prof):
-    # evolve_walk builds a static profile's operators once; each bare qw_step builds its own
+    # evolve_walk builds a static profile's operators once; each bare qw_step builds its own.
+    # A static profile is stepped between one Lambda^kappa and one Lambda^-kappa, so it
+    # matches the product of full steps to roundoff; a time-dependent one takes full steps.
     p = ScalingParams(m=0.1, cprofile=prof, epsilon=0.25, alpha=0.5)
     rng = np.random.default_rng(29)
     f = random_field(8, rng, dx=p.dx)
     manual = qw_step(qw_step(f, p, t=0.0), p, t=2 * p.epsilon)
     auto = evolve_walk(f, p, steps=2)
-    assert np.array_equal(auto.data, manual.data)
+    if prof.static:
+        assert np.linalg.norm(auto.data - manual.data) <= 1e-14
+    else:
+        assert np.array_equal(auto.data, manual.data)
 
 
 def test_step_matches_momentum_block_intermediate_scaling():
@@ -440,6 +445,44 @@ def test_static_profile_builds_operators_once_per_trajectory(monkeypatch):
     )
     evolve_walk(f, moving, 7)
     assert builds == [2.0 * 0.0625 * j for j in range(7)]
+
+
+# ---------------------------------------------------------------------------
+# a static inhomogeneous trajectory in the mixing-power frame
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("profile", ["gaussian-well", "sine-bump"])
+def test_static_walk_matches_the_full_step_product(alpha, profile):
+    # Lambda^kappa once, frame-free steps, Lambda^-kappa once: the bare full steps to roundoff
+    n, eps = 64, 0.25
+    length = n * eps ** (1.0 - alpha)
+    prof = {"sine-bump": CProfile.sine_bump(0.5, 0.3, length),
+            "gaussian-well": CProfile.gaussian_well(0.8, 0.3, length / 2, length / 8)}[profile]
+    p = ScalingParams(m=0.2, cprofile=prof, epsilon=eps, alpha=alpha)
+    f = random_field(n, np.random.default_rng(101), dx=p.dx)
+    walked = evolve_walk(f, p, 1024)
+    full = step_loop(f, p, 1024)
+    assert np.linalg.norm(walked.data - full.data) <= 1e-12 * np.linalg.norm(full.data)
+
+
+def test_static_walk_steps_without_mixing_powers(monkeypatch):
+    # one qw_step per step, each handed C(zeta) and the taps only
+    from plasticwalk import walk
+
+    seen = []
+    real = walk.qw_step
+
+    def spy(field, params, t=0.0, *, ops=None):
+        seen.append((ops[0], ops[3]))
+        return real(field, params, t, ops=ops)
+
+    monkeypatch.setattr(walk, "qw_step", spy)
+    well = CProfile.gaussian_well(0.8, 0.3, center=8.0, width=2.0)
+    p = ScalingParams(m=0.2, cprofile=well, epsilon=0.0625, alpha=0.5)
+    f = random_field(64, np.random.default_rng(103), dx=p.dx)
+    evolve_walk(f, p, 5)
+    assert seen == [(None, None)] * 5
 
 
 # ---------------------------------------------------------------------------
