@@ -57,21 +57,6 @@ def _exact() -> bool:
     return np.finfo(np.longdouble).nmant >= 63
 
 
-def _nearest(num: int, den: int) -> np.longdouble:
-    """num/den rounded to nearest (ties to even) with a 64-bit significand."""
-    q = num.bit_length() - den.bit_length() - 64
-    while True:
-        a, b = (num, den << q) if q >= 0 else (num << -q, den)
-        m, r = divmod(a, b)
-        if m < 1 << 64:
-            break
-        q += 1
-    if 2 * r > b or (2 * r == b and m & 1):
-        m += 1
-    hi, lo = divmod(m, 1 << 32)  # each half is exact in a double
-    return np.ldexp(np.longdouble(hi) * np.longdouble(2.0**32) + np.longdouble(lo), q)
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     """A cached table, read-only because every call shares it."""
     a.flags.writeable = False
@@ -80,11 +65,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _powers() -> np.ndarray:
-    """10^e for e in [_POW_LO, _POW_HI], built on first use."""
-    return _frozen(np.array(
-        [_nearest(10**e, 1) if e >= 0 else _nearest(1, 10**-e) for e in range(_POW_LO, _POW_HI + 1)],
-        dtype=np.longdouble,
-    ))
+    """10^e for e in [_POW_LO, _POW_HI], built on first use.
+
+    NumPy parses the text "1e<e>" with the C library's ``strtold``, which
+    rounds the exact decimal to nearest.
+    """
+    return _frozen(np.array([f"1e{e}" for e in range(_POW_LO, _POW_HI + 1)]).astype(np.longdouble))
 
 
 def _bytes(texts: list[str], width: int) -> np.ndarray:
@@ -96,11 +82,6 @@ def _bytes(texts: list[str], width: int) -> np.ndarray:
 def _words(texts: list[str]) -> np.ndarray:
     """Strings of at most 8 bytes as words, NUL-padded."""
     return _bytes(texts, 8).view(np.uint64)[:, 0]
-
-
-def _slot(k: int) -> tuple[int, int]:
-    """Word and byte of digit k in a record; the point slot is the next byte."""
-    return (0, 6) if k == 0 else (1 + (k - 1) // 4, 2 * ((k - 1) % 4))
 
 
 @functools.cache
@@ -126,23 +107,35 @@ def _layout() -> tuple[np.ndarray, ...]:
     quads = quads.view(np.uint64)[:, 0]
     last = (4 - sum(g % 10**t == 0 for t in range(1, 5))).astype(np.int8)  # of the last nonzero digit, 0 for none
     counts = np.where(last > 0, last - 3 + 4 * np.arange(5, dtype=np.int8)[:, None], 0).astype(np.int8)
-    keep = np.zeros((_KEYS * _KEYS, 5, 8), dtype=np.uint8)
-    point = np.zeros((_KEYS * _KEYS, 5, 8), dtype=np.uint8)
-    for at in range(-1, 17):
-        for n in range(_KEYS):
-            key = (at + 1) * _KEYS + n
-            for k in range(n):
-                keep[(key, *_slot(k))] = 0xFF
-            if 0 <= at < n - 1:
-                j, b = _slot(at)
-                point[key, j, b + 1] = _DOT
-    ds = range(_D_LO, _D_HI + 1)
-    lead = _words([sign + ("0." + "0" * (-d - 1) if -4 <= d < 0 else "") for d in ds for sign in ("", "-")])
-    suffix = _words(["" if -4 <= d < 17 else f"e{d:+03d}" for d in ds])
-    minimum = np.array([d + 1 if 0 <= d < 17 else 0 for d in ds])
-    point_at = np.array([d if 0 <= d < 17 else (-1 if -4 <= d < 0 else 0) for d in ds])
+    k = np.arange(17)[:, None]  # digit k sits in word j, byte b; the point slot is the next byte
+    j, b = (k + 3) // 4, 2 * ((k + 3) % 4)
+    n = np.arange(_KEYS)
+    keep = np.zeros((_KEYS, 5, 8), dtype=np.uint8)  # by keep alone; every point digit repeats it
+    keep[n, j, b] = np.where(k < n, 0xFF, 0)
+    keep = np.tile(keep, (_KEYS, 1, 1))
+    point = np.zeros((_KEYS, _KEYS, 5, 8), dtype=np.uint8)  # by point digit + 1, then keep
+    point[k + 1, n, j, b + 1] = np.where(k < n - 1, _DOT, 0)
+    point = point.reshape(_KEYS * _KEYS, 5, 8)
+    d = np.arange(_D_LO, _D_HI + 1)
+    lead = np.zeros((d.size, 2), dtype=np.uint64)
+    lead[:, 1] = _words(["-"])
+    fractions = [sign + "0." + "0" * z for z in (3, 2, 1, 0) for sign in ("", "-")]  # d = -4 .. -1
+    lead[-4 - _D_LO : -_D_LO] = _words(fractions).reshape(4, 2)
+    fixed = (-4 <= d) & (d < 17)
+    mag = np.abs(d)
+    wide = mag >= 100  # the exponent has three digits, else two
+    suffix = np.zeros((d.size, 8), dtype=np.uint8)
+    suffix[:, 0] = ord("e")
+    suffix[:, 1] = np.where(d < 0, ord("-"), ord("+"))
+    suffix[:, 2] = ord("0") + np.where(wide, mag // 100, mag // 10)
+    suffix[:, 3] = ord("0") + np.where(wide, mag // 10 % 10, mag % 10)
+    suffix[:, 4] = np.where(wide, ord("0") + mag % 10, 0)
+    suffix[fixed] = 0
+    minimum = np.where(fixed & (d >= 0), d + 1, 0)
+    point_at = np.where(fixed, np.maximum(d, -1), 0)
     words = (keep.view(np.uint64)[..., 0].T.copy(), point.view(np.uint64)[..., 0].T.copy())
-    return tuple(map(_frozen, (quads, counts, *words, lead, suffix, minimum, point_at)))
+    suffix = suffix.view(np.uint64)[:, 0]
+    return tuple(map(_frozen, (quads, counts, *words, lead.reshape(-1), suffix, minimum, point_at)))
 
 
 def _scaled(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

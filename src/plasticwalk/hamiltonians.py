@@ -19,6 +19,9 @@ reference is the Fourier pseudo-spectral operator
 H = -(i/2) sigma_x (C D + D C) - m sigma_z, the continuum limit of the
 bond-midpoint lattice H (C the speed on the grid, D the FFT derivative
 without the even-N Nyquist mode), propagated by the same Chebyshev kernel.
+Fields move between grids of the ring by one spectral resampler
+(``resample``), to any site count, finer or coarser; ``trig_interpolate``
+is its integer-refinement form.
 Cayley stepping (``evolve_crank_nicolson``) is a second-order integrator
 with a dense step matrix, O(N^2) memory and an O(N^3) solve; no reference
 runs it, and it stays only until the benchmark stops warming it up.
@@ -61,8 +64,8 @@ class LatticeHamiltonian:
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """Matrix-vector product on an (N, 2) component array."""
-        left = np.roll(data, +1, axis=0)   # psi_{l-1}
-        right = np.roll(data, -1, axis=0)  # psi_{l+1}
+        left = np.concatenate((data[-1:], data[:-1]))  # psi_{l-1}
+        right = np.concatenate((data[1:], data[:1]))   # psi_{l+1}
         hop = (0.5j / self.dx) * (
             self.c_minus[:, None] * left[:, ::-1] - self.c_plus[:, None] * right[:, ::-1]
         )
@@ -224,30 +227,38 @@ def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPr
     return DiracPropagator(ks=ks, blocks=dirac_block(ks, c, m, T), m=m, c=c, T=T)
 
 
-def trig_interpolate(field: SpinorField, refinement: int) -> SpinorField:
-    """Spectral interpolation onto a grid refined by an integer factor.
+def resample(field: SpinorField, n_sites: int) -> SpinorField:
+    """Spectral resampling onto ``n_sites`` sites of the same ring, finer or coarser.
 
-    Exact for band-limited fields; the Nyquist mode of an even-length grid
-    is split symmetrically to keep real data real.
+    Modes both grids carry are copied. Going up, the Nyquist mode of an
+    even-length grid is split symmetrically between +-N/2 to keep real data
+    real; going down, the two modes that alias onto the coarse Nyquist mode
+    are summed, so coarsening undoes refining, and modes beyond the coarse
+    band are dropped. Exact for fields band-limited on both grids; the
+    ratio of the grids need not be an integer.
     """
+    n = field.n_sites
+    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)) or n_sites < 2:
+        raise DomainError(f"n_sites must be an integer >= 2, got {n_sites!r}")
+    if n_sites == n:
+        return field.copy()
+    spec = np.fft.fft(field.data, axis=0)
+    out = np.zeros((n_sites, 2), dtype=np.complex128)
+    h, odd = divmod(min(n, n_sites), 2)
+    out[: h + odd] = spec[: h + odd]  # k = 0 .. h - 1, and h if odd
+    out[n_sites - h + 1 - odd :] = spec[n - h + 1 - odd :]  # k = -h .. -1 if odd, else 1 - h .. -1
+    if not odd and n_sites > n:  # the Nyquist mode of the coarser grid, split
+        out[h] = out[n_sites - h] = 0.5 * spec[h]
+    elif not odd:  # the two fine modes that alias onto it, summed
+        out[h] = spec[h] + spec[n - h]
+    return SpinorField(np.fft.ifft(out, axis=0) * (n_sites / n), field.dx / (n_sites / n))
+
+
+def trig_interpolate(field: SpinorField, refinement: int) -> SpinorField:
+    """Spectral interpolation onto a grid refined by an integer factor (``resample``)."""
     if isinstance(refinement, bool) or not isinstance(refinement, (int, np.integer)) or refinement < 1:
         raise DomainError(f"refinement must be an integer >= 1, got {refinement!r}")
-    if refinement == 1:
-        return field.copy()
-    n = field.n_sites
-    nf = n * refinement
-    spec = np.fft.fft(field.data, axis=0)
-    out = np.zeros((nf, 2), dtype=np.complex128)
-    h = n // 2
-    if n % 2 == 0:
-        out[:h] = spec[:h]
-        out[nf - h + 1 :] = spec[h + 1 :]
-        out[h] = 0.5 * spec[h]
-        out[nf - h] = 0.5 * spec[h]
-    else:
-        out[: h + 1] = spec[: h + 1]
-        out[nf - h :] = spec[h + 1 :]
-    return SpinorField(np.fft.ifft(out, axis=0) * refinement, field.dx / refinement)
+    return resample(field, field.n_sites * int(refinement))
 
 
 def restrict(field: SpinorField, refinement: int) -> SpinorField:

@@ -10,18 +10,26 @@ speed, ``dirac_momentum``), or the pseudo-spectral curved Dirac evolution
 The lattice reference, flat or curved, is one Chebyshev propagation of the
 lattice Hamiltonian (``evolve_exact``). The flat continuum reference is
 propagated per ring momentum with closed-form 2x2 blocks. The curved
-continuum reference is a Chebyshev propagation on the walk's own grid; its
+continuum reference is a Chebyshev propagation on a grid of the ring; its
 sweep records the reference's own error once, on the coarsest row that
 completed: the distance to the same propagation on a 2x refined grid. Every
 row solves the same continuous problem, and a finer grid resolves it at
-least as well, so the coarsest row's error bounds the others'. At alpha = 0
-the two homogeneous references are cross-validated: the lattice one on an
-8x refined grid must agree with the row's own continuum one. Both numbers
-pass one gate: above max(smallest walk error / 10, ``NOISE_FLOOR``) each
-adds a flag and fails its check. The same floor decides exactness: a sweep
-is exact iff every completed error sits at or below it, and one with only
-some there is flagged and fits no order. The harness decides every check of
-a sweep from its numbers, ``min_order`` too; ``SweepReport.checks`` carries them.
+least as well, so the coarsest row's error bounds the others'. Where that
+error sits at or below ``NOISE_FLOOR`` the coarsest grid N0 becomes the
+sweep's reference grid: each later row restricts its initial field to it
+spectrally, propagates it there and interpolates the result back, at
+O(N0^2 log N0 + N log N) instead of O(N^2 log N), unless the restriction
+drops more than ``NOISE_FLOOR`` of the field. Otherwise, and on every row
+of a sweep whose error is above the floor, the reference runs on the row's
+own grid; ``SweepRow.reference_N`` records the grid each row used. At
+alpha = 0 the two homogeneous references are cross-validated: the lattice
+one on an 8x refined grid must agree with the row's own continuum one. Both
+numbers pass one gate: above max(smallest walk error / 10, ``NOISE_FLOOR``)
+each adds a flag and fails its check. The same floor decides exactness: a
+sweep is exact iff every completed error sits at or below it, and one with
+only some there is flagged and fits no order. The harness decides every
+check of a sweep from its numbers, ``min_order`` too;
+``SweepReport.checks`` carries them.
 
 Grids. ``_grid`` is the one grid rule: every command passes each epsilon
 through it, and it returns the snapped ``ScalingParams`` or refuses a grid
@@ -70,6 +78,7 @@ from .hamiltonians import (
     dirac_propagator,
     evolve_exact,
     lattice_hamiltonian_curved,
+    resample,
     restrict,
     trig_interpolate,
 )
@@ -180,6 +189,8 @@ class SweepRow:
     reference_s: float = dc_field(default=0.0, metadata={"csv": False})
     norm_drift: float = dc_field(default=float("nan"), metadata={"csv": False})
     time_reached: float = dc_field(default=0.0, metadata={"csv": False})
+    # sites of the grid the reference ran on: N, or the sweep's reference grid (see _run_row)
+    reference_N: int | None = dc_field(default=None, metadata={"csv": False})
     failure: str | None = dc_field(default=None, metadata={"csv": False})
 
 
@@ -428,6 +439,11 @@ def _run_row(
     With ``twin`` the curved reference is also propagated on a 2x refined
     grid, and the relative distance between the two is returned with the
     row (else None); the twin's time counts in the row's ``reference_s``.
+    A planned ``reference_N`` below N names a coarser grid that resolves the
+    reference: the frame-mapped initial field is restricted to it spectrally,
+    propagated there and interpolated back, unless the restriction drops
+    more than ``NOISE_FLOOR`` of it (relative L2); then, as without one, the
+    reference runs on the row's own grid. The row records the grid it used.
     """
     t_start = time.perf_counter()
     psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
@@ -439,7 +455,15 @@ def _run_row(
     ref_initial = psi0.with_data(frame.apply_adjoint(psi0.data))
     walked_in_frame = frame.apply_adjoint(walked.data)
     t2 = time.perf_counter()
-    ref_final = _reference_evolution(params, ref_initial, row.time_reached, kind)
+    start = ref_initial
+    if row.reference_N is not None and row.reference_N < row.N:
+        coarse = resample(ref_initial, row.reference_N)
+        dropped = resample(coarse, row.N).data - ref_initial.data
+        if np.linalg.norm(dropped) <= NOISE_FLOOR * np.linalg.norm(ref_initial.data):
+            start = coarse
+    ref_final = _reference_evolution(params, start, row.time_reached, kind)
+    if start is not ref_initial:
+        ref_final = resample(ref_final, row.N)
     ref_norm = np.linalg.norm(ref_final.data)
     reference_error = None
     if twin:
@@ -459,6 +483,7 @@ def _run_row(
         frame_s=t2 - t1,
         reference_s=t3 - t2,
         norm_drift=abs(walked.norm() - psi0.norm()),
+        reference_N=start.n_sites,
     ), reference_error
 
 
@@ -495,8 +520,11 @@ def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) 
     Per-row failures are recorded in the row and excluded from the fit
     instead of aborting the sweep. A curved sweep measures its reference's
     own error on its first completed row, the coarsest grid; an alpha = 0
-    flat sweep cross-validates its references there. Each check is decided
-    here, from these numbers, next to the flag it raises; ``min_order`` last.
+    flat sweep cross-validates its references there. Where that error sits
+    at or below ``NOISE_FLOOR`` the coarsest grid resolves the reference, and
+    every later row is planned with it as ``reference_N`` (``_run_row``).
+    Each check is decided here, from these numbers, next to the flag it
+    raises; ``min_order`` last.
     """
     ref_kind = spec.resolved_reference()
     adjustments: list[str] = []
@@ -504,18 +532,22 @@ def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) 
     kappas: list[float] = []
     coarsest: tuple[ScalingParams, SweepRow] | None = None  # the first completed row and its params
     reference_error: float | None = None
+    reference_n: int | None = None  # the coarsest row's N, once its twin sits at the floor
     for params, planned, notes in spec._planned:
         adjustments.extend(notes)
         kappas.append(params.kappa)
         twin = ref_kind == "curved_fine_grid" and coarsest is None
         try:
-            row, row_reference_error = _run_row(spec, params, planned, ref_kind, twin)
+            row, row_reference_error = _run_row(spec, params, replace(planned, reference_N=reference_n),
+                                                ref_kind, twin)
         except Exception as exc:  # per-row failures must not abort the sweep
             rows.append(replace(planned, failure=f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(row)
         if coarsest is None:
             coarsest, reference_error = (params, row), row_reference_error
+            if reference_error is not None and reference_error <= NOISE_FLOOR:
+                reference_n = row.N
 
     good = [r for r in rows if r.failure is None]
     rises = [(a, b) for a, b in zip(good, good[1:]) if b.error_l2 > a.error_l2 + NOISE_FLOOR]

@@ -20,7 +20,7 @@ from plasticwalk import (
     ring_momenta,
     trig_interpolate,
 )
-from plasticwalk.hamiltonians import _chebyshev_propagate, _spectral_dirac
+from plasticwalk.hamiltonians import _chebyshev_propagate, _spectral_dirac, resample
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -545,3 +545,61 @@ def test_restrict_inverts_interpolation_on_grid_points():
         back = restrict(trig_interpolate(f, r), r)
         np.testing.assert_allclose(back.data, f.data, atol=1e-13)
         assert back.dx == pytest.approx(f.dx)
+
+
+def _interpolate_by_refinement(field, refinement):
+    """Integer-refinement interpolation written out on its own, as it stood before ``resample``."""
+    if refinement == 1:
+        return field.copy()
+    n = field.n_sites
+    nf = n * refinement
+    spec = np.fft.fft(field.data, axis=0)
+    out = np.zeros((nf, 2), dtype=np.complex128)
+    h = n // 2
+    if n % 2 == 0:
+        out[:h] = spec[:h]
+        out[nf - h + 1 :] = spec[h + 1 :]
+        out[h] = 0.5 * spec[h]
+        out[nf - h] = 0.5 * spec[h]
+    else:
+        out[: h + 1] = spec[: h + 1]
+        out[nf - h :] = spec[h + 1 :]
+    return SpinorField(np.fft.ifft(out, axis=0) * refinement, field.dx / refinement)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 15, 24])
+def test_trig_interpolate_is_bitwise_the_integer_refinement_rule(n):
+    f = random_field(n, np.random.default_rng(n), dx=0.37)
+    for r in (1, 2, 3, 8):
+        got, want = trig_interpolate(f, r), _interpolate_by_refinement(f, r)
+        assert got.dx == want.dx
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("coarse, fine", [(7, 21), (9, 20), (8, 24), (8, 20), (10, 15), (128, 1024)],
+                         ids=["odd", "odd_to_even", "even", "even_non_integer", "even_to_odd", "benchmark"])
+def test_resample_restricts_and_interpolates_a_band_limited_field_back(coarse, fine):
+    # a field band-limited on the coarse grid, Nyquist mode included where it is even
+    rng = np.random.default_rng(coarse * fine)
+    for _ in range(5):
+        f = resample(random_field(coarse, rng, dx=64.0 / coarse), fine)
+        restricted = resample(f, coarse)
+        assert restricted.n_sites == coarse and restricted.dx == pytest.approx(64.0 / coarse, rel=1e-15)
+        back = resample(restricted, fine)
+        assert np.linalg.norm(back.data - f.data) / np.linalg.norm(f.data) <= 1e-15
+
+
+def test_resample_drops_the_modes_beyond_the_coarse_band():
+    n, coarse = 24, 10
+    x = np.arange(n) * (2 * np.pi / n)
+    inside, outside = np.exp(3j * x), np.exp(7j * x)  # 7 > coarse // 2
+    f = SpinorField(np.stack([inside + outside, inside], axis=1), 1.0)
+    back = resample(resample(f, coarse), n)
+    np.testing.assert_allclose(back.data, np.stack([inside, inside], axis=1), atol=1e-14)
+
+
+def test_resample_refuses_a_site_count_that_is_not_an_integer():
+    f = random_field(8, np.random.default_rng(16))
+    for n_sites in (12.0, True, 1, 0):
+        with pytest.raises(DomainError, match="n_sites must be an integer >= 2"):
+            resample(f, n_sites)

@@ -344,12 +344,18 @@ def _bump_alpha0_spec(profile, x0=32.0, w=8.0, k0=np.pi / 8 * 1.03):
                           epsilon_list=[0.5, 0.25, 0.125, 0.0625], x0=x0, w=w, k0=k0, chirality_mix=0.5)
 
 
+def _framed_rows(spec):
+    """Each planned row with its params, packet, comparison frame and frame-mapped initial field."""
+    for params, row, _ in spec._plan():
+        psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
+        frame = harness.comparison_frame(params, psi0.positions())
+        yield params, row, psi0, frame, psi0.with_data(frame.apply_adjoint(psi0.data))
+
+
 def _own_twin_errors(spec):
     """Each row's reference against its own 2x refined twin, computed row by row."""
     errors = []
-    for params, row, _ in spec._plan():
-        psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
-        initial = psi0.with_data(harness.comparison_frame(params, psi0.positions()).apply_adjoint(psi0.data))
+    for params, row, _, _, initial in _framed_rows(spec):
         ref, twin = (curved_dirac_reference(initial, params.cprofile, params.m, row.time_reached, r)
                      for r in (1, 2))
         errors.append(float(np.linalg.norm(twin.data - ref.data) / np.linalg.norm(ref.data)))
@@ -398,6 +404,85 @@ def test_reference_error_is_measured_on_the_first_completed_row(monkeypatch):
     assert twins == [True, True, False]
     assert report.rows[0].failure == "RuntimeError: row failed"
     assert report.reference_error <= 1e-12
+
+
+_EPS_ALPHA_HALF = [(64.0 / n) ** 2 for n in (128, 256, 512, 1024)]
+
+
+def _curved_5c_spec(alpha=0.0, eps_list=(0.5, 0.25, 0.125, 0.0625), profile=CProfile.sine_bump(0.5, 0.3, 64.0)):
+    # criterion 5c, the sine bump at alpha = 0 against curved_fine_grid; alpha, epsilons and profile open
+    return ExperimentSpec(alpha=alpha, m=0.1, cprofile=profile,
+                          length=64.0, T=4.0, epsilon_list=list(eps_list), x0=32.0, w=8.0, k0=np.pi / 8,
+                          chirality_mix=0.5)
+
+
+def _own_grid_errors(spec):
+    """Each row's error against the curved reference propagated on the row's own grid."""
+    errors = []
+    for params, row, psi0, frame, initial in _framed_rows(spec):
+        walked = frame.apply_adjoint(harness.evolve_walk(psi0, params, row.steps).data)
+        ref = curved_dirac_reference(initial, params.cprofile, params.m, row.time_reached, refinement=1)
+        errors.append(float(np.linalg.norm(walked - ref.data) / np.linalg.norm(ref.data)))
+    return errors
+
+
+def test_curved_rows_propagate_on_the_coarsest_grid_once_its_twin_is_at_the_floor(monkeypatch):
+    sizes = []
+
+    def recording(psi0, cprofile, m, T, refinement):
+        sizes.append((psi0.n_sites, refinement))
+        return curved_dirac_reference(psi0, cprofile, m, T, refinement)
+
+    monkeypatch.setattr(harness, "curved_dirac_reference", recording)
+    report = run_convergence_sweep(_curved_5c_spec())
+    assert report.reference_error <= harness.NOISE_FLOOR
+    assert [r.N for r in report.rows] == [128, 256, 512, 1024]
+    # the first row's reference and its twin, then one reference a row
+    assert sizes == [(128, 1), (128, 2), (128, 1), (128, 1), (128, 1)]
+    assert [r.reference_N for r in report.rows] == [128] * 4
+    assert [row["reference_N"] for row in report.to_json_dict()["rows"]] == [128] * 4
+    assert "reference_N" not in report.to_csv().splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_curved_5c_spec(), _curved_5c_spec(0.5, _EPS_ALPHA_HALF), _curved_5c_spec(eps_list=[0.4, 0.3, 0.2])],
+    ids=["bump_alpha0", "bump_alpha_half", "non_integer_ratios"],
+)
+def test_reference_grid_moves_each_rows_error_by_roundoff_only(spec):
+    report = run_convergence_sweep(spec)
+    n0 = report.rows[0].N
+    assert report.reference_error <= harness.NOISE_FLOOR
+    assert [r.reference_N for r in report.rows] == [n0] * len(report.rows)
+    own = _own_grid_errors(spec)
+    assert max(abs(r.error_l2 - e) for r, e in zip(report.rows, own)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_bump_alpha0_spec(CProfile.gaussian_well(0.9, 0.5, 32.0, 0.4)),
+     _curved_5c_spec(0.5, _EPS_ALPHA_HALF, CProfile.gaussian_well(0.9, 0.5, 32.0, 3.0))],
+    ids=["narrow_well", "alpha_half_well"],
+)
+def test_curved_sweep_above_the_floor_keeps_each_rows_own_grid_bitwise(spec):
+    # the coarsest row's twin reads 2.6e-2 and 2.8e-8: no row shares its grid, although the
+    # alpha = 0.5 well's initial fields restrict to 128 sites within the floor
+    report = run_convergence_sweep(spec)
+    assert report.reference_error > harness.NOISE_FLOOR
+    assert [r.reference_N for r in report.rows] == [r.N for r in report.rows]
+    assert [r.error_l2 for r in report.rows] == _own_grid_errors(spec)
+
+
+def test_row_whose_field_the_reference_grid_does_not_resolve_keeps_its_own_grid():
+    # restricted to 32 sites (dx = 2) the w = 8 packet loses 1.1e-8 of its norm, above the
+    # floor: the row's reference runs on its own grid, as it does with no reference grid
+    spec = _curved_5c_spec()
+    params, planned, _ = spec._planned[1]
+    own, _ = harness._run_row(spec, params, planned, "curved_fine_grid", False)
+    coarse, _ = harness._run_row(spec, params, replace(planned, reference_N=32), "curved_fine_grid", False)
+    assert own.reference_N == coarse.reference_N == planned.N == 256
+    assert (coarse.error_l2, coarse.error_max) == (own.error_l2, own.error_max)
+    assert own.error_l2 == _own_grid_errors(spec)[1]
 
 
 def test_sweep_curved_alpha_half_first_order():
