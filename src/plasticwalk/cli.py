@@ -330,7 +330,7 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
 
     # every entry of the stepper's gates between two-qubit states of different occupation
     w = _popcount(2)
-    gates = np.stack(_crossing_gates(cfg.qca_cells, cfg.qca_theta, cfg.qca_zeta) + [gate_V()])
+    gates = np.concatenate([_crossing_gates(cfg.qca_cells, cfg.qca_theta, cfg.qca_zeta), gate_V()[None]])
     off_sector = float(np.max(np.abs(gates[:, w[:, None] != w[None, :]])))
     conservation_exact = off_sector == 0.0
 

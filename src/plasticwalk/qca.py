@@ -22,15 +22,21 @@ entries.
 
 A :class:`QcaState` holds only the number sectors it occupies, each as
 the amplitudes at that sector's sorted basis indices, and every path that
-steps the automaton acts on one sector at a time: a sector is stepped
-through a cached plan of gate positions built from its own basis states.
-The k-particle seam sign is the one scalar (-1)^(k-1), folded into the
-seam gate. The dense step operator is assembled block by block from the
-same plans, and the one-particle matrix steps the 2N x 2N identity
-directly, one row per mode. All of them share one gate arithmetic. Of the
-paths that take or return a state, only the ``QcaState`` constructor and
-its ``amplitudes`` touch 4^N entries; the dense step operator is kept for
-checks. Only the constructor reads the 4^N popcount table.
+steps the automaton acts on one sector at a time through one kernel,
+:func:`_step_sector`, and a cached plan built from the sector's own basis
+states. The plan applies each layer with as few array updates as the
+sector allows: the swap layer V is one signed permutation (a gather and
+one multiply) in every sector; a crossing layer is one gathered 2x2 update
+wherever its gates touch disjoint amplitudes, which in the one-particle
+sector is the whole layer, and one update per gate elsewhere. The
+k-particle seam sign is the one scalar (-1)^(k-1), folded into the seam
+gate, and the N crossing gates are built in one call. The dense step
+operator is assembled block by block from the same plans, and the
+one-particle matrix steps the modes as a few batched states through the
+one-particle plan of a ring of any size. Of the paths that take or return
+a state, only the ``QcaState`` constructor and its ``amplitudes`` touch
+4^N entries; the dense step operator is kept for checks. Only the
+constructor reads the 4^N popcount table.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover; basis-state index bit q is the occupation of qubit q, which is
@@ -69,22 +75,26 @@ def gate_V() -> np.ndarray:
     return v
 
 
-def gate_U(theta: float, zeta: float) -> np.ndarray:
+def gate_U(theta, zeta) -> np.ndarray:
     """Crossing gate; its one-particle block realizes the walk coin.
 
-    The |11><11| entry is the determinant of the one-particle block (+1),
-    so the gate is the second quantization of that block and two movers
-    that meet pick up no phase beyond fermionic antisymmetry. At theta =
-    pi/2, zeta = 0 the gate is the identity.
+    Stacked over the broadcast shape of the angles, as
+    :func:`plasticwalk.walk.coin_matrix` is: scalar angles give one 4x4
+    gate, an array of N crossing angles an (N, 4, 4) stack. The |11><11|
+    entry is the determinant of the one-particle block (+1), so the gate is
+    the second quantization of that block and two movers that meet pick up
+    no phase beyond fermionic antisymmetry. At theta = pi/2, zeta = 0 the
+    gate is the identity.
     """
+    theta, zeta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(zeta, dtype=float))
     s, c = np.sin(theta), np.cos(theta)
-    u = np.zeros((4, 4), dtype=np.complex128)
-    u[0, 0] = 1.0
-    u[1, 1] = np.exp(-1j * zeta) * s
-    u[1, 2] = -c
-    u[2, 1] = c
-    u[2, 2] = np.exp(1j * zeta) * s
-    u[3, 3] = 1.0
+    u = np.zeros(theta.shape + (4, 4), dtype=np.complex128)
+    u[..., 0, 0] = 1.0
+    u[..., 1, 1] = np.exp(-1j * zeta) * s
+    u[..., 1, 2] = -c
+    u[..., 2, 1] = c
+    u[..., 2, 2] = np.exp(1j * zeta) * s
+    u[..., 3, 3] = 1.0
     return u
 
 
@@ -168,13 +178,15 @@ def _popcount(n_bits: int) -> np.ndarray:
 def _mix(gate: np.ndarray, a01: np.ndarray, a10: np.ndarray) -> None:
     """The |01>/|10> block of a number-conserving gate, in place on a01 and a10.
 
-    Every stepping path uses this.
+    ``gate`` is one 4x4 gate, or a stack of them whose leading axes
+    broadcast against a01 and a10, one gate per row; every stepping path
+    uses this.
     """
-    into_01 = gate[1, 2] * a10
-    into_10 = gate[2, 1] * a01
-    a01 *= gate[1, 1]
+    into_01 = gate[..., 1, 2] * a10
+    into_10 = gate[..., 2, 1] * a01
+    a01 *= gate[..., 1, 1]
     a01 += into_01
-    a10 *= gate[2, 2]
+    a10 *= gate[..., 2, 2]
     a10 += into_10
 
 
@@ -189,40 +201,29 @@ def _gate_pairs(n_cells: int) -> list[tuple[int, int]]:
     return crossings + [(2 * l, 2 * l + 1) for l in range(n_cells)]
 
 
-def _layers(gates: list[np.ndarray], seam_sign: int):
-    """(gate, q_a, q_b) of one step in application order: U, V, U*, V.
-
-    The seam gate (the last crossing) has its two hopping entries multiplied
-    by ``seam_sign``, the Jordan-Wigner sign of the sector being stepped.
-    """
-    n = len(gates)
-    pairs = _gate_pairs(n)
-    seam = gates[-1].copy()
-    seam[[1, 2], [2, 1]] *= seam_sign
-    crossings = [*gates[:-1], seam]
-    v = gate_V()
-    for conj in (False, True):
-        for l, u in enumerate(crossings):
-            yield (u.conj() if conj else u), *pairs[l]
-        for l in range(n):
-            yield v, *pairs[n + l]
-
-
 @dataclass(frozen=True)
 class _SectorPlan:
-    """Gathered-amplitude positions of every gate of a step on one number sector.
+    """The four layers of a step, as array updates on one sector's gathered amplitudes.
 
-    ``idx`` is the sorted list of the sector's basis indices. For each
-    qubit pair (q_a, q_b) of :func:`_gate_pairs`, ``pairs`` holds the
-    positions in ``idx`` of |01>, of the |10> partner of each, and of |11>
-    (label a is qubit q_a). ``seam_sign`` is the Jordan-Wigner sign
-    (-1)^(k-1) of every seam |01> entry of the k-particle sector: such an
-    entry occupies qubit 2N-1 but not qubit 0, so its other k-1 particles
-    all sit in the modes 1..2N-2 between them.
+    ``idx`` is the sorted list of the sector's basis indices; position p
+    holds basis state idx[p]. ``crossings`` is a crossing layer as updates
+    (p01, p10, p11, gate) in gate order: the positions of |01>, of the
+    |10> partner of each and of |11> (label a is qubit q_a), and the
+    crossing gate l = 0..N-1 that acts there. A run of gates that touch
+    pairwise disjoint positions and have no |11> position is one update,
+    with ``gate`` the index of each |01> row's gate; in the one-particle
+    sector that is the whole layer. Every other update is one gate, with
+    ``gate`` its index. The swap layer V is a signed permutation:
+    out[p] = swap_sign[p] * x[swap[p]]. ``seam_sign`` is the Jordan-Wigner
+    sign (-1)^(k-1) of every seam |01> entry of the k-particle sector: such
+    an entry occupies qubit 2N-1 but not qubit 0, so its other k-1
+    particles all sit in the modes 1..2N-2 between them.
     """
 
-    idx: np.ndarray
-    pairs: dict
+    idx: np.ndarray | None
+    crossings: tuple
+    swap: np.ndarray
+    swap_sign: np.ndarray
     seam_sign: int
 
 
@@ -230,6 +231,41 @@ def _sector_modes(n_modes: int, k: int) -> np.ndarray:
     """Occupied modes m_1 < ... < m_k of every k-particle basis state, shaped (C(n_modes, k), k)."""
     flat = np.fromiter(chain.from_iterable(combinations(range(n_modes), k)), dtype=np.intp)
     return flat.reshape(comb(n_modes, k), k)  # (1, 0) for no particles
+
+
+def _plan(idx, pairs: dict, n_cells: int, seam_sign: int) -> _SectorPlan:
+    """A sector's plan from the (p01, p10, p11) positions of each gate of :func:`_gate_pairs`.
+
+    Crossing gates on disjoint positions commute exactly, so a run of them
+    is one update; the swaps of the N cells compose into one signed
+    permutation whose factors are gate_V()'s own entries (V maps |01> to
+    |10> and back, keeps |00> and keeps |11> up to sign).
+    """
+    size = 2 * n_cells if idx is None else len(idx)  # no basis indices: the one-particle sector
+    crossing = [pairs[q] for q in _gate_pairs(n_cells)[:n_cells]]
+    runs, taken = [], np.zeros(size, dtype=bool)
+    for l, (p01, p10, p11) in enumerate(crossing):
+        if not runs or len(p11) or len(crossing[runs[-1][-1]][2]) or taken[p01].any() or taken[p10].any():
+            runs.append([])
+            taken[:] = False
+        runs[-1].append(l)
+        taken[p01] = taken[p10] = True
+    updates = []
+    for run in runs:
+        p01, p10, p11 = (np.concatenate([crossing[l][i] for l in run]) for i in range(3))
+        gate = run[0] if len(run) == 1 else np.repeat(run, [len(crossing[l][0]) for l in run])
+        updates.append((p01, p10, p11, gate))
+    v = gate_V()
+    swap, swap_sign = np.arange(size), np.ones(size, dtype=np.complex128)
+    for q in _gate_pairs(n_cells)[n_cells:]:  # each swap after the ones before it
+        p01, p10, p11 = pairs[q]
+        swap[p01], swap[p10] = swap[p10], swap[p01]
+        swap_sign[p01], swap_sign[p10] = v[1, 2] * swap_sign[p10], v[2, 1] * swap_sign[p01]
+        swap_sign[p11] *= v[3, 3]
+    arrays = [swap, swap_sign, *(a for u in updates for a in u if isinstance(a, np.ndarray))]
+    for arr in arrays + ([] if idx is None else [idx]):
+        arr.setflags(write=False)
+    return _SectorPlan(idx, tuple(updates), swap, swap_sign, seam_sign)
 
 
 @lru_cache(maxsize=QUBIT_BUDGET + 1)  # every sector of the largest ring the budget allows
@@ -241,33 +277,59 @@ def _sector_plan(n_cells: int, k: int) -> _SectorPlan:
         p01 = np.flatnonzero((bit_a == 0) & (bit_b == 1))
         p10 = np.searchsorted(idx, idx[p01] ^ ((1 << q_a) | (1 << q_b)))
         pairs[q_a, q_b] = (p01, p10, np.flatnonzero(bit_a & bit_b))
-    for arr in (idx, *(a for p in pairs.values() for a in p)):
-        arr.setflags(write=False)
-    return _SectorPlan(idx, pairs, 1 if k % 2 else -1)
+    return _plan(idx, pairs, n_cells, 1 if k % 2 else -1)
 
 
-def _step_sector(x: np.ndarray, gates: list[np.ndarray], plan: _SectorPlan) -> np.ndarray:
-    """One automaton step in place on one sector's gathered amplitudes ``x`` = amp[plan.idx]."""
-    for gate, q_a, q_b in _layers(gates, plan.seam_sign):
-        p01, p10, p11 = plan.pairs[q_a, q_b]
-        a01, a10 = x[p01], x[p10]
-        _mix(gate, a01, a10)
-        x[p01] = a01
-        x[p10] = a10
-        if gate[3, 3] != 1.0:
-            x[p11] *= gate[3, 3]
-    return x
+@lru_cache(maxsize=4)
+def _one_particle_plan(n_cells: int) -> _SectorPlan:
+    """The one-particle sector's plan on a ring of any size, without its basis indices.
+
+    Position m is mode m, so gate (q_a, q_b) has |01> at q_b and |10> at
+    q_a; the basis indices 2^m would overflow int64 past 31 cells.
+    """
+    none = np.empty(0, dtype=np.intp)
+    pairs = {(q_a, q_b): (np.array([q_b]), np.array([q_a]), none) for q_a, q_b in _gate_pairs(n_cells)}
+    return _plan(None, pairs, n_cells, 1)
 
 
-def _crossing_gates(n_cells: int, theta, zeta) -> list[np.ndarray]:
-    """The N crossing gates; each angle is a scalar or one value per crossing."""
+def _step_sector(x: np.ndarray, gates: np.ndarray, plan: _SectorPlan) -> np.ndarray:
+    """One automaton step of one sector's gathered amplitudes ``x`` = amp[plan.idx].
+
+    ``x`` is one state, or a batch with one state per column; it is left as
+    it is, and the stepped amplitudes are returned. ``gates`` is the
+    (N, 4, 4) crossing-gate stack. Each of the four layers, U, V, U*, V, is
+    the plan's few array updates: one gather and one multiply for V, and
+    one gathered 2x2 update per crossing run for U and U*.
+    """
+    column = (-1,) + (1,) * (x.ndim - 1)  # one factor per position, for a state or a batch
+    u = np.array(gates)  # a copy: the seam gate's hopping entries take the sector's sign
+    u[-1, [1, 2], [2, 1]] *= plan.seam_sign
+    u = u.reshape((len(u),) + column[1:] + (4, 4))
+    contact = (u[..., 3, 3] != 1.0).any()  # a |11> entry other than gate_U's 1
+    y = x.copy()
+    for layer in (u, u.conj()):
+        for p01, p10, p11, l in plan.crossings:
+            g = layer[l]
+            a01, a10 = y[p01], y[p10]
+            _mix(g, a01, a10)
+            y[p01] = a01
+            y[p10] = a10
+            if contact and len(p11):  # only a one-gate update has |11> positions
+                y[p11] *= g[..., 3, 3]
+        y = y[plan.swap]
+        y *= plan.swap_sign.reshape(column)
+    return y
+
+
+def _crossing_gates(n_cells: int, theta, zeta) -> np.ndarray:
+    """The N crossing gates as an (N, 4, 4) stack; each angle is a scalar or one value per crossing."""
     angles = []
     for name, x in (("theta", theta), ("zeta", zeta)):
         x = np.asarray(x, dtype=float)
         if x.shape not in ((), (n_cells,)):
             raise DomainError(f"{name} has shape {x.shape}; expected a scalar or shape ({n_cells},)")
-        angles.append(np.broadcast_to(x, (n_cells,)))
-    return [gate_U(t, z) for t, z in zip(*angles)]
+        angles.append(x)
+    return np.broadcast_to(gate_U(*angles), (n_cells, 4, 4))
 
 
 def qca_step(state: QcaState, theta, zeta) -> QcaState:
@@ -277,13 +339,14 @@ def qca_step(state: QcaState, theta, zeta) -> QcaState:
     crossing between cells l and l+1 (periodic). The crossing between cell
     N-1 and cell 0 carries the Jordan-Wigner parity of the modes between
     its two qubits (see the module docstring); any other angle shape
-    raises DomainError. Each held number sector is stepped on its own, on
-    a copy, so a one-particle or few-particle state costs its sectors'
-    dimension, not 4^N.
+    raises DomainError. The N gates are built in one call, and each held
+    number sector is stepped on its own through its plan, so a
+    one-particle or few-particle state costs its sectors' dimension, not
+    4^N; a one-particle state takes a few array updates per layer.
     """
     n = state.n_cells
     gates = _crossing_gates(n, theta, zeta)
-    sectors = {k: _step_sector(state.sectors[k].copy(), gates, _sector_plan(n, k)) for k in sorted(state.sectors)}
+    sectors = {k: _step_sector(state.sectors[k], gates, _sector_plan(n, k)) for k in sorted(state.sectors)}
     return QcaState._from_sectors(sectors, n)
 
 
@@ -311,14 +374,25 @@ def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
     """2N x 2N matrix of one automaton step on the one-particle sector.
 
     Mode index 2l is the left-mover (plus) at cell l, 2l+1 the right-mover.
-    The identity's rows are the embedded modes, so each gate on qubits
-    (q_a, q_b) mixes row q_b (its |01>) with row q_a (its |10>); the sector
-    has no |11> row and its seam sign is +1. The cost is O(N^2), with no
-    statevector and no qubit budget.
+    Column j is mode j stepped by the sector kernel; the sector has no |11>
+    position and its seam sign is +1. Each of the four layers moves a
+    particle by at most one mode around the ring, so column j is zero
+    beyond the modes within 4 of j. Modes whose spacing is a multiple of s,
+    the least divisor of 2N that is 9 or more, thus never meet within a
+    step: each residue class mod s is stepped as one sum of unit states,
+    and each column is read back from its own 9 rows, which no other mode
+    of its class reaches. The kernel steps s columns, not the 2N of the
+    identity. No statevector and no qubit budget.
     """
-    w = np.eye(2 * n_cells, dtype=np.complex128)
-    for gate, q_a, q_b in _layers(_crossing_gates(n_cells, theta, zeta), 1):
-        _mix(gate, w[q_b], w[q_a])
+    nq = 2 * n_cells
+    s = next(d for d in range(min(9, nq), nq + 1) if nq % d == 0)
+    modes = np.arange(nq)
+    combs = np.zeros((nq, s), dtype=np.complex128)
+    combs[modes, modes % s] = 1.0
+    stepped = _step_sector(combs, _crossing_gates(n_cells, theta, zeta), _one_particle_plan(n_cells))
+    rows = (modes[:, None] + np.arange(-4, 5)) % nq
+    w = np.zeros((nq, nq), dtype=np.complex128)
+    w[rows, modes[:, None]] = stepped[rows, modes[:, None] % s]
     return w
 
 

@@ -689,7 +689,7 @@ def test_qca_number_conservation_check_can_fail(tmp_path, monkeypatch, capsys):
 
     def mixing_gate_u(theta, zeta):
         u = real_gate_u(theta, zeta)
-        u[0, 3] = u[3, 0] = 0.5
+        u[..., 0, 3] = u[..., 3, 0] = 0.5
         return u
 
     monkeypatch.setattr(qca, "gate_U", mixing_gate_u)

@@ -49,6 +49,60 @@ def dense_step(amp, gates):
     return amp
 
 
+def _reference_mix(gate, a01, a10):
+    """The |01>/|10> block of one 4x4 gate, in place: the per-gate arithmetic."""
+    into_01 = gate[1, 2] * a10
+    into_10 = gate[2, 1] * a01
+    a01 *= gate[1, 1]
+    a01 += into_01
+    a10 *= gate[2, 2]
+    a10 += into_10
+
+
+def _reference_layers(gates, seam_sign):
+    """(gate, q_a, q_b) of one step in application order: U, V, U*, V, one gate at a time."""
+    n = len(gates)
+    pairs = qca._gate_pairs(n)
+    seam = gates[-1].copy()
+    seam[[1, 2], [2, 1]] *= seam_sign
+    crossings = [*gates[:-1], seam]
+    v = gate_V()
+    for conj in (False, True):
+        for l, u in enumerate(crossings):
+            yield (u.conj() if conj else u), *pairs[l]
+        for l in range(n):
+            yield v, *pairs[n + l]
+
+
+def _reference_pairs(n, k):
+    """Sorted basis indices of sector k, and the (p01, p10, p11) positions of every gate pair."""
+    from itertools import combinations
+
+    idx = np.array(sorted(sum(1 << m for m in modes) for modes in combinations(range(2 * n), k)))
+    pairs = {}
+    for q_a, q_b in qca._gate_pairs(n):
+        bit_a, bit_b = (idx >> q_a) & 1, (idx >> q_b) & 1
+        p01 = np.flatnonzero((bit_a == 0) & (bit_b == 1))
+        p10 = np.searchsorted(idx, idx[p01] ^ ((1 << q_a) | (1 << q_b)))
+        pairs[q_a, q_b] = (p01, p10, np.flatnonzero(bit_a & bit_b))
+    return idx, pairs
+
+
+def reference_step(x, gates, n, k):
+    """One step of sector k's gathered amplitudes (a state or a batch of columns), gate by gate."""
+    x = x.copy()
+    pairs = _reference_pairs(n, k)[1]
+    for gate, q_a, q_b in _reference_layers(list(gates), 1 if k % 2 else -1):
+        p01, p10, p11 = pairs[q_a, q_b]
+        a01, a10 = x[p01], x[p10]
+        _reference_mix(gate, a01, a10)
+        x[p01] = a01
+        x[p10] = a10
+        if gate[3, 3] != 1.0:
+            x[p11] *= gate[3, 3]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # gates
 
@@ -100,6 +154,21 @@ def test_gate_u_doubly_occupied_entry_is_block_determinant(conj):
         theta, zeta = rng.uniform(-np.pi, np.pi, size=2)
         u = gate_U(theta, zeta).conj() if conj else gate_U(theta, zeta)
         assert abs(u[3, 3] - np.linalg.det(u[1:3, 1:3])) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 64, 512])
+def test_gate_u_stacks_over_array_angles(n):
+    # one call over the N crossing angles against the scalar calls, for a
+    # scalar, for per-crossing angles and for a scalar theta with a
+    # per-crossing zeta; vectorized sin/cos may take another SIMD path
+    rng = np.random.default_rng(41 + n)
+    theta, zeta = rng.uniform(-np.pi, np.pi, size=n), rng.uniform(-np.pi, np.pi, size=n)
+    assert gate_U(float(theta[0]), float(zeta[0])).shape == (4, 4)
+    for t, z in [(theta, zeta), (float(theta[0]), zeta), (theta, float(zeta[0]))]:
+        tb, zb = np.broadcast_arrays(t, z)
+        expected = np.stack([gate_U(a, b) for a, b in zip(tb, zb)])
+        assert np.max(np.abs(gate_U(t, z) - expected)) <= 2e-16
+        assert np.max(np.abs(qca._crossing_gates(n, t, z) - expected)) <= 2e-16
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +582,17 @@ def _filtered_plan(n, sectors):
     return idx, pairs, seam_sign
 
 
+def _per_gate(plan):
+    """Each crossing gate l's (p01, p10, p11) positions, split out of the plan's updates."""
+    out = {}
+    for p01, p10, p11, gate in plan.crossings:
+        if np.ndim(gate) == 0:
+            out[gate] = (p01, p10, p11)
+        else:
+            out.update({l: (p01[gate == l], p10[gate == l], p11) for l in set(gate.tolist())})
+    return out
+
+
 def test_sector_plans_and_one_particle_matrix_read_no_popcount_table(monkeypatch):
     # a sector is reached through its own basis states, and the one-particle
     # sector through its 2N modes; only paths that read a whole statevector
@@ -531,8 +611,86 @@ def test_sector_plans_and_one_particle_matrix_read_no_popcount_table(monkeypatch
         plan = qca._sector_plan.__wrapped__(n, k)  # past the cache
         idx, pairs, seam_sign = _filtered_plan(n, (k,))
         assert plan.idx.tolist() == idx
-        assert {key: tuple(a.tolist() for a in arrs) for key, arrs in plan.pairs.items()} == pairs
+        crossing_pairs = qca._gate_pairs(n)[:n]
+        assert {crossing_pairs[l]: tuple(a.tolist() for a in arrs) for l, arrs in _per_gate(plan).items()} == {
+            key: pairs[key] for key in crossing_pairs
+        }
         assert seam_sign and all(s == plan.seam_sign == (-1) ** (k - 1) for s in seam_sign)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sector_plan_layers_are_few_array_updates(n):
+    # every sector: the swap layer is one signed permutation, each crossing
+    # update touches pairwise disjoint positions, and in the one-particle
+    # sector the whole crossing layer is one update over all 2N modes once
+    even = sum(1 << (2 * l) for l in range(n))
+    for k in range(2 * n + 1):
+        plan = qca._sector_plan(n, k)
+        idx = plan.idx
+        assert sorted(plan.swap.tolist()) == list(range(len(idx)))
+        np.testing.assert_array_equal(idx[plan.swap], ((idx & even) << 1) | ((idx >> 1) & even))
+        doubly = np.array([bin(i & (i >> 1) & even).count("1") for i in idx.tolist()])
+        np.testing.assert_array_equal(plan.swap_sign, (-1.0) ** doubly)
+        for p01, p10, p11, gate in plan.crossings:
+            touched = np.concatenate([p01, p10, p11])
+            assert len(np.unique(touched)) == len(touched)
+            if np.ndim(gate):
+                assert len(p11) == 0 and gate.shape == p01.shape
+        assert sorted(_per_gate(plan)) == ([] if k == 0 else list(range(n)))  # the vacuum has no pairs
+    (p01, p10, p11, gate), = qca._sector_plan(n, 1).crossings
+    assert sorted(np.concatenate([p01, p10]).tolist()) == list(range(2 * n)) and len(p11) == 0
+    assert sorted(gate.tolist()) == list(range(n))
+    # the one-particle plan of any ring is this one without its basis indices
+    one = qca._one_particle_plan(n)
+    assert one.idx is None and one.seam_sign == qca._sector_plan(n, 1).seam_sign == 1
+    np.testing.assert_array_equal(one.swap, qca._sector_plan(n, 1).swap)
+    np.testing.assert_array_equal(one.swap_sign, qca._sector_plan(n, 1).swap_sign)
+    for a, b in zip(one.crossings[0], qca._sector_plan(n, 1).crossings[0]):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+@pytest.mark.parametrize("array_angles", [False, True])
+def test_step_matches_the_per_gate_loop(n, array_angles):
+    # the plan's array updates against the loop over all 4N gates, on one
+    # state and on a batch of three: equal where every update is one gate,
+    # within roundoff in the one-particle sector, whose crossing layer is one
+    # update with one gate per pair. Sector 2N - 1 holds 2N states, as the
+    # one-particle sector does, but its gates share positions.
+    rng = np.random.default_rng(127 + n + 50 * array_angles)
+    if array_angles:
+        theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
+    else:
+        theta, zeta = float(rng.uniform(0.3, 2.8)), float(rng.uniform(-0.6, 0.6))
+    gates = qca._crossing_gates(n, theta, zeta)
+    for k in (1, 2, 3, 2 * n - 1):
+        dim = len(qca._sector_plan(n, k).idx)
+        batch = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        batch /= np.linalg.norm(batch, axis=0)
+        one = batch[:, 0].copy()
+        got = qca_step(QcaState._from_sectors({k: one}, n), theta, zeta).sectors[k]
+        got_batch = qca._step_sector(batch, gates, qca._sector_plan(n, k))
+        expected, expected_batch = reference_step(one, gates, n, k), reference_step(batch, gates, n, k)
+        if k == 1:
+            assert np.max(np.abs(got - expected)) <= 1e-15
+            assert np.max(np.abs(got_batch - expected_batch)) <= 1e-15
+        else:
+            assert np.array_equal(got, expected) and np.array_equal(got_batch, expected_batch)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 9, 11, 64, 512])
+def test_one_particle_matrix_matches_the_per_gate_loop(n):
+    # the one-particle matrix steps each residue class of modes as one
+    # state; it must equal the identity stepped gate by gate (each gate
+    # mixing two of its rows) to roundoff: 2N below 9, with no divisor from
+    # 9 up but itself (7, 11 cells), and with a small one (9, 64, 512 cells)
+    rng = np.random.default_rng(131 + n)
+    theta, zeta = rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n)
+    w = one_particle_matrix(n, theta, zeta)
+    eye = np.eye(2 * n, dtype=complex)
+    for gate, q_a, q_b in _reference_layers(list(qca._crossing_gates(n, theta, zeta)), 1):
+        _reference_mix(gate, eye[q_b], eye[q_a])
+    assert np.max(np.abs(w - eye)) <= 1e-15
 
 
 def test_step_path_follows_occupied_sectors(monkeypatch):
