@@ -38,7 +38,7 @@ from .harness import (
 )
 from .qca import _crossing_gates, _popcount, gate_V, verify_encoding
 from .qca import dense_step_operator  # not called here; perfbench/probes.py patches it on this module
-from .walk import _trajectory, trajectory_operators
+from .walk import _trajectory
 from .walk import qw_step  # not called here; perfbench/probes.py patches it on this module
 from . import __version__, _csv
 
@@ -223,11 +223,10 @@ def _sublattice_weights(field) -> list[float]:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    with _building():  # a narrow packet leaves no snapshot behind
+    with _building():  # a narrow packet or a coin _grid refuses leaves no snapshot behind
         params, n, steps, t_reach, _ = _grid(
             cfg.m, cfg.build_profile(), cfg.alpha, cfg.length, cfg.T, cfg.epsilon)
         field = make_wavepacket(n, params.dx, *cfg._packet())
-        ops = trajectory_operators(params, field)
     norm0 = field.norm()
     xs = field.positions()
     x_text = _csv.records(xs[:, None])  # the x column is the same in every snapshot
@@ -239,7 +238,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
     write_snapshot(0, field)
     weights0 = _sublattice_weights(field)
-    for done, field in _trajectory(field, params, steps, cfg.snapshot_stride, ops=ops):
+    for done, field in _trajectory(field, params, steps, cfg.snapshot_stride):
         write_snapshot(done, field)
 
     drift = abs(field.norm() - norm0)

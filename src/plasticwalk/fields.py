@@ -53,16 +53,8 @@ class SpinorField:
     def minus(self) -> np.ndarray:
         return self.data[:, 1]
 
-    @property
-    def length(self) -> float:
-        """Ring circumference N * dx."""
-        return self.n_sites * self.dx
-
     def positions(self) -> np.ndarray:
         return np.arange(self.n_sites) * self.dx
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))

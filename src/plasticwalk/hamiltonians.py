@@ -178,14 +178,12 @@ class DiracPropagator:
 
     ``blocks[i]`` is exp(-i (c k_i sigma_x - m sigma_z) T) for the FFT-ordered
     ring momentum k_i; fields are propagated by transforming each component,
-    applying the block, and transforming back.
+    applying the block, and transforming back. The speed c, mass m and time
+    T are held only in the blocks, as ``dirac_propagator`` built them.
     """
 
     ks: np.ndarray
     blocks: np.ndarray  # (N, 2, 2)
-    m: float
-    c: float
-    T: float
 
     def apply(self, field: SpinorField) -> SpinorField:
         if len(self.ks) != field.n_sites:
@@ -224,7 +222,7 @@ def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPr
     if not np.isfinite(T):
         raise DomainError(f"T must be finite, got {T}")
     ks = ring_momenta(N, dx)
-    return DiracPropagator(ks=ks, blocks=dirac_block(ks, c, m, T), m=m, c=c, T=T)
+    return DiracPropagator(ks=ks, blocks=dirac_block(ks, c, m, T))
 
 
 def resample(field: SpinorField, n_sites: int) -> SpinorField:

@@ -321,16 +321,13 @@ def make_wavepacket(
 class ComparisonFrame:
     """Exact unitary G relating walk output to the reference evolution."""
 
-    name: str
     pointwise: np.ndarray  # (N, 2, 2)
     with_encoding: bool    # apply the plus-component advance E first
 
     def apply_adjoint(self, data: np.ndarray) -> np.ndarray:
-        out = np.einsum("lji,lj->li", self.pointwise.conj(), data)
+        out = np.einsum("lji,lj->li", self.pointwise.conj(), data)  # a new array
         if self.with_encoding:
-            shifted = out.copy()
-            shifted[:, 0] = np.roll(out[:, 0], +1)
-            out = shifted
+            out[:, 0] = np.roll(out[:, 0], +1)
         return out
 
 
@@ -338,25 +335,24 @@ def _frame_name(alpha: float) -> str:
     return "polarization-rotation" if alpha == 0.0 else "dressed-encoding"
 
 
-def comparison_frame(params: ScalingParams, xs: np.ndarray, t0: float = 0.0) -> ComparisonFrame:
-    """Frame for comparing walk trajectories with the reference evolution."""
-    cs = params.cprofile.sample(t0, xs)
+def comparison_frame(params: ScalingParams, xs: np.ndarray) -> ComparisonFrame:
+    """Frame for comparing walk trajectories with the reference evolution, at t = 0."""
+    cs = params.cprofile.sample(0.0, xs)
     n = len(xs)
-    name = _frame_name(params.alpha)
-    if name == "polarization-rotation":
+    if _frame_name(params.alpha) == "polarization-rotation":
         s = np.sqrt(1.0 - cs ** 2)
         pw = np.zeros((n, 2, 2), dtype=np.complex128)
         pw[:, 0, 0] = s
         pw[:, 0, 1] = cs
         pw[:, 1, 0] = -cs
         pw[:, 1, 1] = s
-        return ComparisonFrame(name, pw, with_encoding=False)
+        return ComparisonFrame(pw, with_encoding=False)
     lam_inv = lambda_power(cs, -params.kappa)
     half = 0.5 * cs * params.kappa
     eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2))
     dress = np.cos(half)[:, None, None] * eye - 1j * np.sin(half)[:, None, None] * SIGMA_Y
     pw = np.einsum("lij,ljk->lik", lam_inv, dress)
-    return ComparisonFrame(name, pw, with_encoding=True)
+    return ComparisonFrame(pw, with_encoding=True)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +403,8 @@ def _grid(
         raise BudgetError(f"length = {length} and T = {T} at epsilon = {eps} need more than "
                           f"{GRID_BUDGET:.0e} sites x steps, the grid budget")
     params = ScalingParams(m=m, cprofile=cprofile, epsilon=eps_adj, alpha=alpha)
-    derive_angle_arrays(params, 0.0, (np.arange(1 if cprofile.homogeneous else n) + 0.5) * params.dx)
+    # the crossings as the walk's _step_operators samples them, xs + dx/2, so each coin it builds passed here
+    derive_angle_arrays(params, 0.0, np.arange(1 if cprofile.homogeneous else n) * params.dx + 0.5 * params.dx)
     notes = []
     if abs(eps_adj - eps) > 1e-12 * eps:
         notes.append(f"epsilon {eps:.17g} snapped to {eps_adj:.17g} (N = {n})")

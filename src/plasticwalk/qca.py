@@ -149,9 +149,6 @@ class QcaState:
     def norm(self) -> float:
         return hypot(*(np.linalg.norm(x) for x in self.sectors.values()))
 
-    def copy(self) -> "QcaState":
-        return QcaState._from_sectors({k: x.copy() for k, x in self.sectors.items()}, self.n_cells)
-
     def occupations(self) -> np.ndarray:
         """Expectation of the occupation of each qubit (mode)."""
         modes = np.arange(2 * self.n_cells)
@@ -370,30 +367,35 @@ def extract_one_particle(state: QcaState, dx: float = 1.0, tol: float = 1e-10) -
     return SpinorField(one.reshape(n, 2).copy(), dx)
 
 
+def _probe(n_modes: int, step) -> np.ndarray:
+    """The n_modes x n_modes matrix of a linear ring map that moves no mode more than 4 modes.
+
+    ``step`` applies the map to states held as columns. Modes whose spacing
+    is a multiple of s, the least divisor of n_modes that is 9 or more,
+    then never meet: each residue class mod s is stepped as one sum of unit
+    states, and column j is read back from its own 9 rows, which no other
+    mode of its class reaches. ``step`` runs on s columns, not n_modes.
+    """
+    s = next(d for d in range(min(9, n_modes), n_modes + 1) if n_modes % d == 0)
+    modes = np.arange(n_modes)[:, None]
+    rows = (modes + np.arange(-4, 5)) % n_modes
+    w = np.zeros((n_modes, n_modes), dtype=np.complex128)
+    w[rows, modes] = step((modes % s == np.arange(s)).astype(np.complex128))[rows, modes % s]
+    return w
+
+
 def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
     """2N x 2N matrix of one automaton step on the one-particle sector.
 
     Mode index 2l is the left-mover (plus) at cell l, 2l+1 the right-mover.
     Column j is mode j stepped by the sector kernel; the sector has no |11>
     position and its seam sign is +1. Each of the four layers moves a
-    particle by at most one mode around the ring, so column j is zero
-    beyond the modes within 4 of j. Modes whose spacing is a multiple of s,
-    the least divisor of 2N that is 9 or more, thus never meet within a
-    step: each residue class mod s is stepped as one sum of unit states,
-    and each column is read back from its own 9 rows, which no other mode
-    of its class reaches. The kernel steps s columns, not the 2N of the
-    identity. No statevector and no qubit budget.
+    particle by at most one mode around the ring, so :func:`_probe` reads
+    the matrix from a few residue classes of modes, each stepped as one
+    state. No statevector and no qubit budget.
     """
-    nq = 2 * n_cells
-    s = next(d for d in range(min(9, nq), nq + 1) if nq % d == 0)
-    modes = np.arange(nq)
-    combs = np.zeros((nq, s), dtype=np.complex128)
-    combs[modes, modes % s] = 1.0
-    stepped = _step_sector(combs, _crossing_gates(n_cells, theta, zeta), _one_particle_plan(n_cells))
-    rows = (modes[:, None] + np.arange(-4, 5)) % nq
-    w = np.zeros((nq, nq), dtype=np.complex128)
-    w[rows, modes[:, None]] = stepped[rows, modes[:, None] % s]
-    return w
+    gates, plan = _crossing_gates(n_cells, theta, zeta), _one_particle_plan(n_cells)
+    return _probe(2 * n_cells, lambda x: _step_sector(x, gates, plan))
 
 
 def verify_encoding(theta: float, zeta: float, N: int) -> float:
@@ -404,17 +406,24 @@ def verify_encoding(theta: float, zeta: float, N: int) -> float:
     E = S^+ (the plus component pulled from the right neighbour): E^dag W E.
     That W is exactly the step the walk takes between its mixing powers,
     and the walk side is its own kernel, ``walk._apply`` with the ring's
-    ``_shift`` (C(zeta), then the two-site taps of S C(-zeta) S), run on
-    all 2N unit modes at once (sites on axis 0, modes on axis 1). Each of
-    them is compared with the same column of :func:`one_particle_matrix`;
-    the residual is the largest column 2-norm difference, and values at
-    roundoff certify the sector equivalence.
+    ``_shift`` (C(zeta), then the two-site taps of S C(-zeta) S). E^dag W E
+    moves a mode at most 4 modes, as the automaton does, so the difference
+    of the two kernels is read through the :func:`_probe` columns that
+    read :func:`one_particle_matrix` (a walk side that moved a mode further
+    would lose weight from the rows read, which the unitary automaton
+    keeps). The residual is the largest column 2-norm of the difference,
+    and values at roundoff certify the sector equivalence.
     """
-    w1 = one_particle_matrix(N, theta, zeta).reshape(N, 2, 2 * N)
-    p, m = np.eye(2 * N, dtype=np.complex128).reshape(N, 2, 2 * N).transpose(1, 0, 2)
-    p, m = _apply(_operators(None, coin_matrix(theta, zeta)[None]), np.roll(p, -1, axis=0), m, _shift)
-    walked = np.stack([np.roll(p, 1, axis=0), m], axis=1)  # E^dag: plus component back one site
-    return float(np.max(np.linalg.norm(w1 - walked, axis=(0, 1))))
+    gates, plan = _crossing_gates(N, theta, zeta), _one_particle_plan(N)
+    ops = _operators(None, coin_matrix(theta, zeta)[None])
+
+    def difference(x):  # automaton minus E^dag W E on states held as columns; the walk's sites on axis 0
+        p, m = x.reshape(N, 2, -1).transpose(1, 0, 2)
+        p, m = _apply(ops, np.roll(p, -1, axis=0), m, _shift)
+        walked = np.stack([np.roll(p, 1, axis=0), m], axis=1).reshape(2 * N, -1)  # E^dag: plus back one site
+        return _step_sector(x, gates, plan) - walked
+
+    return float(np.max(np.linalg.norm(_probe(2 * N, difference).reshape(N, 2, 2 * N), axis=(0, 1))))
 
 
 def _gram_deviation(phi: np.ndarray) -> float:

@@ -34,8 +34,8 @@ plane wave, where each two-site tap is the phase e^{+-2ik dx}.
 ``qca.verify_encoding`` runs it on the step with no mixing power,
 W = S . C(-zeta) . S . C(zeta).
 
-``evolve_walk`` runs a trajectory. For a static profile the operators are
-the same on every step, so ``trajectory_operators`` builds them once, and
+``evolve_walk`` runs a trajectory; ``_trajectory`` builds its operators, and
+for a static profile, the same on every step, builds them once, so
 Lambda^kappa of one step cancels Lambda^(-kappa) of the step before. An
 inhomogeneous static trajectory is therefore stepped in the mixing-power
 frame: Lambda^kappa once, one ``qw_step`` of C(zeta) and the taps per step,
@@ -147,15 +147,6 @@ def _operators(lam: np.ndarray | None, coin: np.ndarray) -> StepOperators:
     return lam_e, (c00, c01, c10, c11), (a, b, c, d), tuple(e.conj() for e in lam_e)
 
 
-def trajectory_operators(params: ScalingParams, field: SpinorField) -> StepOperators | None:
-    """Operators shared by every step of a trajectory from ``field``.
-
-    A static profile's operators, the same at every t, are built once, here;
-    a profile that depends on t gets None, so each ``qw_step`` builds its own.
-    """
-    return _step_operators(params, 0.0, field.positions()) if params.cprofile.static else None
-
-
 def _mix(mat: tuple[np.ndarray, ...], p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a00, a01, a10, a11 = mat
     x = a00 * p
@@ -259,11 +250,11 @@ def qw_step(
         Start time of the step. Every spacetime-dependent factor is frozen
         at this time.
     ops:
-        The step's operators, as ``trajectory_operators`` returns them for
-        a static profile on this field's ring. None builds them at time t.
-        With both mixing powers None the step is C(zeta) and the taps only:
-        ``evolve_walk`` steps a static trajectory so, between one
-        Lambda^kappa and one Lambda^(-kappa).
+        The step's operators, as ``_step_operators`` builds them on this
+        field's ring. None builds them at time t. With both mixing powers
+        None the step is C(zeta) and the taps only: ``_trajectory`` steps a
+        static inhomogeneous trajectory so, between one Lambda^kappa and
+        one Lambda^(-kappa).
 
     Returns
     -------
@@ -278,23 +269,20 @@ def qw_step(
     return SpinorField._unchecked(data, field.dx)  # unitary arithmetic on a valid field
 
 
-def _trajectory(
-    field: SpinorField, params: ScalingParams, steps: int, stride: int, t0: float = 0.0,
-    ops: StepOperators | None = None,
-):
+def _trajectory(field: SpinorField, params: ScalingParams, steps: int, stride: int):
     """Yield (steps taken, field) after every ``stride`` steps of ``steps``, and after the last.
 
-    Step j starts at t0 + 2*dt*j; ``ops`` are as ``evolve_walk`` takes
-    them. A static inhomogeneous trajectory is stepped in the mixing-power
-    frame: Lambda^kappa once, then one ``qw_step`` of C(zeta) and the taps
-    per step, and each yield applies Lambda^(-kappa) to a copy while the
-    rotated state carries on. Its field after s steps is therefore bitwise
-    the same for every stride, as is a time-dependent profile's. A
-    homogeneous trajectory takes one Fourier multiplier per chunk of
-    ``stride`` steps.
+    Step j starts at 2*dt*j. A static profile's operators are built here,
+    once, on the field's ring; a profile that depends on t leaves each
+    step's to ``qw_step``. A static inhomogeneous trajectory is stepped in
+    the mixing-power frame: Lambda^kappa once, then one ``qw_step`` of
+    C(zeta) and the taps per step, and each yield applies Lambda^(-kappa)
+    to a copy while the rotated state carries on. Its field after s steps
+    is therefore bitwise the same for every stride, as is a time-dependent
+    profile's. A homogeneous trajectory takes one Fourier multiplier per
+    chunk of ``stride`` steps.
     """
-    if ops is None:
-        ops = trajectory_operators(params, field)
+    ops = _step_operators(params, 0.0, field.positions()) if params.cprofile.static else None
     if not steps:
         return
     if params.cprofile.homogeneous:
@@ -317,36 +305,28 @@ def _trajectory(
     for start in range(0, steps, stride):
         stop = min(start + stride, steps)
         for j in range(start, stop):
-            state = qw_step(state, params, t0 + 2.0 * params.epsilon * j, ops=step_ops)
+            state = qw_step(state, params, 2.0 * params.epsilon * j, ops=step_ops)
         yield stop, state if lam_inv is None else _pointwise(lam_inv, state)
 
 
-def evolve_walk(
-    field: SpinorField,
-    params: ScalingParams,
-    steps: int,
-    t0: float = 0.0,
-    *,
-    ops: StepOperators | None = None,
-) -> SpinorField:
-    """Apply ``steps`` walk steps; step j starts at t0 + 2*dt*j.
+def evolve_walk(field: SpinorField, params: ScalingParams, steps: int) -> SpinorField:
+    """Apply ``steps`` walk steps; step j starts at 2*dt*j.
 
-    ``ops`` are the trajectory's operators as ``trajectory_operators``
-    returns them for this field's ring; None builds them here, once for a
-    static profile. A homogeneous profile's steps are applied as one
-    Fourier multiplier: the FFT of the field, each ring momentum's block
-    to the power ``steps``, and the inverse FFT. A static inhomogeneous
-    profile applies Lambda^kappa once, takes one ``qw_step`` of C(zeta) and
-    the taps per step, and applies Lambda^(-kappa) once. Both agree with
-    the product of full ``qw_step``s to roundoff, not bitwise. A profile
-    that depends on t takes one full ``qw_step`` per step, built at its
-    start time. The result is the last field ``_trajectory`` yields in one
-    chunk, so a snapshot loop over the same trajectory meets it bitwise.
+    A static profile's operators are built once. A homogeneous profile's
+    steps are applied as one Fourier multiplier: the FFT of the field, each
+    ring momentum's block to the power ``steps``, and the inverse FFT. A
+    static inhomogeneous profile applies Lambda^kappa once, takes one
+    ``qw_step`` of C(zeta) and the taps per step, and applies
+    Lambda^(-kappa) once. Both agree with the product of full ``qw_step``s
+    to roundoff, not bitwise. A profile that depends on t takes one full
+    ``qw_step`` per step, built at its start time. The result is the last
+    field ``_trajectory`` yields in one chunk, so a snapshot loop over the
+    same trajectory meets it bitwise.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
     out = field
-    for _, out in _trajectory(field, params, int(steps), max(int(steps), 1), t0, ops):
+    for _, out in _trajectory(field, params, int(steps), max(int(steps), 1)):
         pass
     return out
 

@@ -264,7 +264,7 @@ def test_simulate_flat_snapshots_equal_evolve_walk(tmp_path):
         walked = make_wavepacket(n, params.dx, *cfg._packet())
         for start in range(0, steps, stride):  # stride 8: one call, as a sweep row makes it
             stop = min(start + stride, steps)
-            walked = evolve_walk(walked, params, stop - start, 2.0 * params.epsilon * start)
+            walked = evolve_walk(walked, params, stop - start)
             rows = (out / f"snapshot_{stop:06d}.csv").read_text().splitlines()[1:]
             cols = np.array([[float(v) for v in row.split(",")] for row in rows])
             assert np.array_equal(cols[:, 1] + 1j * cols[:, 2], walked.plus)

@@ -28,8 +28,6 @@ def test_field_accessors():
     data = np.arange(8, dtype=float).reshape(4, 2) + 0j
     f = SpinorField(data, 0.5)
     assert f.n_sites == 4
-    assert f.length == 2.0
-    assert f.norm_sq() == pytest.approx(np.sum(np.abs(data) ** 2))
     np.testing.assert_allclose(f.density(), np.sum(np.abs(data) ** 2, axis=1))
 
 

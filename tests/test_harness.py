@@ -761,6 +761,27 @@ def test_grid_admits_the_site_budget_and_refuses_one_site_more():
         harness._grid(0.2, flat, 1.0, float(harness.SITE_BUDGET + 1), 1.0, 0.05)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("profile", [CProfile.gaussian_well(0.8, 0.3, 32.0, 8.0), CProfile.constant(0.5)],
+                         ids=["gaussian-well", "flat"])
+def test_grid_checks_the_coins_the_walk_builds(monkeypatch, profile, alpha):
+    # below alpha = 1 the ring has 300 sites, dx ~ 64/300, where (j + 0.5) dx and j dx + dx/2 differ
+    from plasticwalk import walk
+
+    seen = {}
+    for module in (harness, walk):
+        def record(params, t, xs, module=module, real=module.derive_angle_arrays):
+            seen.setdefault(module, np.array(xs, copy=True))
+            return real(params, t, xs)
+
+        monkeypatch.setattr(module, "derive_angle_arrays", record)
+    eps = 0.5 if alpha == 1.0 else (64.0 / 300) ** (1.0 / (1.0 - alpha))
+    params, n, _, _, _ = harness._grid(0.2, profile, alpha, 64.0, 1.0, eps)
+    assert n == (64 if alpha == 1.0 else 300)
+    harness.evolve_walk(make_wavepacket(n, params.dx, 32.0, 8.0, 0.3), params, 1)
+    assert np.array_equal(seen[harness], seen[walk])
+
+
 # ---------------------------------------------------------------------------
 # dispersion
 

@@ -289,15 +289,16 @@ def test_encoding_identity_grid():
         assert verify_encoding(float(theta), float(zeta), 6) <= 1e-12
 
 
-def test_encoding_check_runs_the_walks_shift(monkeypatch):
+@pytest.mark.parametrize("n", [6, 64])  # 64 cells probe 16 of the 128 modes at a time, 6 cells all 12
+def test_encoding_check_runs_the_walks_shift(monkeypatch, n):
     # the walk side of the check is walk._apply with the walk's full shift,
     # so a shift the wrong way round must show in the residual
     def backward(p, m, k=1):
         return np.roll(p, k, axis=0), np.roll(m, -k, axis=0)
 
-    assert verify_encoding(1.0, 0.3, 6) <= 1e-12
+    assert verify_encoding(1.0, 0.3, n) <= 1e-12
     monkeypatch.setattr(qca, "_shift", backward)
-    assert verify_encoding(1.0, 0.3, 6) > 0.5
+    assert verify_encoding(1.0, 0.3, n) > 0.5
 
 
 def test_encoding_beyond_twelve_cells():
@@ -803,7 +804,7 @@ def test_sector_held_norm_and_occupations_match_dense_formulas(n):
         assert abs(state.norm() - np.linalg.norm(amp)) <= 1e-14
         expected = [np.sum(np.abs(amp) ** 2 * ((idx >> q) & 1)) for q in range(2 * n)]
         np.testing.assert_allclose(state.occupations(), expected, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(state.copy().amplitudes, amp)
+        np.testing.assert_array_equal(state.amplitudes, amp)
 
 
 @pytest.mark.parametrize("sectors, raises", [((1,), False), ((2,), True), ((0, 1), True), ((1, 3), True)])

@@ -18,7 +18,7 @@ from plasticwalk import (
     ring_momenta,
 )
 from plasticwalk.scaling import derive_angle_arrays
-from plasticwalk.walk import _apply, _shift, _step_operators, trajectory_operators
+from plasticwalk.walk import _apply, _shift, _step_operators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -34,7 +34,7 @@ def params_for(c, m, eps, alpha):
 
 def step_loop(f, p, steps):
     """``steps`` bare qw_steps with the trajectory's operators: the position-space oracle."""
-    ops = trajectory_operators(p, f)
+    ops = _step_operators(p, 0.0, f.positions())
     for _ in range(steps):
         f = qw_step(f, p, ops=ops)
     return f
@@ -525,14 +525,6 @@ def test_homogeneous_walk_takes_no_qw_step(monkeypatch):
     p = params_for(0.5, 0.2, 0.0625, 0.5)
     f = random_field(64, np.random.default_rng(61), dx=p.dx)
     assert abs(evolve_walk(f, p, 100).norm() - 1.0) <= 1e-12
-
-
-def test_evolve_walk_uses_the_given_operators():
-    p = params_for(0.5, 0.2, 0.0625, 0.5)
-    other = params_for(0.3, 0.4, 0.0625, 0.5)
-    f = random_field(16, np.random.default_rng(67), dx=p.dx)
-    given = evolve_walk(f, p, 9, ops=trajectory_operators(other, f))
-    assert np.array_equal(given.data, evolve_walk(f, other, 9).data)
 
 
 @pytest.mark.parametrize("prof", [CProfile.constant(0.5), CProfile.sine_bump(0.5, 0.2, 4.0)],
