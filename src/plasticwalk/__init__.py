@@ -34,7 +34,6 @@ from .walk import (
     ring_momenta,
 )
 from .hamiltonians import (
-    DiracPropagator,
     LatticeHamiltonian,
     curved_dirac_reference,
     dirac_propagator,
@@ -91,7 +90,6 @@ __all__ = [
     "momentum_block",
     "qw_step",
     "ring_momenta",
-    "DiracPropagator",
     "LatticeHamiltonian",
     "curved_dirac_reference",
     "dirac_propagator",

@@ -145,7 +145,7 @@ class RunConfig:
             profile = self.build_profile()
             for eps in (self.epsilon, *self.epsilon_list):
                 _grid(self.m, profile, self.alpha, self.length, self.T, eps)
-            _check_packet(*self._packet())
+            _check_packet(*self._packet(), self.length)
 
     def _check_shape(self) -> None:
         """Each field's JSON type against its annotation; profile and initial hold known keys, each a real."""

@@ -14,12 +14,13 @@ needs only H applied to a field (``evolve_exact``).
 
 The constant-speed continuum operator is diagonal in ring momentum: mode k
 evolves by the closed-form 2x2 block exp(-i (c k sigma_x - m sigma_z) T)
-(``dirac_block``, ``dirac_propagator``). The inhomogeneous continuum
-reference is the Fourier pseudo-spectral operator
+(``dirac_block``), applied as a ``walk.MomentumOperator``, the one form of
+a per-momentum operator (``dirac_propagator``). The inhomogeneous
+continuum reference is the Fourier pseudo-spectral operator
 H = -(i/2) sigma_x (C D + D C) - m sigma_z, the continuum limit of the
 bond-midpoint lattice H (C the speed on the grid, D the FFT derivative
 without the even-N Nyquist mode), propagated by the same Chebyshev kernel.
-Fields move between grids of the ring by one spectral resampler
+Fields move between grids of the ring only by one spectral resampler
 (``resample``), to any site count, finer or coarser; ``trig_interpolate``
 is its integer-refinement form.
 Cayley stepping (``evolve_crank_nicolson``) is a second-order integrator
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .fields import CProfile, SpinorField
-from .walk import ring_momenta
+from .walk import MomentumOperator, _entries, ring_momenta
 
 
 @dataclass
@@ -172,27 +173,6 @@ def evolve_crank_nicolson(
     return psi0.with_data(v.reshape(-1, 2))
 
 
-@dataclass
-class DiracPropagator:
-    """Momentum-resolved propagator of the constant-speed continuum operator.
-
-    ``blocks[i]`` is exp(-i (c k_i sigma_x - m sigma_z) T) for the FFT-ordered
-    ring momentum k_i; fields are propagated by transforming each component,
-    applying the block, and transforming back. The speed c, mass m and time
-    T are held only in the blocks, as ``dirac_propagator`` built them.
-    """
-
-    ks: np.ndarray
-    blocks: np.ndarray  # (N, 2, 2)
-
-    def apply(self, field: SpinorField) -> SpinorField:
-        if len(self.ks) != field.n_sites:
-            raise DomainError("propagator and field live on different grids")
-        ph = np.fft.fft(field.data, axis=0)
-        ph = np.einsum("kij,kj->ki", self.blocks, ph)
-        return field.with_data(np.fft.ifft(ph, axis=0))
-
-
 def dirac_block(q, c: float, m: float, T: float) -> np.ndarray:
     """Closed-form exp(-i (c q sigma_x - m sigma_z) T), vectorized over q.
 
@@ -211,8 +191,8 @@ def dirac_block(q, c: float, m: float, T: float) -> np.ndarray:
     return blocks
 
 
-def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPropagator:
-    """Continuum propagator: ``dirac_block(k_i)`` over the N ring momenta k_i."""
+def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> MomentumOperator:
+    """Continuum propagator: ``dirac_block(k_i)`` over the N FFT-ordered ring momenta k_i."""
     if not 0.0 <= c <= 1.0:
         raise DomainError(f"c must lie in [0, 1], got {c}")
     if not (np.isfinite(m) and m >= 0):
@@ -221,8 +201,7 @@ def dirac_propagator(N: int, dx: float, m: float, c: float, T: float) -> DiracPr
         raise DomainError(f"dx must be finite and positive, got {dx}")
     if not np.isfinite(T):
         raise DomainError(f"T must be finite, got {T}")
-    ks = ring_momenta(N, dx)
-    return DiracPropagator(ks=ks, blocks=dirac_block(ks, c, m, T))
+    return MomentumOperator(_entries(dirac_block(ring_momenta(N, dx), c, m, T)))
 
 
 def resample(field: SpinorField, n_sites: int) -> SpinorField:
@@ -257,11 +236,6 @@ def trig_interpolate(field: SpinorField, refinement: int) -> SpinorField:
     if isinstance(refinement, bool) or not isinstance(refinement, (int, np.integer)) or refinement < 1:
         raise DomainError(f"refinement must be an integer >= 1, got {refinement!r}")
     return resample(field, field.n_sites * int(refinement))
-
-
-def restrict(field: SpinorField, refinement: int) -> SpinorField:
-    """Pointwise restriction back to the coarse grid."""
-    return SpinorField(field.data[::refinement].copy(), field.dx * refinement)
 
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:
@@ -349,7 +323,7 @@ def curved_dirac_reference(
 
     The field is spectrally interpolated to a grid refined by the given
     factor, propagated there under the pseudo-spectral curved Dirac operator
-    with c frozen at t = 0 by a Chebyshev expansion, and restricted back.
+    with c frozen at t = 0 by a Chebyshev expansion, and resampled back.
     The operator needs a periodic speed profile. For a field resolved on the
     coarse grid every refinement gives the same result to roundoff, so
     comparing two refinements measures the reference's own error.
@@ -359,4 +333,4 @@ def curved_dirac_reference(
     fine = trig_interpolate(psi0, refinement)
     apply, radius = _spectral_dirac(cprofile.sample(0.0, fine.positions()), fine.dx, m)
     evolved = _chebyshev_propagate(apply, fine.data.T.copy(), T, radius)
-    return restrict(fine.with_data(evolved.T), refinement)
+    return resample(fine.with_data(evolved.T), psi0.n_sites)

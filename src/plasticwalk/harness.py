@@ -9,27 +9,28 @@ speed, ``dirac_momentum``), or the pseudo-spectral curved Dirac evolution
 (alpha < 1, inhomogeneous speed, ``curved_fine_grid``).
 The lattice reference, flat or curved, is one Chebyshev propagation of the
 lattice Hamiltonian (``evolve_exact``). The flat continuum reference is
-propagated per ring momentum with closed-form 2x2 blocks. The curved
-continuum reference is a Chebyshev propagation on a grid of the ring; its
-sweep records the reference's own error once, on the coarsest row that
-completed: the distance to the same propagation on a 2x refined grid. Every
-row solves the same continuous problem, and a finer grid resolves it at
-least as well, so the coarsest row's error bounds the others'. Where that
-error sits at or below ``NOISE_FLOOR`` the coarsest grid N0 becomes the
-sweep's reference grid: each later row restricts its initial field to it
-spectrally, propagates it there and interpolates the result back, at
+propagated per ring momentum with closed-form 2x2 blocks, as the walk's
+homogeneous trajectory is (``walk.MomentumOperator``). The curved continuum
+reference is a Chebyshev propagation on a grid of the ring; its sweep
+records the reference's own error once, on the coarsest row that completed:
+the distance to the same propagation on a 2x refined grid. Every row solves
+the same continuous problem, and a finer grid resolves it at least as well,
+so the coarsest row's error bounds the others'. Where that error sits at or
+below ``NOISE_FLOOR`` the coarsest grid N0 becomes the sweep's reference
+grid: each later row restricts its initial field to it spectrally,
+propagates it there and interpolates the result back, at
 O(N0^2 log N0 + N log N) instead of O(N^2 log N), unless the restriction
-drops more than ``NOISE_FLOOR`` of the field. Otherwise, and on every row
-of a sweep whose error is above the floor, the reference runs on the row's
-own grid; ``SweepRow.reference_N`` records the grid each row used. At
-alpha = 0 the two homogeneous references are cross-validated: the lattice
-one on an 8x refined grid must agree with the row's own continuum one. Both
-numbers pass one gate: above max(smallest walk error / 10, ``NOISE_FLOOR``)
-each adds a flag and fails its check. The same floor decides exactness: a
-sweep is exact iff every completed error sits at or below it, and one with
-only some there is flagged and fits no order. The harness decides every
-check of a sweep from its numbers, ``min_order`` too;
-``SweepReport.checks`` carries them.
+drops more than ``NOISE_FLOOR`` of the field. Otherwise, and on every row of
+a sweep whose error is above the floor, the reference runs on the row's own
+grid; ``SweepRow.reference_N`` records the grid each row used. At alpha = 0
+the two homogeneous references are cross-validated: the lattice one on an 8x
+refined grid, resampled back to the row's grid, must agree with the row's
+own continuum one. Both numbers pass one gate: above
+max(smallest walk error / 10, ``NOISE_FLOOR``) each adds a flag and fails
+its check. The same floor decides exactness: a sweep is exact iff every
+completed error sits at or below it, and one with only some there is flagged
+and fits no order. The harness decides every check of a sweep from its
+numbers, ``min_order`` too; ``SweepReport.checks`` carries them.
 
 Grids. ``_grid`` is the one grid rule: every command passes each epsilon
 through it, and it returns the snapped ``ScalingParams`` or refuses a grid
@@ -48,14 +49,16 @@ The frames are:
   same encoding that relates the automaton's one-particle sector to the
   walk), and F = exp(-i c kappa / 2 sigma_y) undoes the O(kappa) tilt the
   mixing power imprints on the step's eigenbasis. Both tend to the
-  identity as epsilon -> 0.
+  identity as epsilon -> 0. F is real: G^dag = E^dag F^T Lambda^kappa.
 * alpha = 0: ``polarization-rotation`` G = [[s, c], [-c, s]] pointwise,
   s = sqrt(1 - c^2): kappa stays 1, the mixing matrix never weakens, and
   the walk realizes the continuum dynamics in this rotated spin basis.
 
-Errors are reported for G^dag(walk output) against the reference evolution
-of G^dag(initial field), i.e. both sides are expressed in the reference's
-own basis before taking norms.
+A frame holds G^dag's pointwise entries as the walk holds its operators, and
+applies them as the walk does (``walk._mix``); E^dag then moves the plus
+component back one site. Errors are reported for G^dag(walk output) against
+the reference evolution of G^dag(initial field), i.e. both sides are
+expressed in the reference's own basis before taking norms.
 """
 
 from __future__ import annotations
@@ -79,11 +82,10 @@ from .hamiltonians import (
     evolve_exact,
     lattice_hamiltonian_curved,
     resample,
-    restrict,
     trig_interpolate,
 )
 from .scaling import ScalingParams, derive_angle_arrays
-from .walk import SIGMA_Y, evolve_walk, lambda_power, momentum_block, ring_momenta
+from .walk import _entries, _mix, _product, evolve_walk, lambda_power, momentum_block, ring_momenta
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,7 @@ class ExperimentSpec:
     def __post_init__(self):
         """Refuse a spec whose rows would all fail or whose order fit would."""
         self._planned = plan = self._plan()  # _grid refuses a grid the walk cannot step
-        _check_packet(self.x0, self.w, self.k0, self.chirality_mix)
+        _check_packet(self.x0, self.w, self.k0, self.chirality_mix, self.length)
         derived = self.resolved_reference()
         if self.reference not in ("auto", derived):
             raise DomainError(f"reference {self.reference!r} is not the walk's limit here; "
@@ -276,10 +278,12 @@ class SweepReport:
 # initial data
 
 
-def _check_packet(x0: float, w: float, k0: float, chirality_mix: float) -> None:
-    """The packet's own ranges: finite x0 and k0, a finite positive w, chirality_mix in [0, 1]."""
+def _check_packet(x0: float, w: float, k0: float, chirality_mix: float, length: float) -> None:
+    """The packet's own ranges: finite x0 and k0, w in (0, length], chirality_mix in [0, 1]."""
     if not (np.isfinite(w) and w > 0):
         raise DomainError(f"w must be finite and positive, got {w}")
+    if w > length * (1.0 + 1e-12):  # a snapped grid's N dx may sit an ulp below the configured length
+        raise DomainError(f"w = {w} exceeds the ring length {length}")
     for name, value in (("x0", x0), ("k0", k0)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -294,18 +298,23 @@ def make_wavepacket(
 
     ``chirality_mix`` splits the weight between the components: 1 puts all
     of it on plus, 0 on minus. The whole wave, phase included, is
-    periodized by summing its images over a few ring lengths, so a k0 that
-    is not a ring momentum leaves no phase jump at the seam.
+    periodized by summing its images over the ring lengths |s| <=
+    max(2, ceil(12.2 w / length)), so a k0 that is not a ring momentum
+    leaves no phase jump at the seam and the first image left out weighs
+    under 2^-53. x0 = x0' + j length, x0' in [0, length), is the packet at
+    x0' times e^{i k0 j length}.
     """
-    _check_packet(x0, w, k0, chirality_mix)
+    length = N * dx
+    _check_packet(x0, w, k0, chirality_mix, length)
     if w < 4.0 * dx:
         raise ResolutionError(f"width w = {w} below the resolvable minimum 4*dx = {4 * dx}")
-    length = N * dx
+    j, x0 = divmod(x0, length)
     x = np.arange(N) * dx
     wave = np.zeros(N, dtype=np.complex128)
-    for s in (-2, -1, 0, 1, 2):  # image s carries the phase e^{i k0 (x + s length)}
+    images = max(2, int(np.ceil(12.2 * w / length)))
+    for s in range(-images, images + 1):  # image s carries the phase e^{i k0 (x + s length)}
         wave += np.exp(1j * k0 * s * length) * np.exp(-((x - x0 + s * length) ** 2) / (4.0 * w ** 2))
-    wave *= np.exp(1j * k0 * x)
+    wave *= np.exp(1j * k0 * x) * np.exp(1j * k0 * j * length)
     data = np.empty((N, 2), dtype=np.complex128)
     data[:, 0] = np.sqrt(chirality_mix) * wave
     data[:, 1] = np.sqrt(1.0 - chirality_mix) * wave
@@ -321,14 +330,12 @@ def make_wavepacket(
 class ComparisonFrame:
     """Exact unitary G relating walk output to the reference evolution."""
 
-    pointwise: np.ndarray  # (N, 2, 2)
-    with_encoding: bool    # apply the plus-component advance E first
+    adjoint: tuple[np.ndarray, ...]  # G^dag's pointwise entries, one array over the sites each
+    with_encoding: bool  # apply the plus-component advance E first
 
     def apply_adjoint(self, data: np.ndarray) -> np.ndarray:
-        out = np.einsum("lji,lj->li", self.pointwise.conj(), data)  # a new array
-        if self.with_encoding:
-            out[:, 0] = np.roll(out[:, 0], +1)
-        return out
+        p, m = _mix(self.adjoint, data[:, 0], data[:, 1])
+        return np.stack([np.roll(p, 1) if self.with_encoding else p, m], axis=1)
 
 
 def _frame_name(alpha: float) -> str:
@@ -338,21 +345,12 @@ def _frame_name(alpha: float) -> str:
 def comparison_frame(params: ScalingParams, xs: np.ndarray) -> ComparisonFrame:
     """Frame for comparing walk trajectories with the reference evolution, at t = 0."""
     cs = params.cprofile.sample(0.0, xs)
-    n = len(xs)
     if _frame_name(params.alpha) == "polarization-rotation":
         s = np.sqrt(1.0 - cs ** 2)
-        pw = np.zeros((n, 2, 2), dtype=np.complex128)
-        pw[:, 0, 0] = s
-        pw[:, 0, 1] = cs
-        pw[:, 1, 0] = -cs
-        pw[:, 1, 1] = s
-        return ComparisonFrame(pw, with_encoding=False)
-    lam_inv = lambda_power(cs, -params.kappa)
-    half = 0.5 * cs * params.kappa
-    eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2))
-    dress = np.cos(half)[:, None, None] * eye - 1j * np.sin(half)[:, None, None] * SIGMA_Y
-    pw = np.einsum("lij,ljk->lik", lam_inv, dress)
-    return ComparisonFrame(pw, with_encoding=True)
+        return ComparisonFrame((s, -cs, cs, s), with_encoding=False)
+    cos, sin = np.cos(0.5 * cs * params.kappa), np.sin(0.5 * cs * params.kappa)
+    lam = _entries(lambda_power(cs, params.kappa))
+    return ComparisonFrame(_product((cos, sin, -sin, cos), lam), with_encoding=True)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +486,10 @@ def _cross_validate_references(
     spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str
 ) -> float:
     """L2 gap between the lattice reference on an 8x refined grid and the row's own reference."""
-    refinement = 8
     psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
-    fine = trig_interpolate(psi0, refinement)
+    fine = trig_interpolate(psi0, 8)
     h = lattice_hamiltonian_curved(fine.n_sites, fine.dx, params.m, params.cprofile)
-    lattice_side = restrict(evolve_exact(h, fine, row.time_reached), refinement)
+    lattice_side = resample(evolve_exact(h, fine, row.time_reached), row.N)
     continuum_side = _reference_evolution(params, psi0, row.time_reached, kind)
     return float(np.linalg.norm(lattice_side.data - continuum_side.data))
 

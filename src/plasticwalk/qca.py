@@ -367,21 +367,20 @@ def extract_one_particle(state: QcaState, dx: float = 1.0, tol: float = 1e-10) -
     return SpinorField(one.reshape(n, 2).copy(), dx)
 
 
-def _probe(n_modes: int, step) -> np.ndarray:
-    """The n_modes x n_modes matrix of a linear ring map that moves no mode more than 4 modes.
+def _probe(n_modes: int, step) -> tuple[np.ndarray, np.ndarray]:
+    """The band of a linear ring map that moves no mode more than 4 modes: each column's rows and values.
 
     ``step`` applies the map to states held as columns. Modes whose spacing
     is a multiple of s, the least divisor of n_modes that is 9 or more,
     then never meet: each residue class mod s is stepped as one sum of unit
-    states, and column j is read back from its own 9 rows, which no other
-    mode of its class reaches. ``step`` runs on s columns, not n_modes.
+    states, and column j is read back from its own min(9, n_modes) distinct
+    rows, which no other mode of its class reaches. ``step`` runs on s
+    columns, not n_modes. Both arrays returned are (n_modes, min(9, n_modes)).
     """
     s = next(d for d in range(min(9, n_modes), n_modes + 1) if n_modes % d == 0)
     modes = np.arange(n_modes)[:, None]
-    rows = (modes + np.arange(-4, 5)) % n_modes
-    w = np.zeros((n_modes, n_modes), dtype=np.complex128)
-    w[rows, modes] = step((modes % s == np.arange(s)).astype(np.complex128))[rows, modes % s]
-    return w
+    rows = (modes + (np.arange(-4, 5) if n_modes >= 9 else np.arange(n_modes))) % n_modes
+    return rows, step((modes % s == np.arange(s)).astype(np.complex128))[rows, modes % s]
 
 
 def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
@@ -394,8 +393,11 @@ def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
     the matrix from a few residue classes of modes, each stepped as one
     state. No statevector and no qubit budget.
     """
-    gates, plan = _crossing_gates(n_cells, theta, zeta), _one_particle_plan(n_cells)
-    return _probe(2 * n_cells, lambda x: _step_sector(x, gates, plan))
+    gates, plan, n = _crossing_gates(n_cells, theta, zeta), _one_particle_plan(n_cells), 2 * n_cells
+    rows, values = _probe(n, lambda x: _step_sector(x, gates, plan))
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[rows, np.arange(n)[:, None]] = values
+    return out
 
 
 def verify_encoding(theta: float, zeta: float, N: int) -> float:
@@ -411,8 +413,9 @@ def verify_encoding(theta: float, zeta: float, N: int) -> float:
     of the two kernels is read through the :func:`_probe` columns that
     read :func:`one_particle_matrix` (a walk side that moved a mode further
     would lose weight from the rows read, which the unitary automaton
-    keeps). The residual is the largest column 2-norm of the difference,
-    and values at roundoff certify the sector equivalence.
+    keeps). The residual is the largest column 2-norm of the difference
+    over the rows read, and values at roundoff certify the sector
+    equivalence.
     """
     gates, plan = _crossing_gates(N, theta, zeta), _one_particle_plan(N)
     ops = _operators(None, coin_matrix(theta, zeta)[None])
@@ -423,7 +426,7 @@ def verify_encoding(theta: float, zeta: float, N: int) -> float:
         walked = np.stack([np.roll(p, 1, axis=0), m], axis=1).reshape(2 * N, -1)  # E^dag: plus back one site
         return _step_sector(x, gates, plan) - walked
 
-    return float(np.max(np.linalg.norm(_probe(2 * N, difference).reshape(N, 2, 2 * N), axis=(0, 1))))
+    return float(np.max(np.linalg.norm(_probe(2 * N, difference)[1], axis=1)))
 
 
 def _gram_deviation(phi: np.ndarray) -> float:

@@ -44,13 +44,16 @@ depends on t takes full steps, each built at its start time. On a
 homogeneous profile the step commutes with translations, so it acts on
 each ring momentum k as one 2x2 block (``momentum_block``). There
 ``evolve_walk`` takes one FFT of the field, multiplies each momentum by
-its block raised to the number of steps and transforms back. The block is
+its block raised to the number of steps and transforms back (a
+``MomentumOperator``: the block's entries over the FFT bins). The block is
 built and raised (binary powering, log2(steps) squarings) in long double,
 so its rounding does not grow with the number of steps. Both static paths
 agree with the product of full steps to roundoff, not bitwise.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +62,6 @@ from .fields import SpinorField
 from .scaling import ScalingParams, derive_angle_arrays
 
 _TWO_PI = 2 * np.longdouble("3.14159265358979323846264338327950288")
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
 
 
@@ -139,12 +141,17 @@ def _operators(lam: np.ndarray | None, coin: np.ndarray) -> StepOperators:
     C(-zeta) being the transpose of C(zeta), with a and b moved to read
     site x+1 and c and d site x-1: the full shift of ``_shift``.
     """
-    c00, c01, c10, c11 = (np.ascontiguousarray(coin[:, i, j]) for i in (0, 1) for j in (0, 1))
+    c00, c01, c10, c11 = _entries(coin)
     (a, c), (b, d) = _shift(c00, c01), _shift(c10, c11)
     if lam is None:
         return None, (c00, c01, c10, c11), (a, b, c, d), None
-    lam_e = tuple(np.ascontiguousarray(lam[:, i, j]) for i in (0, 1) for j in (0, 1))
+    lam_e = _entries(lam)
     return lam_e, (c00, c01, c10, c11), (a, b, c, d), tuple(e.conj() for e in lam_e)
+
+
+def _entries(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries (a00, a01, a10, a11) of an (n, 2, 2) stack, each a contiguous array of length n."""
+    return tuple(np.ascontiguousarray(stack[:, i, j]) for i in (0, 1) for j in (0, 1))
 
 
 def _mix(mat: tuple[np.ndarray, ...], p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +230,24 @@ def _power(block: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
         block = _product(block, block)
 
 
+@dataclass(frozen=True)
+class MomentumOperator:
+    """A 2x2 operator on each ring momentum, held as its entries over the FFT bins.
+
+    ``apply`` takes the FFT of a field, mixes each bin's components by that
+    bin's entries (``_mix``) and transforms back.
+    """
+
+    entries: tuple[np.ndarray, ...]
+
+    def apply(self, field: SpinorField) -> SpinorField:
+        if len(self.entries[0]) != field.n_sites:
+            raise DomainError("operator and field live on different grids")
+        ft = np.fft.fft(field.data, axis=0)
+        p, m = _mix(self.entries, ft[:, 0], ft[:, 1])
+        return field.with_data(np.fft.ifft(np.stack([p, m], axis=1), axis=0))
+
+
 def _check_spacing(field: SpinorField, params: ScalingParams) -> None:
     if abs(field.dx - params.dx) > 1e-12 * max(field.dx, params.dx):
         raise DomainError(f"field.dx = {field.dx} does not match params.dx = {params.dx}")
@@ -292,10 +317,8 @@ def _trajectory(field: SpinorField, params: ScalingParams, steps: int, stride: i
         for start in range(0, steps, stride):
             chunk = min(stride, steps - start)
             if chunk not in powers:  # the stride's, and a shorter last chunk's
-                powers[chunk] = tuple(b.astype(np.complex128) for b in _power(block, chunk))
-            ft = np.fft.fft(field.data, axis=0)
-            p, m = _mix(powers[chunk], ft[:, 0], ft[:, 1])
-            field = field.with_data(np.fft.ifft(np.stack([p, m], axis=1), axis=0))
+                powers[chunk] = MomentumOperator(tuple(b.astype(np.complex128) for b in _power(block, chunk)))
+            field = powers[chunk].apply(field)
             yield start + chunk, field
         return
     if ops is None:  # full steps, each built at its start time

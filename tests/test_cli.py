@@ -403,6 +403,18 @@ def test_singular_coin_exits_two_and_writes_nothing(tmp_path, capsys, command, r
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "dispersion", "qca"])
+def test_packet_wider_than_the_ring_exits_two(tmp_path, capsys, command):
+    # the packet sums its images over the ring lengths its width reaches, so a
+    # width past the ring is refused on every command, before anything is written
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"initial": {"w": 100.0}}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "w = 100.0 exceeds the ring length 64.0" in err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

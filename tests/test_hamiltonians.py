@@ -322,9 +322,9 @@ def test_cn_rejects_bad_steps():
 
 def test_dirac_propagator_zero_momentum_block():
     prop = dirac_propagator(8, 1.0, 0.7, 0.5, T=1.3)
-    i0 = int(np.argmin(np.abs(prop.ks)))
+    block = np.array([e[0] for e in prop.entries]).reshape(2, 2)  # FFT bin 0 is k = 0
     expected = np.diag([np.exp(1j * 0.7 * 1.3), np.exp(-1j * 0.7 * 1.3)])
-    np.testing.assert_allclose(prop.blocks[i0], expected, atol=1e-13)
+    np.testing.assert_allclose(block, expected, atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -355,8 +355,16 @@ def test_dirac_block_vectorizes_scalar_blocks():
 
 def test_dirac_propagator_blocks_unitary():
     prop = dirac_propagator(32, 0.5, 0.3, 0.9, T=2.0)
-    for b in prop.blocks:
+    for b in np.stack(prop.entries, axis=-1).reshape(-1, 2, 2):
         np.testing.assert_allclose(b.conj().T @ b, np.eye(2), atol=1e-13)
+
+
+def test_momentum_operator_refuses_a_field_on_another_grid():
+    prop = dirac_propagator(8, 1.0, 0.2, 0.5, 0.5)
+    assert prop.apply(_PSI).n_sites == 8
+    for n in (7, 16):
+        with pytest.raises(DomainError, match="different grids"):
+            prop.apply(random_field(n, np.random.default_rng(n)))
 
 
 def test_dirac_massless_packet_translates():
@@ -537,12 +545,10 @@ def test_trig_interpolation_refuses_a_refinement_that_is_not_an_integer():
 
 
 def test_restrict_inverts_interpolation_on_grid_points():
-    from plasticwalk.hamiltonians import restrict
-
     rng = np.random.default_rng(14)
     f = random_field(24, rng, dx=0.5)
     for r in (2, 3, 4):
-        back = restrict(trig_interpolate(f, r), r)
+        back = resample(trig_interpolate(f, r), f.n_sites)
         np.testing.assert_allclose(back.data, f.data, atol=1e-13)
         assert back.dx == pytest.approx(f.dx)
 

@@ -63,6 +63,32 @@ def test_wavepacket_is_periodic_for_any_momentum():
     assert np.max(np.abs(moved.data - np.exp(1j * k0 * dx) * np.roll(f.data, 1, axis=0))) <= 1e-13
 
 
+@pytest.mark.parametrize("j", [-3, 2, 3, 10])
+def test_wavepacket_rings_away_is_the_packet_on_the_ring_rephased(j):
+    # x0 + j L is x0 on the ring; the periodized wave e^{i k0 x} carries the phase e^{i k0 j L}
+    n, dx, k0 = 64, 1.0, np.pi / 8 * 1.03
+    f = make_wavepacket(n, dx, 8.0, 8.0, k0, 0.3)
+    moved = make_wavepacket(n, dx, 8.0 + j * n * dx, 8.0, k0, 0.3)
+    assert np.max(np.abs(moved.data - np.exp(1j * k0 * j * n * dx) * f.data)) <= 1e-14
+
+
+def test_wide_wavepacket_sums_every_image_that_counts():
+    # at w = L/2 the images up to |s| = 7 carry weight above 2^-53; compare with 121 images
+    n, dx, x0, k0 = 64, 1.0, 20.0, 0.3
+    length, w = n * dx, n * dx / 2
+    x = np.arange(n) * dx
+    wave = sum(np.exp(1j * k0 * (x + s * length) - (x - x0 + s * length) ** 2 / (4 * w ** 2)) for s in range(-60, 61))
+    data = np.stack([wave, wave], axis=1) / (np.sqrt(2.0) * np.linalg.norm(wave))
+    assert np.max(np.abs(make_wavepacket(n, dx, x0, w, k0).data - data)) <= 1e-15
+
+
+def test_wavepacket_as_wide_as_the_ring_builds_on_a_snapped_grid():
+    # at alpha = 0.25, epsilon = 0.2 the snapped grid's N dx sits an ulp below the length, 64
+    params, n, *_ = harness._grid(0.2, CProfile.constant(0.5), 0.25, 64.0, 1.0, 0.2)
+    assert n * params.dx < 64.0
+    assert abs(make_wavepacket(n, params.dx, 32.0, 64.0, 0.3).norm() - 1.0) <= 1e-13
+
+
 def test_wavepacket_resolution_guard():
     with pytest.raises(ResolutionError):
         make_wavepacket(64, 1.0, 32.0, 3.9, 0.0)
@@ -178,14 +204,14 @@ def test_cross_validation_equals_the_flat_formula():
     # the lattice side through the spec's profile and the continuum side through
     # _reference_evolution are bitwise the flat Hamiltonian and the Dirac propagator
     from plasticwalk.hamiltonians import (
-        dirac_propagator, evolve_exact, lattice_hamiltonian_flat, restrict, trig_interpolate)
+        dirac_propagator, evolve_exact, lattice_hamiltonian_flat, resample, trig_interpolate)
 
     spec = _spec(0.0, CProfile.constant(0.5), [0.5, 0.25, 0.125], m=0.2)
     params, row, _ = spec._planned[0]
     psi0 = make_wavepacket(row.N, row.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
     fine = trig_interpolate(psi0, 8)
-    lattice = restrict(evolve_exact(lattice_hamiltonian_flat(fine.n_sites, fine.dx, 0.2, 0.5), fine,
-                                    row.time_reached), 8)
+    lattice = resample(evolve_exact(lattice_hamiltonian_flat(fine.n_sites, fine.dx, 0.2, 0.5), fine,
+                                    row.time_reached), row.N)
     dirac = dirac_propagator(row.N, row.dx, 0.2, 0.5, row.time_reached).apply(psi0)
     gap = harness._cross_validate_references(spec, params, row, "dirac_momentum")
     assert gap == float(np.linalg.norm(lattice.data - dirac.data))
@@ -856,7 +882,7 @@ def _mode_frame_residual(alpha, c, m, eps, length, T, k_band=None):
     steps = int(round(T / (2 * eps)))
     t_reach = 2 * eps * steps
     frame = comparison_frame(params, np.arange(n) * params.dx)
-    pw = frame.pointwise[0]  # homogeneous: same dressing at every site
+    pw = np.array([e[0] for e in frame.adjoint]).reshape(2, 2).conj().T  # homogeneous: the same G at every site
     worst = 0.0
     ks = 2 * np.pi * np.fft.fftfreq(n, d=params.dx)
     if k_band is not None:
