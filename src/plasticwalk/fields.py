@@ -135,7 +135,7 @@ class CProfile:
         if not (0.0 <= c0 - depth and c0 <= 1.0 and depth >= 0.0):
             raise DomainError(f"gaussian-well range [{c0 - depth}, {c0}] leaves [0, 1]")
         return cls(
-            fn=lambda t, x: c0 - depth * np.exp(-((x - center) ** 2) / (2.0 * width ** 2)),
+            fn=lambda t, x: c0 - depth * np.exp(-((x - center) ** 2) / (2.0 * np.float64(width) ** 2)),
             homogeneous=(depth == 0.0),
             name="gaussian-well",
             params={"c0": c0, "depth": depth, "center": center, "width": width},
@@ -146,16 +146,23 @@ class CProfile:
         return float(self.sample(t, x))
 
     def sample(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of positions (or one), validating the range once."""
+        """Evaluate at an array of positions (or one), validating the range once.
+
+        The built-in profiles compute in NumPy float64, and every profile is
+        evaluated with NumPy's floating-point warnings off: an overflow or a
+        0/0 gives inf or NaN, which the range check refuses, or a limit such
+        as exp(-inf) = 0 inside it.
+        """
         xs = np.asarray(xs, dtype=float)
-        try:
-            cs = np.asarray(self.fn(t, xs), dtype=float)
-        except (TypeError, ValueError):  # scalar-only callables, e.g. built on math.sin
-            cs = None
-        if cs is not None and cs.ndim == 0:  # constant callables
-            cs = np.full(xs.shape, cs)
-        if cs is None or cs.shape != xs.shape:
-            cs = np.array([float(self.fn(t, x)) for x in xs.ravel().tolist()]).reshape(xs.shape)
+        with np.errstate(all="ignore"):
+            try:
+                cs = np.asarray(self.fn(t, xs), dtype=float)
+            except (TypeError, ValueError):  # scalar-only callables, e.g. built on math.sin
+                cs = None
+            if cs is not None and cs.ndim == 0:  # constant callables
+                cs = np.full(xs.shape, cs)
+            if cs is None or cs.shape != xs.shape:
+                cs = np.array([float(self.fn(t, x)) for x in xs.ravel().tolist()]).reshape(xs.shape)
         inside = (cs >= 0.0) & (cs <= 1.0)  # NaN fails both comparisons
         if not inside.all():
             i = np.argmin(inside)

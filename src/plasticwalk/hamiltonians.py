@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import BudgetError, DomainError, SolverError
 from .fields import CProfile, SpinorField
 from .walk import MomentumOperator, _entries, ring_momenta
 
@@ -238,6 +238,9 @@ def trig_interpolate(field: SpinorField, refinement: int) -> SpinorField:
     return resample(field, field.n_sites * int(refinement))
 
 
+_CHEBYSHEV_BUDGET = 10**6  # terms of one propagation, ~|z|; its FFT then holds at most 2^21 angles (32 MB)
+
+
 def _chebyshev_coefficients(z: float) -> np.ndarray:
     """Coefficients a_n of exp(-i z x) = sum_n a_n T_n(x) on [-1, 1], truncated at the Bessel tail.
 
@@ -273,6 +276,9 @@ def _chebyshev_propagate(apply, data: np.ndarray, T: float, radius: float) -> np
         raise DomainError(f"T must be finite, got {T}")
     if radius * T == 0.0:
         return data.copy()
+    if not radius * T <= _CHEBYSHEV_BUDGET:
+        raise BudgetError(f"spectral radius {radius:.3g} over T = {T} needs more than "
+                          f"{_CHEBYSHEV_BUDGET:.0e} Chebyshev terms, the term budget")
     a = _chebyshev_coefficients(radius * T)
     scale = 1.0 / radius
     prev, cur = data, scale * apply(data)

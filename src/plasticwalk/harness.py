@@ -375,9 +375,10 @@ def _grid(
     epsilon snaps to a whole number of sites). It refuses a length or T that
     is not finite and positive, a fractional length or a ring of under 2
     sites at alpha = 1, (BudgetError) more than ``SITE_BUDGET`` sites or
-    ``GRID_BUDGET`` sites x steps, and a grid whose coins the walk cannot
-    build at t = 0 on the crossings (at one crossing for a homogeneous
-    profile). Both budgets are checked before anything is sampled.
+    ``GRID_BUDGET`` sites x steps, and a grid whose operators the walk
+    cannot build at t = 0: c is sampled on the sites and the crossings (at
+    one site and one crossing for a homogeneous profile). Both budgets are
+    checked before anything is sampled.
     """
     ScalingParams(m=m, cprofile=cprofile, epsilon=eps, alpha=alpha)
     for name, value in (("length", length), ("T", T)):
@@ -401,8 +402,11 @@ def _grid(
         raise BudgetError(f"length = {length} and T = {T} at epsilon = {eps} need more than "
                           f"{GRID_BUDGET:.0e} sites x steps, the grid budget")
     params = ScalingParams(m=m, cprofile=cprofile, epsilon=eps_adj, alpha=alpha)
-    # the crossings as the walk's _step_operators samples them, xs + dx/2, so each coin it builds passed here
-    derive_angle_arrays(params, 0.0, np.arange(1 if cprofile.homogeneous else n) * params.dx + 0.5 * params.dx)
+    # both position sets of the walk's _step_operators: the sites of its mixing powers, and the
+    # crossings xs + dx/2 of its coins, so each operator it builds at t = 0 passed here
+    xs = np.arange(1 if cprofile.homogeneous else n) * params.dx
+    cprofile.sample(0.0, xs)
+    derive_angle_arrays(params, 0.0, xs + 0.5 * params.dx)
     notes = []
     if abs(eps_adj - eps) > 1e-12 * eps:
         notes.append(f"epsilon {eps:.17g} snapped to {eps_adj:.17g} (N = {n})")
@@ -667,6 +671,6 @@ def dispersion_scan(params: ScalingParams, k_count: int) -> DispersionTable:
     c0 = params.cprofile(0.0, 0.0)  # raises through profile if not evaluable
     ks = np.sort(ring_momenta(k_count, params.dx))
     phases = np.sort(np.angle(np.linalg.eigvals(momentum_block(params, ks))), axis=1)
-    lat = np.sqrt((c0 * np.sin(ks * params.dx) / params.dx) ** 2 + params.m ** 2)
-    cont = np.sqrt((c0 * ks) ** 2 + params.m ** 2)
+    lat = np.hypot(c0 * np.sin(ks * params.dx) / params.dx, params.m)  # no m^2 to overflow
+    cont = np.hypot(c0 * ks, params.m)
     return DispersionTable(ks=ks, walk_phases=phases, lattice_energy=lat, continuum_energy=cont)

@@ -27,22 +27,24 @@ steps the automaton acts on one sector at a time through one kernel,
 states. The plan applies each layer with as few array updates as the
 sector allows: the swap layer V is one signed permutation (a gather and
 one multiply) in every sector; a crossing layer is one gathered 2x2 update
-wherever its gates touch disjoint amplitudes, which in the one-particle
-sector is the whole layer, and one update per gate elsewhere. The
-k-particle seam sign is the one scalar (-1)^(k-1), folded into the seam
-gate, and the N crossing gates are built in one call. The dense step
-operator is assembled block by block from the same plans, and the
-one-particle matrix steps the modes as a few batched states through the
-one-particle plan of a ring of any size. Of the paths that take or return
-a state, only the ``QcaState`` constructor and its ``amplitudes`` touch
-4^N entries; the dense step operator is kept for checks. Only the
-constructor reads the 4^N popcount table.
+below two particles, where no gate has a |11> position, and one update per
+gate above. One builder, :func:`_sector_plan`, makes every plan, the
+one-particle plan of a ring of any size included. The k-particle seam sign
+is the one scalar (-1)^(k-1), folded into the seam gate, and the N
+crossing gates are built in one call. The dense step operator is assembled
+block by block from the same plans, and the one-particle matrix steps the
+modes as a few batched states through the one-particle plan. Of the paths
+that take or return a state, only the ``QcaState`` constructor and its
+``amplitudes`` touch 4^N entries; the dense step operator is kept for
+checks. Only the constructor reads the 4^N popcount table.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
-right-mover; basis-state index bit q is the occupation of qubit q, which is
-also fermionic mode q of the ordered-mode (Jordan-Wigner) encoding used by
-:func:`slater_determinant_state`. In a two-qubit gate basis |ab>, label a
-is the left-mover qubit of the pair.
+right-mover. The crossing gate of cell l acts on the qubit pair
+(q_a, q_b) = (2l+2 mod 2N, 2l+1), the last one being the ring seam, and
+the swap of cell l on (2l, 2l+1). Basis-state index bit q is the
+occupation of qubit q, which is also fermionic mode q of the ordered-mode
+(Jordan-Wigner) encoding used by :func:`slater_determinant_state`. In a
+two-qubit gate basis |ab>, label a is the left-mover qubit of the pair.
 """
 
 from __future__ import annotations
@@ -187,34 +189,24 @@ def _mix(gate: np.ndarray, a01: np.ndarray, a10: np.ndarray) -> None:
     a10 += into_10
 
 
-def _gate_pairs(n_cells: int) -> list[tuple[int, int]]:
-    """Qubit pairs (q_a, q_b) of the crossing gates, cell l = 0..N-1, then of the swaps.
-
-    The crossing pair of cell l is (left-mover subcell of cell l+1,
-    right-mover subcell of cell l); the last one is the ring seam.
-    """
-    nq = 2 * n_cells
-    crossings = [((2 * l + 2) % nq, 2 * l + 1) for l in range(n_cells)]
-    return crossings + [(2 * l, 2 * l + 1) for l in range(n_cells)]
-
-
 @dataclass(frozen=True)
 class _SectorPlan:
     """The four layers of a step, as array updates on one sector's gathered amplitudes.
 
-    ``idx`` is the sorted list of the sector's basis indices; position p
-    holds basis state idx[p]. ``crossings`` is a crossing layer as updates
-    (p01, p10, p11, gate) in gate order: the positions of |01>, of the
-    |10> partner of each and of |11> (label a is qubit q_a), and the
-    crossing gate l = 0..N-1 that acts there. A run of gates that touch
-    pairwise disjoint positions and have no |11> position is one update,
-    with ``gate`` the index of each |01> row's gate; in the one-particle
-    sector that is the whole layer. Every other update is one gate, with
-    ``gate`` its index. The swap layer V is a signed permutation:
-    out[p] = swap_sign[p] * x[swap[p]]. ``seam_sign`` is the Jordan-Wigner
-    sign (-1)^(k-1) of every seam |01> entry of the k-particle sector: such
-    an entry occupies qubit 2N-1 but not qubit 0, so its other k-1
-    particles all sit in the modes 1..2N-2 between them.
+    Position p holds the sector's p-th basis state in basis-index order;
+    ``idx`` lists those indices, or is None where they overflow int64 (the
+    one-particle sector past 31 cells, whose position m is mode m).
+    ``crossings`` is a crossing layer as updates (p01, p10, p11, gate): the
+    positions of |01>, of the |10> partner of each and of |11> (label a is
+    qubit q_a), and the crossing gate l = 0..N-1 that acts there. Below two
+    particles no gate has a |11> position and each mode sits in one gate, so
+    the layer is one update, with ``gate`` the index of each |01> row's gate;
+    above, every gate is its own update, with ``gate`` its index. The swap
+    layer V is a signed permutation: out[p] = swap_sign[p] * x[swap[p]].
+    ``seam_sign`` is the Jordan-Wigner sign (-1)^(k-1) of every seam |01>
+    entry of the k-particle sector: such an entry occupies qubit 2N-1 but
+    not qubit 0, so its other k-1 particles all sit in the modes 1..2N-2
+    between them.
     """
 
     idx: np.ndarray | None
@@ -225,68 +217,58 @@ class _SectorPlan:
 
 
 def _sector_modes(n_modes: int, k: int) -> np.ndarray:
-    """Occupied modes m_1 < ... < m_k of every k-particle basis state, shaped (C(n_modes, k), k)."""
-    flat = np.fromiter(chain.from_iterable(combinations(range(n_modes), k)), dtype=np.intp)
-    return flat.reshape(comb(n_modes, k), k)  # (1, 0) for no particles
+    """Occupied modes m_0 < ... < m_(k-1) of every k-particle basis state, in basis-index order.
 
-
-def _plan(idx, pairs: dict, n_cells: int, seam_sign: int) -> _SectorPlan:
-    """A sector's plan from the (p01, p10, p11) positions of each gate of :func:`_gate_pairs`.
-
-    Crossing gates on disjoint positions commute exactly, so a run of them
-    is one update; the swaps of the N cells compose into one signed
-    permutation whose factors are gate_V()'s own entries (V maps |01> to
-    |10> and back, keeps |00> and keeps |11> up to sign).
+    Shaped (C(n_modes, k), k). ``combinations`` of the reversed mode range
+    lists each state highest mode first, the states in descending order of
+    basis index, so reversing both axes gives the ascending order of both.
     """
-    size = 2 * n_cells if idx is None else len(idx)  # no basis indices: the one-particle sector
-    crossing = [pairs[q] for q in _gate_pairs(n_cells)[:n_cells]]
-    runs, taken = [], np.zeros(size, dtype=bool)
-    for l, (p01, p10, p11) in enumerate(crossing):
-        if not runs or len(p11) or len(crossing[runs[-1][-1]][2]) or taken[p01].any() or taken[p10].any():
-            runs.append([])
-            taken[:] = False
-        runs[-1].append(l)
-        taken[p01] = taken[p10] = True
-    updates = []
-    for run in runs:
-        p01, p10, p11 = (np.concatenate([crossing[l][i] for l in run]) for i in range(3))
-        gate = run[0] if len(run) == 1 else np.repeat(run, [len(crossing[l][0]) for l in run])
-        updates.append((p01, p10, p11, gate))
-    v = gate_V()
-    swap, swap_sign = np.arange(size), np.ones(size, dtype=np.complex128)
-    for q in _gate_pairs(n_cells)[n_cells:]:  # each swap after the ones before it
-        p01, p10, p11 = pairs[q]
-        swap[p01], swap[p10] = swap[p10], swap[p01]
-        swap_sign[p01], swap_sign[p10] = v[1, 2] * swap_sign[p10], v[2, 1] * swap_sign[p01]
-        swap_sign[p11] *= v[3, 3]
-    arrays = [swap, swap_sign, *(a for u in updates for a in u if isinstance(a, np.ndarray))]
-    for arr in arrays + ([] if idx is None else [idx]):
-        arr.setflags(write=False)
-    return _SectorPlan(idx, tuple(updates), swap, swap_sign, seam_sign)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n_modes - 1, -1, -1), k)), dtype=np.intp)
+    return flat.reshape(comb(n_modes, k), k)[::-1, ::-1]  # (1, 0) for no particles
 
 
 @lru_cache(maxsize=QUBIT_BUDGET + 1)  # every sector of the largest ring the budget allows
 def _sector_plan(n_cells: int, k: int) -> _SectorPlan:
-    idx = np.sort(np.sum(1 << _sector_modes(2 * n_cells, k), axis=1))
-    pairs = {}
-    for q_a, q_b in _gate_pairs(n_cells):
-        bit_a, bit_b = (idx >> q_a) & 1, (idx >> q_b) & 1
-        p01 = np.flatnonzero((bit_a == 0) & (bit_b == 1))
-        p10 = np.searchsorted(idx, idx[p01] ^ ((1 << q_a) | (1 << q_b)))
-        pairs[q_a, q_b] = (p01, p10, np.flatnonzero(bit_a & bit_b))
-    return _plan(idx, pairs, n_cells, 1 if k % 2 else -1)
+    """Sector k's plan, from its basis states' modes; the one-particle sector of a ring of any size.
 
-
-@lru_cache(maxsize=4)
-def _one_particle_plan(n_cells: int) -> _SectorPlan:
-    """The one-particle sector's plan on a ring of any size, without its basis indices.
-
-    Position m is mode m, so gate (q_a, q_b) has |01> at q_b and |10> at
-    q_a; the basis indices 2^m would overflow int64 past 31 cells.
+    Position p holds the state whose modes m_0 < ... < m_(k-1) have rank
+    p = sum_i C(m_i, i + 1) (the combinatorial number system), so moving
+    its mode m_i to an empty m_i + 1 moves it to p + C(m_i, i): no basis
+    index is needed to find a partner. Crossing gate l has q_b = 2l + 1
+    and q_a = 2l + 2 mod 2N, which a state holding both lists next,
+    cyclically; only the seam's q_a = 0 reorders the modes. The swaps of the
+    N cells compose into one signed permutation: V moves the particle of
+    every singly occupied cell to the cell's other mode, and its |11> entry
+    -1 signs each doubly occupied cell.
     """
-    none = np.empty(0, dtype=np.intp)
-    pairs = {(q_a, q_b): (np.array([q_b]), np.array([q_a]), none) for q_a, q_b in _gate_pairs(n_cells)}
-    return _plan(None, pairs, n_cells, 1)
+    n_modes = 2 * n_cells
+    modes = _sector_modes(n_modes, k)
+    binom = np.array([[comb(m, i) for i in range(k + 1)] for m in range(n_modes)], dtype=np.intp)
+    row, col = np.nonzero(modes % 2)  # each state's odd modes, m = q_b of crossing gate m // 2
+    q_b = modes[row, col]
+    both = np.roll(modes, -1, axis=1)[row, col] == (q_b + 1) % n_modes
+    p10 = row + binom[q_b, col]
+    seam = q_b == n_modes - 1  # the partner lists mode 0 first and the others one column on
+    p10[seam] = binom[modes[row[seam], :-1], np.arange(2, k + 1)].sum(axis=1)
+    order = np.argsort(q_b // 2, kind="stable")  # by gate, each gate's states in order
+    row, p10, both, gate = row[order], p10[order], both[order], q_b[order] // 2
+    if k <= 1:  # no |11> position, and each mode in one gate: the layer is one update
+        updates = ((row, p10, row[:0], gate),)
+    else:  # every gate has |11> positions: one update each
+
+        def per_gate(a, keep):  # the kept entries of each gate l = 0..N-1
+            return np.split(a[keep], np.cumsum(np.bincount(gate[keep], minlength=n_cells))[:-1])
+
+        updates = tuple(zip(per_gate(row, ~both), per_gate(p10, ~both), per_gate(row, both), range(n_cells)))
+    pair = modes[:, 1:] // 2 == modes[:, :-1] // 2  # neighbouring modes in one cell
+    single = ~np.pad(pair, ((0, 0), (1, 0))) & ~np.pad(pair, ((0, 0), (0, 1)))
+    moved = single * (1 - 2 * (modes % 2)) * binom[modes & ~1, np.arange(k)]  # 2l <-> 2l + 1: +-C(2l, i)
+    swap, swap_sign = np.arange(len(modes)) + moved.sum(axis=1), gate_V()[3, 3].real ** pair.sum(axis=1)
+    idx = np.sum(1 << modes, axis=1) if n_cells <= 31 else None  # 2^m fits int64 up to m = 62
+    for arr in (idx, swap, swap_sign, *chain.from_iterable(updates)):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return _SectorPlan(idx, updates, swap, swap_sign, 1 if k % 2 else -1)
 
 
 def _step_sector(x: np.ndarray, gates: np.ndarray, plan: _SectorPlan) -> np.ndarray:
@@ -370,17 +352,21 @@ def extract_one_particle(state: QcaState, dx: float = 1.0, tol: float = 1e-10) -
 def _probe(n_modes: int, step) -> tuple[np.ndarray, np.ndarray]:
     """The band of a linear ring map that moves no mode more than 4 modes: each column's rows and values.
 
-    ``step`` applies the map to states held as columns. Modes whose spacing
-    is a multiple of s, the least divisor of n_modes that is 9 or more,
-    then never meet: each residue class mod s is stepped as one sum of unit
-    states, and column j is read back from its own min(9, n_modes) distinct
-    rows, which no other mode of its class reaches. ``step`` runs on s
-    columns, not n_modes. Both arrays returned are (n_modes, min(9, n_modes)).
+    ``step`` applies the map to states held as columns. Mode j joins class
+    j mod s, s = min(9, n_modes), except the last n_modes mod s modes, each
+    a class of its own; two modes of one class are then 9 or more apart
+    around the ring and never meet. Each class is stepped as one sum of
+    unit states, and column j is read back from its own min(9, n_modes)
+    distinct rows, which no other mode of its class reaches. ``step`` runs
+    on at most 17 columns, not n_modes. Both arrays returned are (n_modes,
+    min(9, n_modes)).
     """
-    s = next(d for d in range(min(9, n_modes), n_modes + 1) if n_modes % d == 0)
+    s = min(9, n_modes)
+    bulk = n_modes - n_modes % s  # the modes in classes mod s
     modes = np.arange(n_modes)[:, None]
+    group = np.where(modes < bulk, modes % s, modes - bulk + s)
     rows = (modes + (np.arange(-4, 5) if n_modes >= 9 else np.arange(n_modes))) % n_modes
-    return rows, step((modes % s == np.arange(s)).astype(np.complex128))[rows, modes % s]
+    return rows, step((group == np.arange(s + n_modes - bulk)).astype(np.complex128))[rows, group]
 
 
 def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
@@ -390,10 +376,10 @@ def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
     Column j is mode j stepped by the sector kernel; the sector has no |11>
     position and its seam sign is +1. Each of the four layers moves a
     particle by at most one mode around the ring, so :func:`_probe` reads
-    the matrix from a few residue classes of modes, each stepped as one
+    the matrix from at most 17 classes of modes, each stepped as one
     state. No statevector and no qubit budget.
     """
-    gates, plan, n = _crossing_gates(n_cells, theta, zeta), _one_particle_plan(n_cells), 2 * n_cells
+    gates, plan, n = _crossing_gates(n_cells, theta, zeta), _sector_plan(n_cells, 1), 2 * n_cells
     rows, values = _probe(n, lambda x: _step_sector(x, gates, plan))
     out = np.zeros((n, n), dtype=np.complex128)
     out[rows, np.arange(n)[:, None]] = values
@@ -417,7 +403,7 @@ def verify_encoding(theta: float, zeta: float, N: int) -> float:
     over the rows read, and values at roundoff certify the sector
     equivalence.
     """
-    gates, plan = _crossing_gates(N, theta, zeta), _one_particle_plan(N)
+    gates, plan = _crossing_gates(N, theta, zeta), _sector_plan(N, 1)
     ops = _operators(None, coin_matrix(theta, zeta)[None])
 
     def difference(x):  # automaton minus E^dag W E on states held as columns; the walk's sites on axis 0
@@ -505,9 +491,7 @@ def slater_determinant_state(orbitals: SlaterState, n_cells: int) -> QcaState:
     """
     if orbitals.n_modes != 2 * n_cells:
         raise DomainError("orbital mode count does not match the cell count")
-    modes = _sector_modes(2 * n_cells, orbitals.n_particles)
-    modes = modes[np.argsort(np.sum(1 << modes, axis=1))]  # in the order of the sector's basis indices
-    x = np.linalg.det(orbitals.orbitals[modes])
+    x = np.linalg.det(orbitals.orbitals[_sector_modes(2 * n_cells, orbitals.n_particles)])
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
         raise DomainError("determinant vanishes; orbitals are linearly dependent")

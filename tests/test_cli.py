@@ -1,7 +1,10 @@
 """Command-line surface: config round-trips, exit codes, file outputs."""
 
 import json
+import random
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +416,104 @@ def test_packet_wider_than_the_ring_exits_two(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "w = 100.0 exceeds the ring length 64.0" in err
     assert not (tmp_path / "o").exists()
+
+
+def _run_quietly(command, raw, tmp_path, label="c"):
+    """main on a config written from ``raw``; its exit code and the Python warnings it raised."""
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / f"{label}-out")])
+    return code, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "command, raw, code",
+    [
+        # width^2 overflows to inf, so the well is c0 - depth everywhere
+        ("simulate", {"profile": {"name": "gaussian-well", "width": 1e300}}, 0),
+        # (x - center)^2 overflows to inf, so the well is c0 everywhere
+        ("simulate", {"profile": {"name": "gaussian-well", "center": 1e300}}, 0),
+        # 2 pi x / length overflows, and sin(inf) is NaN: refused as a value outside [0, 1]
+        ("simulate", {"profile": {"name": "sine-bump", "length": 5e-324}}, 2),
+        # m^2 overflows: the dispersion energies are m, to every digit
+        ("dispersion", {"m": 1e300}, 0),
+    ],
+)
+def test_extreme_values_exit_by_the_contract_without_warnings(tmp_path, capsys, command, raw, code):
+    assert _run_quietly(command, raw, tmp_path) == (code, [])
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.startswith("configuration error:") and "outside [0, 1]" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "dispersion"])
+def test_a_profile_only_the_sites_see_exits_two(tmp_path, capsys, command):
+    # a 5e-324 well width gives c = 0/0 at the site x = center = 32, which
+    # the mixing powers read, while every crossing x + 1/2 is c0
+    raw = {"profile": {"name": "gaussian-well", "width": 5e-324}}
+    assert _run_quietly(command, raw, tmp_path) == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "c(0.0, 32.0) = nan" in err
+    assert not (tmp_path / "c-out").exists()
+
+
+def test_a_reference_past_the_term_budget_is_a_package_error(tmp_path, capsys):
+    # the flat alpha = 0 sweep cross-validates its reference on a lattice,
+    # whose Chebyshev series at m = 1e300 would need ~1e300 terms
+    raw = {"alpha": 0.0, "m": 1e300, "length": 8.0, "T": 0.5, "epsilon_list": [0.5, 0.25],
+           "initial": {"x0": 4.0, "w": 2.0}}
+    assert _run_quietly("sweep", raw, tmp_path) == (1, [])
+    assert "Chebyshev terms, the term budget" in capsys.readouterr().err
+
+
+_EDGES = (0.0, -0.0, 5e-324, 1e-300, 1e300, 1.0 - 1e-16, -1.0, 2.0)
+_BARE_EXCEPTION = re.compile(r"runtime error: \w*(Error|Exception|Warning): ")
+
+
+def _fuzz_config(rng: random.Random) -> tuple[str, dict]:
+    """A command and a config whose reals are typical or, one time in 12, an edge value.
+
+    The typical ranges keep every grid small (rings of 8 to 16, T <= 1,
+    epsilon >= 0.2), so a config that runs takes milliseconds.
+    """
+    def real(lo, hi):
+        return rng.choice(_EDGES) if rng.random() < 1 / 12 else rng.uniform(lo, hi)
+
+    length = rng.choice(_EDGES) if rng.random() < 1 / 12 else rng.choice([8.0, 12.0, 16.0])
+    name = rng.choice(["flat", "sine-bump", "gaussian-well"])
+    profile = {"name": name, "c0": real(0.6, 0.9)}
+    if name == "sine-bump":
+        profile.update(a=real(0.0, 0.1), length=rng.choice(_EDGES) if rng.random() < 1 / 12 else length)
+    elif name == "gaussian-well":
+        profile.update(depth=real(0.0, 0.3), center=real(0.0, 16.0), width=real(1.0, 4.0))
+    raw = {
+        "alpha": rng.choice(_EDGES) if rng.random() < 1 / 12 else rng.choice([0.0, 0.5, 1.0]),
+        "m": real(0.0, 0.3), "length": length, "T": real(0.2, 1.0), "profile": profile,
+        "epsilon": real(0.2, 0.5), "epsilon_list": [real(0.4, 0.5), real(0.2, 0.3)], "snapshot_stride": 1000,
+        "initial": {"x0": real(0.0, 16.0), "w": real(2.0, 3.0), "k0": real(-1.0, 1.0),
+                    "chirality_mix": real(0.0, 1.0)},
+        "k_count": rng.randint(2, 32), "qca_cells": rng.randint(2, 10),
+        "qca_theta": real(0.0, 3.0), "qca_zeta": real(-1.0, 1.0),
+    }
+    return rng.choice(["simulate", "sweep", "dispersion", "qca"]), raw
+
+
+def test_exit_codes_hold_under_a_seeded_fuzz(tmp_path, capsys):
+    # the exit-code contract as a property of 300 random configs: every run
+    # exits 0, 1 or 2, raises no Python warning, and an exit 1 is a failed
+    # check or a package error, never a bare Python exception
+    rng, ran = random.Random(14), 0
+    for i in range(300):
+        command, raw = _fuzz_config(rng)
+        code, caught = _run_quietly(command, raw, tmp_path, f"c{i}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2) and caught == [], (command, raw, code, caught)
+        if code == 1:
+            assert ("FAIL" in out or "violated" in out) if err == "" else (
+                err.startswith("runtime error:") and not _BARE_EXCEPTION.match(err)), (command, raw, err)
+        ran += code != 2
+    assert ran > 0.15 * 300  # most edge values are refused, but the fuzz must also run configs
 
 
 # ---------------------------------------------------------------------------

@@ -746,6 +746,15 @@ def test_spec_refuses_time_dependent_profile():
     assert _spec(1.0, frozen, [0.2, 0.1, 0.05]).resolved_reference() == "lattice_exact"
 
 
+def test_spec_refuses_a_profile_the_sites_leave():
+    # the walk samples c at the sites (its mixing powers) as well as at the
+    # crossings (its coins); a value that only a site sees is refused by the
+    # spec, not by every row that would step it
+    spike = CProfile.from_function(lambda t, x: np.where(x == 2.0, 1.5, 0.5), static=True)
+    with pytest.raises(DomainError, match=r"c\(0\.0, 2\.0\)"):
+        _spec(1.0, spike, [0.2, 0.1, 0.05])
+
+
 def test_rows_split_their_walltime():
     spec = _spec(1.0, CProfile.constant(0.5), [0.2, 0.1, 0.05])
     report = run_convergence_sweep(spec)

@@ -18,7 +18,7 @@ from plasticwalk import (
     ring_momenta,
 )
 from plasticwalk.scaling import derive_angle_arrays
-from plasticwalk.walk import _apply, _shift, _step_operators
+from plasticwalk.walk import _apply, _operators, _shift, _step_operators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -334,6 +334,29 @@ def test_step_is_the_shared_kernel_on_a_new_field(prof):
 
 # ---------------------------------------------------------------------------
 # momentum block
+
+
+@pytest.mark.parametrize("m", [0.0, 0.3])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+def test_every_alpha_is_the_alpha_zero_walk_in_other_coordinates(alpha, m):
+    # W_alpha = Lambda(c)^-kappa Lambda(kappa c) . W_0 . Lambda(kappa c)^-1 Lambda(c)^kappa, with W_0
+    # the alpha = 0 walk on the same sites, read as x' = eps^alpha x at spacing eps: its speed is
+    # c'(x') = kappa c(x), its kappa is eps^0 = 1, so its theta = arccos(kappa c) is the alpha walk's,
+    # and its mass -m cos(pi kappa) gives the alpha walk's zeta. That mass is negative for m > 0 and
+    # kappa < 1/2, which ScalingParams refuses, so W_0 is built here from its angles
+    n, eps = 64, 0.05
+    kappa, dx = eps ** alpha, eps ** (1.0 - alpha)
+    bump = CProfile.sine_bump(0.5, 0.3, n * dx)
+    field = random_field(n, np.random.default_rng(97), dx)
+    xs = field.positions()
+    c_sites, theta = bump.sample(0.0, xs), np.arccos(kappa * bump.sample(0.0, xs + 0.5 * dx))
+    zeta = -m * np.cos(np.pi * kappa) * np.cos(np.pi * 1.0) * eps / np.sin(theta)
+    w0 = _operators(lambda_power(kappa * c_sites, 1.0), coin_matrix(theta, zeta))
+    lam_kappa, lam_fast = lambda_power(c_sites, kappa), lambda_matrix(kappa * c_sites)  # Lambda(kc)^-1 = itself
+    p, q = _apply(w0, *(lam_fast @ lam_kappa @ field.data[..., None])[..., 0].T, _shift)
+    expected = (lam_kappa.conj() @ lam_fast @ np.stack([p, q], axis=1)[..., None])[..., 0]
+    stepped = qw_step(field, ScalingParams(m=m, cprofile=bump, epsilon=eps, alpha=alpha))
+    assert np.max(np.abs(stepped.data - expected)) <= 1e-15
 
 
 def test_momentum_block_zero_momentum_massless():
