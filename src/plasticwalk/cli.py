@@ -31,6 +31,7 @@ from .harness import (
     MOMENTUM_BUDGET,
     ExperimentSpec,
     _check_packet,
+    _environment,
     _grid,
     dispersion_scan,
     make_wavepacket,
@@ -259,6 +260,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         "current_sum": current,
         "seed": cfg.seed,
         "code_version": __version__,
+        "environment": dict(_environment()),
     }
     atomic_write(out_dir / "simulate.json", json.dumps(summary, indent=2) + "\n")
     return 0 if drift <= 1e-10 else 1
@@ -318,6 +320,7 @@ def cmd_dispersion(cfg: RunConfig, out_dir: Path) -> int:
         "max_abs_walk_phase": float(np.max(np.abs(table.walk_phases))),
         "seed": cfg.seed,
         "code_version": __version__,
+        "environment": dict(_environment()),
     }
     atomic_write(out_dir / "dispersion.json", json.dumps(summary, indent=2) + "\n")
     return 0
@@ -345,6 +348,7 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
         "number_conservation_exact": bool(conservation_exact),
         "seed": cfg.seed,
         "code_version": __version__,
+        "environment": dict(_environment()),
     }
     atomic_write(out_dir / "qca_report.json", json.dumps(report, indent=2) + "\n")
     print(f"qca: N={cfg.qca_cells} encoding residual = {residual:.3e} ({'ok' if residual_ok else 'FAIL'})")

@@ -134,8 +134,12 @@ def evolve_exact(H: LatticeHamiltonian, psi0: SpinorField, T: float) -> SpinorFi
     """
     if H.n_sites != psi0.n_sites:
         raise DomainError("operator and field live on different grids")
-    radius = (np.max(np.abs(H.c_minus)) + np.max(np.abs(H.c_plus))) / (2.0 * H.dx) + abs(H.m)
-    return psi0.with_data(_chebyshev_propagate(H.apply, psi0.data, T, float(radius)))
+    return psi0.with_data(_chebyshev_propagate(H.apply, psi0.data, T, _gershgorin_radius(H)))
+
+
+def _gershgorin_radius(H: LatticeHamiltonian) -> float:
+    """The bound on H's spectrum that ``evolve_exact`` runs its series with."""
+    return float((np.max(np.abs(H.c_minus)) + np.max(np.abs(H.c_plus))) / (2.0 * H.dx) + abs(H.m))
 
 
 def evolve_crank_nicolson(
@@ -241,6 +245,13 @@ def trig_interpolate(field: SpinorField, refinement: int) -> SpinorField:
 _CHEBYSHEV_BUDGET = 10**6  # terms of one propagation, ~|z|; its FFT then holds at most 2^21 angles (32 MB)
 
 
+def _check_term_budget(radius: float, T: float) -> None:
+    """Refuse (BudgetError) a propagation over T in a spectrum bounded by ``radius`` past the term budget."""
+    if not radius * T <= _CHEBYSHEV_BUDGET:
+        raise BudgetError(f"spectral radius {radius:.3g} over T = {T} needs more than "
+                          f"{_CHEBYSHEV_BUDGET:.0e} Chebyshev terms, the term budget")
+
+
 def _chebyshev_coefficients(z: float) -> np.ndarray:
     """Coefficients a_n of exp(-i z x) = sum_n a_n T_n(x) on [-1, 1], truncated at the Bessel tail.
 
@@ -276,9 +287,7 @@ def _chebyshev_propagate(apply, data: np.ndarray, T: float, radius: float) -> np
         raise DomainError(f"T must be finite, got {T}")
     if radius * T == 0.0:
         return data.copy()
-    if not radius * T <= _CHEBYSHEV_BUDGET:
-        raise BudgetError(f"spectral radius {radius:.3g} over T = {T} needs more than "
-                          f"{_CHEBYSHEV_BUDGET:.0e} Chebyshev terms, the term budget")
+    _check_term_budget(radius, T)
     a = _chebyshev_coefficients(radius * T)
     scale = 1.0 / radius
     prev, cur = data, scale * apply(data)
@@ -302,7 +311,7 @@ def _spectral_dirac(cs: np.ndarray, dx: float, m: float):
     contiguous rows. D is the FFT derivative; the even-N Nyquist mode has no
     sign-symmetric wavenumber, so it is set to zero, which keeps D real. D is
     antisymmetric, so H is Hermitian; c' is never formed. The bound is
-    max c * pi / dx + m.
+    ``_spectral_radius``'s.
     """
     n = len(cs)
     half_k = 0.5 * ring_momenta(n, dx)  # -(i/2) D is k/2 on mode k
@@ -319,7 +328,12 @@ def _spectral_dirac(cs: np.ndarray, dx: float, m: float):
         kin[0] += m * v[1]
         return kin[::-1]  # sigma_x swaps the kinetic rows; the mass was added crosswise
 
-    return apply, float(np.max(cs)) * np.pi / dx + m
+    return apply, _spectral_radius(cs, dx, m)
+
+
+def _spectral_radius(cs: np.ndarray, dx: float, m: float) -> float:
+    """The bound on the spectrum of ``_spectral_dirac``'s operator: max c * pi / dx + m."""
+    return float(np.max(cs)) * np.pi / dx + m
 
 
 def curved_dirac_reference(

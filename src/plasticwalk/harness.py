@@ -77,6 +77,9 @@ from . import __version__ as _code_version, _csv
 from .errors import BudgetError, DomainError, ResolutionError
 from .fields import CProfile, SpinorField
 from .hamiltonians import (
+    _check_term_budget,
+    _gershgorin_radius,
+    _spectral_radius,
     curved_dirac_reference,
     dirac_propagator,
     evolve_exact,
@@ -136,6 +139,30 @@ class ExperimentSpec:
             raise DomainError(
                 f"epsilon_list must be strictly decreasing on the grid; it snaps to {snapped}"
             )
+        self._check_reference_terms(derived)
+
+    def _check_reference_terms(self, kind: str) -> None:
+        """Refuse (BudgetError) a sweep whose Chebyshev references cannot run within the term budget.
+
+        A row whose reference is over the budget fails alone, so the sweep is
+        refused when every row's is. The coarsest row also runs one more
+        propagation, the curved reference's 2x twin or the cross-validation's
+        8x lattice, and a sweep whose one is over the budget is refused too.
+        """
+        rows = [row for _, row, _ in self._planned]
+        bounds = [(_reference_radius(kind, self.m, self.cprofile, r.N, r.dx), r.time_reached) for r in rows]
+        _check_term_budget(*min(bounds, key=lambda b: b[0] * b[1]))
+        first = rows[0]
+        if kind == "curved_fine_grid":
+            radius = _reference_radius(kind, self.m, self.cprofile, 2 * first.N, first.dx / 2.0)
+            _check_term_budget(radius, first.time_reached)
+        if self._cross_validated():
+            radius = _reference_radius("lattice_exact", self.m, self.cprofile, 8 * first.N, first.dx / 8.0)
+            _check_term_budget(radius, first.time_reached)
+
+    def _cross_validated(self) -> bool:
+        """Whether the sweep cross-validates its two homogeneous references (alpha = 0, flat)."""
+        return self.alpha == 0.0 and self.cprofile.homogeneous
 
     def _plan(self) -> list[tuple[ScalingParams, SweepRow, list[str]]]:
         """Each epsilon's snapped scaling and row before it runs, from ``_grid``, and its notes."""
@@ -416,6 +443,18 @@ def _grid(
     return params, n, steps, t_reach, notes
 
 
+def _reference_radius(kind: str, m: float, cprofile: CProfile, n: int, dx: float) -> float:
+    """The spectral bound the Chebyshev reference of ``kind`` runs with on n sites of spacing dx.
+
+    0.0 for ``dirac_momentum``, which runs no series.
+    """
+    if kind == "lattice_exact":
+        return _gershgorin_radius(lattice_hamiltonian_curved(n, dx, m, cprofile))
+    if kind == "curved_fine_grid":
+        return _spectral_radius(cprofile.sample(0.0, np.arange(n) * dx), dx, m)
+    return 0.0
+
+
 def _reference_evolution(
     params: ScalingParams, psi0: SpinorField, t_reach: float, kind: str
 ) -> SpinorField:
@@ -581,7 +620,7 @@ def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) 
     # the references' cross-validation gap and own error must sit well below the walk's
     # smallest error, or at roundoff; with no completed row neither exists (and bound is NaN)
     gap: float | None = None
-    if spec.alpha == 0.0 and spec.cprofile.homogeneous and coarsest is not None:
+    if spec._cross_validated() and coarsest is not None:
         gap = _cross_validate_references(spec, *coarsest, ref_kind)
     tenth = min((r.error_l2 for r in good), default=float("nan")) / 10.0
     bound, bound_name = (NOISE_FLOOR, "the noise floor") if tenth < NOISE_FLOOR else (tenth, "smallest error/10")

@@ -21,22 +21,26 @@ Jordan-Wigner sign (-1)^(occupation of modes 1..2N-2) on its hopping
 entries.
 
 A :class:`QcaState` holds only the number sectors it occupies, each as
-the amplitudes at that sector's sorted basis indices, and every path that
-steps the automaton acts on one sector at a time through one kernel,
-:func:`_step_sector`, and a cached plan built from the sector's own basis
-states. The plan applies each layer with as few array updates as the
-sector allows: the swap layer V is one signed permutation (a gather and
-one multiply) in every sector; a crossing layer is one gathered 2x2 update
-below two particles, where no gate has a |11> position, and one update per
-gate above. One builder, :func:`_sector_plan`, makes every plan, the
-one-particle plan of a ring of any size included. The k-particle seam sign
-is the one scalar (-1)^(k-1), folded into the seam gate, and the N
-crossing gates are built in one call. The dense step operator is assembled
-block by block from the same plans, and the one-particle matrix steps the
-modes as a few batched states through the one-particle plan. Of the paths
-that take or return a state, only the ``QcaState`` constructor and its
-``amplitudes`` touch 4^N entries; the dense step operator is kept for
-checks. Only the constructor reads the 4^N popcount table.
+the amplitudes at that sector's sorted basis indices, and every path
+that steps the automaton acts on one sector at a time through one
+kernel, :func:`_step_sector`, and a cached plan built from the sector's
+own basis states. By the determinant rule a crossing gate acts on a
+doubly occupied pair as the identity, so the kernel reads only each
+gate's |01>/|10> block, and a plan holds no |11> positions. The plan
+applies each layer with as few array updates as the sector allows: the
+swap layer V is one signed permutation (a gather and one multiply) in
+every sector; a crossing layer is one gathered 2x2 update below two
+particles, where each mode sits in one gate, and one update per gate
+above. One builder, :func:`_sector_plan`, makes every plan, the
+one-particle plan of a ring of any size included. The k-particle seam
+sign is the one scalar (-1)^(k-1), folded into the seam gate's hopping
+entries, and the N crossing gates are built in one call. The dense step
+operator is assembled block by block from the same plans, and the
+one-particle matrix steps the modes as a few batched states through the
+one-particle plan. Of the paths that take or return a state, only the
+``QcaState`` constructor and its ``amplitudes`` touch 4^N entries; the
+dense step operator is kept for checks. Only the constructor reads the
+4^N popcount table.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover. The crossing gate of cell l acts on the qubit pair
@@ -174,18 +178,19 @@ def _popcount(n_bits: int) -> np.ndarray:
     return count
 
 
-def _mix(gate: np.ndarray, a01: np.ndarray, a10: np.ndarray) -> None:
+def _mix(block: np.ndarray, a01: np.ndarray, a10: np.ndarray) -> None:
     """The |01>/|10> block of a number-conserving gate, in place on a01 and a10.
 
-    ``gate`` is one 4x4 gate, or a stack of them whose leading axes
-    broadcast against a01 and a10, one gate per row; every stepping path
-    uses this.
+    ``block`` holds its four entries b00, b01, b10, b11 (the gate's [1, 1],
+    [1, 2], [2, 1] and [2, 2]), each a scalar or an array that broadcasts
+    against a01 and a10, one gate per row; every stepping path uses this.
     """
-    into_01 = gate[..., 1, 2] * a10
-    into_10 = gate[..., 2, 1] * a01
-    a01 *= gate[..., 1, 1]
+    b00, b01, b10, b11 = block
+    into_01 = b01 * a10
+    into_10 = b10 * a01
+    a01 *= b00
     a01 += into_01
-    a10 *= gate[..., 2, 2]
+    a10 *= b11
     a10 += into_10
 
 
@@ -196,13 +201,14 @@ class _SectorPlan:
     Position p holds the sector's p-th basis state in basis-index order;
     ``idx`` lists those indices, or is None where they overflow int64 (the
     one-particle sector past 31 cells, whose position m is mode m).
-    ``crossings`` is a crossing layer as updates (p01, p10, p11, gate): the
-    positions of |01>, of the |10> partner of each and of |11> (label a is
-    qubit q_a), and the crossing gate l = 0..N-1 that acts there. Below two
-    particles no gate has a |11> position and each mode sits in one gate, so
-    the layer is one update, with ``gate`` the index of each |01> row's gate;
-    above, every gate is its own update, with ``gate`` its index. The swap
-    layer V is a signed permutation: out[p] = swap_sign[p] * x[swap[p]].
+    ``crossings`` is a crossing layer as updates (p01, p10, gate): the
+    positions of |01> and of the |10> partner of each (label a is qubit
+    q_a), and the crossing gate l = 0..N-1 that acts there. A gate leaves
+    |00> and |11> as they are, so no update holds their positions. Below
+    two particles each mode sits in one gate, so the layer is one update,
+    with ``gate`` the index of each |01> row's gate; above, every gate is
+    its own update, with ``gate`` its index. The swap layer V is a signed
+    permutation: out[p] = swap_sign[p] * x[swap[p]].
     ``seam_sign`` is the Jordan-Wigner sign (-1)^(k-1) of every seam |01>
     entry of the k-particle sector: such an entry occupies qubit 2N-1 but
     not qubit 0, so its other k-1 particles all sit in the modes 1..2N-2
@@ -236,30 +242,30 @@ def _sector_plan(n_cells: int, k: int) -> _SectorPlan:
     its mode m_i to an empty m_i + 1 moves it to p + C(m_i, i): no basis
     index is needed to find a partner. Crossing gate l has q_b = 2l + 1
     and q_a = 2l + 2 mod 2N, which a state holding both lists next,
-    cyclically; only the seam's q_a = 0 reorders the modes. The swaps of the
-    N cells compose into one signed permutation: V moves the particle of
-    every singly occupied cell to the cell's other mode, and its |11> entry
-    -1 signs each doubly occupied cell.
+    cyclically; only the seam's q_a = 0 reorders the modes. The plan keeps
+    each gate's |01> states and their |10> partners and no |11> position,
+    since the kernel leaves doubly occupied pairs as they are. The swaps of
+    the N cells compose into one signed permutation: V moves the particle
+    of every singly occupied cell to the cell's other mode, and its |11>
+    entry -1 signs each doubly occupied cell.
     """
     n_modes = 2 * n_cells
     modes = _sector_modes(n_modes, k)
     binom = np.array([[comb(m, i) for i in range(k + 1)] for m in range(n_modes)], dtype=np.intp)
     row, col = np.nonzero(modes % 2)  # each state's odd modes, m = q_b of crossing gate m // 2
     q_b = modes[row, col]
-    both = np.roll(modes, -1, axis=1)[row, col] == (q_b + 1) % n_modes
+    alone = np.roll(modes, -1, axis=1)[row, col] != (q_b + 1) % n_modes  # q_a empty: a |01> state
+    row, col, q_b = row[alone], col[alone], q_b[alone]
     p10 = row + binom[q_b, col]
     seam = q_b == n_modes - 1  # the partner lists mode 0 first and the others one column on
     p10[seam] = binom[modes[row[seam], :-1], np.arange(2, k + 1)].sum(axis=1)
     order = np.argsort(q_b // 2, kind="stable")  # by gate, each gate's states in order
-    row, p10, both, gate = row[order], p10[order], both[order], q_b[order] // 2
-    if k <= 1:  # no |11> position, and each mode in one gate: the layer is one update
-        updates = ((row, p10, row[:0], gate),)
-    else:  # every gate has |11> positions: one update each
-
-        def per_gate(a, keep):  # the kept entries of each gate l = 0..N-1
-            return np.split(a[keep], np.cumsum(np.bincount(gate[keep], minlength=n_cells))[:-1])
-
-        updates = tuple(zip(per_gate(row, ~both), per_gate(p10, ~both), per_gate(row, both), range(n_cells)))
+    row, p10, gate = row[order], p10[order], q_b[order] // 2
+    if k <= 1:  # each mode in one gate: the layer is one update
+        updates = ((row, p10, gate),)
+    else:  # gates share positions: one update each
+        split = np.cumsum(np.bincount(gate, minlength=n_cells))[:-1]
+        updates = tuple(zip(np.split(row, split), np.split(p10, split), range(n_cells)))
     pair = modes[:, 1:] // 2 == modes[:, :-1] // 2  # neighbouring modes in one cell
     single = ~np.pad(pair, ((0, 0), (1, 0))) & ~np.pad(pair, ((0, 0), (0, 1)))
     moved = single * (1 - 2 * (modes % 2)) * binom[modes & ~1, np.arange(k)]  # 2l <-> 2l + 1: +-C(2l, i)
@@ -276,25 +282,22 @@ def _step_sector(x: np.ndarray, gates: np.ndarray, plan: _SectorPlan) -> np.ndar
 
     ``x`` is one state, or a batch with one state per column; it is left as
     it is, and the stepped amplitudes are returned. ``gates`` is the
-    (N, 4, 4) crossing-gate stack. Each of the four layers, U, V, U*, V, is
+    (N, 4, 4) crossing-gate stack, of which only each gate's |01>/|10>
+    block is read, once per call. Each of the four layers, U, V, U*, V, is
     the plan's few array updates: one gather and one multiply for V, and
     one gathered 2x2 update per crossing run for U and U*.
     """
     column = (-1,) + (1,) * (x.ndim - 1)  # one factor per position, for a state or a batch
-    u = np.array(gates)  # a copy: the seam gate's hopping entries take the sector's sign
-    u[-1, [1, 2], [2, 1]] *= plan.seam_sign
-    u = u.reshape((len(u),) + column[1:] + (4, 4))
-    contact = (u[..., 3, 3] != 1.0).any()  # a |11> entry other than gate_U's 1
+    b = gates[:, [1, 1, 2, 2], [1, 2, 1, 2]].T  # (4, N) entries of each |01>/|10> block, a copy
+    b[1:3, -1] *= plan.seam_sign  # the seam gate's hopping entries take the sector's sign
+    b = b.reshape((4, -1) + column[1:])
     y = x.copy()
-    for layer in (u, u.conj()):
-        for p01, p10, p11, l in plan.crossings:
-            g = layer[l]
+    for layer in (b, b.conj()):
+        for p01, p10, l in plan.crossings:
             a01, a10 = y[p01], y[p10]
-            _mix(g, a01, a10)
+            _mix(layer[:, l], a01, a10)
             y[p01] = a01
             y[p10] = a10
-            if contact and len(p11):  # only a one-gate update has |11> positions
-                y[p11] *= g[..., 3, 3]
         y = y[plan.swap]
         y *= plan.swap_sign.reshape(column)
     return y
@@ -373,8 +376,8 @@ def one_particle_matrix(n_cells: int, theta, zeta) -> np.ndarray:
     """2N x 2N matrix of one automaton step on the one-particle sector.
 
     Mode index 2l is the left-mover (plus) at cell l, 2l+1 the right-mover.
-    Column j is mode j stepped by the sector kernel; the sector has no |11>
-    position and its seam sign is +1. Each of the four layers moves a
+    Column j is mode j stepped by the sector kernel; the sector's seam sign
+    is +1. Each of the four layers moves a
     particle by at most one mode around the ring, so :func:`_probe` reads
     the matrix from at most 17 classes of modes, each stepped as one
     state. No statevector and no qubit budget.

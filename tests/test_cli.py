@@ -460,11 +460,30 @@ def test_a_profile_only_the_sites_see_exits_two(tmp_path, capsys, command):
 
 def test_a_reference_past_the_term_budget_is_a_package_error(tmp_path, capsys):
     # the flat alpha = 0 sweep cross-validates its reference on a lattice,
-    # whose Chebyshev series at m = 1e300 would need ~1e300 terms
+    # whose Chebyshev series at m = 1e300 would need ~1e300 terms; the spec
+    # refuses it before any row runs
     raw = {"alpha": 0.0, "m": 1e300, "length": 8.0, "T": 0.5, "epsilon_list": [0.5, 0.25],
            "initial": {"x0": 4.0, "w": 2.0}}
-    assert _run_quietly("sweep", raw, tmp_path) == (1, [])
+    assert _run_quietly("sweep", raw, tmp_path) == (2, [])
     assert "Chebyshev terms, the term budget" in capsys.readouterr().err
+    assert not (tmp_path / "c-out").exists()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"alpha": 0.0, "profile": {"name": "sine-bump"}, "length": 8.0, "initial": {"x0": 4.0, "w": 2.0}},
+        {"alpha": 1.0, "length": 32.0, "initial": {"x0": 16.0, "w": 4.0}},
+    ],
+    ids=["curved-alpha-0", "lattice-alpha-1"],
+)
+def test_a_sweep_whose_every_reference_is_past_the_term_budget_exits_two(tmp_path, capsys, raw):
+    # every row's own reference is a Chebyshev series of ~1e300 terms, so no row could run
+    raw = {**raw, "m": 1e300, "T": 0.5, "epsilon_list": [0.5, 0.25]}
+    assert _run_quietly("sweep", raw, tmp_path) == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Chebyshev terms, the term budget" in err
+    assert not (tmp_path / "c-out").exists()
 
 
 _EDGES = (0.0, -0.0, 5e-324, 1e-300, 1e300, 1.0 - 1e-16, -1.0, 2.0)
@@ -765,6 +784,24 @@ def test_dispersion_rejects_inhomogeneous(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # qca
+
+
+@pytest.mark.parametrize(
+    "command, raw, written",
+    [
+        ("simulate", {"T": 0.5}, "simulate.json"),
+        ("dispersion", {"k_count": 16}, "dispersion.json"),
+        ("qca", {"qca_cells": 3}, "qca_report.json"),
+    ],
+)
+def test_every_json_summary_records_its_environment(tmp_path, command, raw, written):
+    # as sweep.json does: the package, Python, NumPy and BLAS versions and the commit
+    from plasticwalk.harness import _environment
+
+    assert _run_quietly(command, raw, tmp_path) == (0, [])
+    summary = json.loads((tmp_path / "c-out" / written).read_text())
+    assert summary["environment"] == dict(_environment())
+    assert set(summary["environment"]) == {"plasticwalk", "python", "numpy", "blas", "commit"}
 
 
 def test_qca_report(tmp_path, capsys):

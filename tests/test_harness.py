@@ -796,6 +796,54 @@ def test_grid_admits_the_site_budget_and_refuses_one_site_more():
         harness._grid(0.2, flat, 1.0, float(harness.SITE_BUDGET + 1), 1.0, 0.05)
 
 
+def test_spec_refuses_a_sweep_only_when_every_reference_is_over_the_term_budget(monkeypatch):
+    # alpha = 1 fixes dx = 1, so both rows propagate one lattice, whose Gershgorin bound is
+    # (0.5 + 0.5) / 2 + 0.2 = 0.7: to t = 1 at epsilon 0.5 and to t = 0.5 at epsilon 0.25
+    from plasticwalk import hamiltonians
+
+    flat = CProfile.constant(0.5)
+    monkeypatch.setattr(hamiltonians, "_CHEBYSHEV_BUDGET", 0.75 * 0.7)  # only the finer row fits
+    spec = _spec(1.0, flat, [0.5, 0.25], T=0.5)
+    assert [row.time_reached for _, row, _ in spec._planned] == [1.0, 0.5]
+    rows = run_convergence_sweep(spec).rows
+    assert "the term budget" in rows[0].failure and rows[1].failure is None
+    monkeypatch.setattr(hamiltonians, "_CHEBYSHEV_BUDGET", 0.25 * 0.7)
+    with pytest.raises(plasticwalk.BudgetError, match="the term budget"):
+        _spec(1.0, flat, [0.5, 0.25], T=0.5)
+
+
+@pytest.mark.parametrize(
+    "profile, refused, admitted",
+    [
+        # the coarsest row (dx 0.5, t 2) runs 2 (0.8 pi / 0.5 + 0.2) = 10.5 terms, its 2x twin 20.5
+        (CProfile.sine_bump(0.5, 0.3, 32.0), 15.0, 25.0),
+        # the rows run no series; the cross-validation's 8x lattice runs 2 (1 / (2 / 16) + 0.2) = 16.4 terms
+        (CProfile.constant(0.5), 10.0, 20.0),
+    ],
+    ids=["curved-twin", "flat-cross-validation"],
+)
+def test_spec_refuses_a_sweep_whose_coarsest_row_extra_propagation_is_over_the_term_budget(
+    monkeypatch, profile, refused, admitted
+):
+    from plasticwalk import hamiltonians
+
+    monkeypatch.setattr(hamiltonians, "_CHEBYSHEV_BUDGET", refused)
+    with pytest.raises(plasticwalk.BudgetError, match="the term budget"):
+        _spec(0.0, profile, [0.5, 0.25])
+    monkeypatch.setattr(hamiltonians, "_CHEBYSHEV_BUDGET", admitted)
+    _spec(0.0, profile, [0.5, 0.25])
+
+
+def test_a_flat_continuum_sweep_is_not_refused_by_the_term_budget():
+    # alpha = 0.5 on a flat profile propagates each ring momentum in closed form and
+    # cross-validates nothing, so it runs no Chebyshev series: m = 1e300 runs every row
+    spec = ExperimentSpec(alpha=0.5, m=1e300, cprofile=CProfile.constant(0.5), length=8.0, T=0.5,
+                          epsilon_list=[0.25, 0.125], x0=4.0, w=2.0, k0=0.0)
+    report = run_convergence_sweep(spec)
+    assert report.reference == "dirac_momentum" and report.crossval_gap is None
+    assert [row.failure for row in report.rows] == [None, None]
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("profile", [CProfile.gaussian_well(0.8, 0.3, 32.0, 8.0), CProfile.constant(0.5)],
                          ids=["gaussian-well", "flat"])

@@ -437,20 +437,21 @@ def test_two_particle_dynamics_is_not_a_determinant_evolution():
     # its one-particle block has determinant +1 carries a contact phase
     # between opposite movers: the multi-particle automaton is then not the
     # antisymmetrized tensor power of its one-particle sector, even with
-    # the Jordan-Wigner seam parity in place. Pinned here so that gate_U's
-    # |11><11| entry cannot drift back to -1 unnoticed (criterion 7 of the
-    # acceptance suite checks the library gate itself).
+    # the Jordan-Wigner seam parity in place. This is why the package kernel
+    # reads only each gate's |01>/|10> block, leaving |11> as it is, and why
+    # a contact variant would be another model; criterion 7 of the
+    # acceptance suite checks the library's own steps.
     n, theta, zeta = 6, 1.0, 0.3
     contact = gate_U(theta, zeta)
     contact[3, 3] = -1.0
     phi = np.zeros((2 * n, 2), dtype=complex)
     phi[2 * 1 + 0, 0] = 1.0
     phi[2 * 4 + 1, 1] = 1.0
-    amp = slater_determinant_state(SlaterState(phi), n).amplitudes
-    for _ in range(4):
-        dense_step(amp, [contact] * n)
+    x = slater_determinant_state(SlaterState(phi), n).sectors[2]
+    for _ in range(4):  # the package kernel reads no |11> entry: step gate by gate
+        x = reference_step(x, [contact] * n, n, 2)
     slater = slater_evolve(SlaterState(phi), one_particle_step(theta, zeta), 4)
-    gap = np.max(np.abs(QcaState(amp, n).occupations() - slater.occupations()))
+    gap = np.max(np.abs(QcaState._from_sectors({2: x}, n).occupations() - slater.occupations()))
     assert gap > 0.1
 
 
@@ -466,7 +467,7 @@ def test_det_consistent_variant_with_seam_twist_is_free():
     # (a plain seam) and acts alone on one-particle states (a twisted seam).
     n, theta, zeta = 6, 1.0, 0.3
     u = gate_U(theta, zeta)
-    gates = [u] * (n - 1) + [_seam_twisted(u)]
+    gates = np.array([u] * (n - 1) + [_seam_twisted(u)])
 
     phi = np.zeros((2 * n, 2), dtype=complex)
     phi[2 * 1 + 0, 0] = 1.0
@@ -605,20 +606,19 @@ def _filtered_plan(n, sectors):
     for q_a, q_b in _gate_pairs(n):
         p01 = [p for p, i in enumerate(idx) if not (i >> q_a) & 1 and (i >> q_b) & 1]
         p10 = [position[idx[p] ^ (1 << q_a) ^ (1 << q_b)] for p in p01]
-        p11 = [p for p, i in enumerate(idx) if (i >> q_a) & 1 and (i >> q_b) & 1]
-        pairs[q_a, q_b] = (p01, p10, p11)
+        pairs[q_a, q_b] = (p01, p10)
     seam_sign = [(-1) ** bin(idx[p] & ((1 << (nq - 1)) - 2)).count("1") for p in pairs[0, nq - 1][0]]
     return idx, pairs, seam_sign
 
 
 def _per_gate(plan):
-    """Each crossing gate l's (p01, p10, p11) positions, split out of the plan's updates."""
+    """Each crossing gate l's (p01, p10) positions, split out of the plan's updates."""
     out = {}
-    for p01, p10, p11, gate in plan.crossings:
+    for p01, p10, gate in plan.crossings:
         if np.ndim(gate) == 0:
-            out[gate] = (p01, p10, p11)
+            out[gate] = (p01, p10)
         else:
-            out.update({l: (p01[gate == l], p10[gate == l], p11) for l in set(gate.tolist())})
+            out.update({l: (p01[gate == l], p10[gate == l]) for l in set(gate.tolist())})
     return out
 
 
@@ -660,14 +660,14 @@ def test_sector_plan_layers_are_few_array_updates(n):
         np.testing.assert_array_equal(idx[plan.swap], ((idx & even) << 1) | ((idx >> 1) & even))
         doubly = np.array([bin(i & (i >> 1) & even).count("1") for i in idx.tolist()])
         np.testing.assert_array_equal(plan.swap_sign, (-1.0) ** doubly)
-        for p01, p10, p11, gate in plan.crossings:
-            touched = np.concatenate([p01, p10, p11])
+        for p01, p10, gate in plan.crossings:
+            touched = np.concatenate([p01, p10])
             assert len(np.unique(touched)) == len(touched)
             if np.ndim(gate):
-                assert len(p11) == 0 and gate.shape == p01.shape
+                assert gate.shape == p01.shape
         assert sorted(_per_gate(plan)) == ([] if k == 0 else list(range(n)))  # the vacuum has no pairs
-    (p01, p10, p11, gate), = qca._sector_plan(n, 1).crossings
-    assert sorted(np.concatenate([p01, p10]).tolist()) == list(range(2 * n)) and len(p11) == 0
+    (p01, p10, gate), = qca._sector_plan(n, 1).crossings
+    assert sorted(np.concatenate([p01, p10]).tolist()) == list(range(2 * n))
     assert sorted(gate.tolist()) == list(range(n))
 
 
@@ -698,6 +698,21 @@ def test_step_matches_the_per_gate_loop(n, array_angles):
             assert np.max(np.abs(got_batch - expected_batch)) <= 1e-15
         else:
             assert np.array_equal(got, expected) and np.array_equal(got_batch, expected_batch)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_kernel_reads_only_each_gates_one_particle_block(n):
+    # every entry of each crossing gate but its |01>/|10> block is NaN, the
+    # |11> entry included: a step that read any of them would carry a NaN
+    rng = np.random.default_rng(137 + n)
+    gates = qca._crossing_gates(n, rng.uniform(0.3, 2.8, size=n), rng.uniform(-0.6, 0.6, size=n))
+    blocks = np.full(gates.shape, np.nan, dtype=complex)
+    blocks[:, 1:3, 1:3] = gates[:, 1:3, 1:3]
+    for k in range(2 * n + 1):
+        plan = qca._sector_plan(n, k)
+        x = rng.normal(size=(len(plan.idx), 2)) + 1j * rng.normal(size=(len(plan.idx), 2))
+        assert np.array_equal(qca._step_sector(x, blocks, plan), qca._step_sector(x, gates, plan))
+        assert np.array_equal(qca._step_sector(x[:, 0], blocks, plan), qca._step_sector(x[:, 0], gates, plan))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 9, 11, 64, 509, 512])
