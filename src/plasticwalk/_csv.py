@@ -2,59 +2,76 @@
 
 ``rows(table)`` returns the bytes of ``",".join("%.17g" % v for v in row)``
 and a newline for each row of a 2-D float64 table; every CSV table the
-CLI writes (snapshots, sweep rows, dispersion scans) goes through it. Seventeen significant digits round-trip every
-double, and Python's conversion is correctly rounded (round half to
-even), so the digits of each value are fixed: D = round(|v| 10^(16-X)) in
-[1e16, 1e17), X the decimal exponent. They are found without a per-value
-Python call:
+CLI writes (snapshots, sweep rows, dispersion scans) goes through it.
+Seventeen significant digits round-trip every double, and Python's
+conversion is correctly rounded (round half to even), so the digits of
+each value are fixed: D = round(|v| 10^(16-X)) in [1e16, 1e17), X the
+decimal exponent. They are found in float64 arithmetic, the same on every
+platform, without a per-value Python call:
 
-1. d = floor(log10|v|) estimates X.
-2. s = |v| 10^(16-d) is formed in long double from a table of powers of
-   ten, each rounded to nearest with a 64-bit significand, and D = rint(s).
-   If D falls outside [1e16, 1e17) the estimate was off by one; d moves
-   once and s and D are formed again.
-3. The table entry and the product each round with relative error at most
-   2^-64, so |s - s_exact| <= s 2^-63. Unless the fraction of s lies
-   within s 2^-62 of 1/2, rint(s) is the correctly rounded D (and no
-   exact decimal tie is possible). Values that fail this test, values
-   whose D is 1e16 or 1e17 after the correction (d could still be off by
-   one there), zeros and non-finite values are formatted by Python's
-   ``"%.17g" %`` itself; on a walk's amplitudes that is under 2 % of them.
-   Where long double has fewer than 64 significand bits (it is plain
-   double on some platforms) every value takes that path.
-4. The 17 digits of D are laid out as ``%g`` does: fixed notation for
+1. d = floor(log10|v|) estimates X, and k = 16 - d.
+2. A table holds, for every k a finite double can need (subnormals
+   included), a power of two S = 2^e with e near k log2(10) / 2, and
+   10^k / S as the double-double P_hi + P_lo: P_hi is 10^k / S rounded to
+   nearest and P_lo is the rest rounded to nearest, both from Python
+   ints. With a = |v| S (exact: S is a power of two), a and P_hi lie
+   within ~10^170 of 1, so no product below overflows or goes subnormal;
+   no value needs a range guard.
+3. Dekker's split product gives a P_hi = h + l exactly, h the rounded
+   product and l its error; then t = l + a P_lo, and D = h + rint(t) (h
+   is an even integer above 2^53). If D falls outside (1e16, 1e17) the
+   estimate may be one off; d moves once, toward D, and D is formed again.
+4. The error bound. Let s = |v| 10^k = a (P_hi + P_lo + delta) exactly,
+   u = 2^-53, and s < 1e17 < 2^57. P_lo is within u |P_lo| of the rest,
+   so |a delta| <= u^2 a P_hi < 2^-49.4. |l| <= ulp(h) / 2 <= 8 and
+   |a P_lo| <= u a P_hi < 11.2; the product a P_lo rounds by at most
+   11.2 u < 2^-49.4, and the sum t, below 32 in magnitude, by at most
+   2^-49. So |s - h - t| < 2^-47, 128 times below the margin 2^-40:
+   unless t lies within 2^-40 of a half-integer, rint(t) rounds it as
+   it rounds s - h, D is correctly rounded and no exact tie can occur.
+5. Python's ``"%.17g" %`` formats the rest itself: zeros, non-finite
+   values, values within 2^-40 of a tie, and values whose D is still
+   1e16 or 1e17 after the correction (d could still be one off there).
+   On a walk's amplitudes that is about one value in 10^5 or fewer.
+6. The 17 digits of D are laid out as ``%g`` does: fixed notation for
    -4 <= X < 17, else exponent notation with at least two exponent
    digits; trailing fractional zeros and a bare point are dropped.
 
-Each value becomes a fixed-width record of bytes, NUL where a slot is
-unused, and a block of records becomes text by deleting every NUL.
-Blocks hold ``BLOCK_ROWS`` rows so the work arrays stay small.
+Each value becomes a 32-byte record, NUL where a slot is unused, and a
+block of records becomes text by deleting every NUL. A record is a frame
+by exponent and sign (sign, lead, point, exponent) OR'd with the leading
+digit and four groups of four digits, each one gather from a table; the
+last group drops its trailing zeros. That is the text of nearly every
+value. The rest, fixed notation from 10 up (the point falls among the
+digits) and a last group of 0 (the group before may end in zeros too),
+are laid out again, each byte moved by a map chosen by the point's place
+and the number of digits printed. Blocks hold ``BLOCK_ROWS`` rows so the
+work arrays stay small.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 BLOCK_ROWS = 512
 
-# A record is six 8-byte words: the sign, the "0.000" lead of fixed
-# notation below 1 and the first digit; four groups of four digits; "e",
-# the exponent's sign and digits, and in the last byte the separator. Each
-# digit is followed by a slot for the point.
-_WIDTH = 48
+# A record is 32 bytes: the sign and the "0.000" lead of fixed notation
+# below 1 (at most six bytes), the first digit, a slot for a point after
+# it; the other 16 digits; "e", the exponent's sign and digits, and in the
+# last byte the separator.
+_WIDTH = 32
 _SEP = _WIDTH - 1
+_FIRST = 6  # the byte of the first digit; digit k > 0 sits at byte 7 + k
 
-_POW_LO, _POW_HI = -300, 350  # exponents of the power table; 16 - d lies in [-293, 341]
-_D_LO, _D_HI = -330, 330  # decimal exponents of the layout tables; d lies in [-325, 309]
-_KEYS = 18  # values of ``keep`` (0..17) and of the point's digit plus one (0..17)
+_K_LO, _K_HI = -293, 341  # exponents k = 16 - d of the power table; d lies in [-325, 309] once corrected
+_D_LO, _D_HI = -330, 330  # decimal exponents of the layout tables
+_KEYS = 18  # values of n, the digits printed (1..17), and of the point's digit plus one (0..17)
 _DOT = ord(".")
-
-
-def _exact() -> bool:
-    """Whether long double carries the 64-bit significand the error bound needs."""
-    return np.finfo(np.longdouble).nmant >= 63
+_SPLIT = 2.0**27 + 1  # Dekker's splitter: x * _SPLIT separates a double into two 26-bit halves
+_TIE = 2.0**-40  # the margin from a half-integer that t must keep
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -63,14 +80,42 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: x = hi + lo exactly, each half with at most 26 significant bits."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
 @functools.cache
 def _powers() -> np.ndarray:
-    """10^e for e in [_POW_LO, _POW_HI], built on first use.
+    """Rows (S, P_hi, P_lo, halves of P_hi) by k - _K_LO for k in [_K_LO, _K_HI]; built on first use.
 
-    NumPy parses the text "1e<e>" with the C library's ``strtold``, which
-    rounds the exact decimal to nearest.
+    10^k 2^(-e) is taken to 128 bits as the integer q, with its lowest bit
+    set if anything nonzero was cut off, so that q rounds to 53 bits as the
+    exact value does. P_hi is q rounded, P_lo is q - P_hi rounded.
     """
-    return _frozen(np.array([f"1e{e}" for e in range(_POW_LO, _POW_HI + 1)]).astype(np.longdouble))
+    tens = [1]
+    for _ in range(max(_K_HI, -_K_LO)):
+        tens.append(tens[-1] * 10)
+    qs, bits = [], []
+    for k in range(_K_LO, _K_HI + 1):
+        n = tens[abs(k)]
+        if k >= 0:
+            b = 128 - n.bit_length()
+            q = n << b if b >= 0 else n >> -b | (n & ((1 << -b) - 1) != 0)
+        else:
+            b = 128 + n.bit_length()
+            q, r = divmod(1 << b, n)
+            q |= r != 0
+        qs.append(q)  # q = 10^k 2^b, up to the lowest bit
+        bits.append(b)
+    hi = [float(q) for q in qs]
+    lo = [float(q - int(h)) for q, h in zip(qs, hi)]
+    e = np.arange(_K_LO, _K_HI + 1) * 1661 // 1000  # near k log2(10) / 2, so a and P stay far from both ends
+    down = -e - bits
+    table = np.ldexp([np.ones(e.size), hi, lo], [e, down, down])  # exact: every result is a normal double
+    return _frozen(np.concatenate((table, _split(table[1]))))
 
 
 def _bytes(texts: list[str], width: int) -> np.ndarray:
@@ -79,68 +124,71 @@ def _bytes(texts: list[str], width: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(texts), width)
 
 
-def _words(texts: list[str]) -> np.ndarray:
-    """Strings of at most 8 bytes as words, NUL-padded."""
-    return _bytes(texts, 8).view(np.uint64)[:, 0]
-
-
 @functools.cache
 def _layout() -> tuple[np.ndarray, ...]:
-    """Word tables that lay out a record; built on first use.
+    """Tables that lay out a record; built on first use. quads and full hold 4-byte units.
 
-    quads: the four digits of 0..9999 in the even bytes of a word.
-    counts: by word j and the value g of its digits, the digits up to the
-    last nonzero one of g (0 if g is 0); the largest over j is the number
-    of significant digits.
-    keep, point: by word j and key (point digit + 1) * _KEYS + keep, the
-    bytes of the first ``keep`` digits, and the point after its digit.
-    lead: by 2 (d - _D_LO) + sign, the sign and the "0.000" lead (at most
-    six bytes, so the first digit fits in the same word).
-    suffix: by d - _D_LO, the exponent of exponent notation.
-    minimum, point_at: by d - _D_LO, the digits fixed notation prints at
-    least (d + 1 above 1, else 0) and the digit the point follows (-1: none).
+    quads: by g, the four digits of g (0..9999); at 10000 + g, the
+    leading digit g alone, in the first digit's byte; at 10010, 0; at
+    10011 + g, the digits of g up to its last nonzero one.
+    full: by row 2 (d - _D_LO) + sign, the record of a value whose 17
+    digits are all printed, less its digits: the sign and lead, the point
+    after the first digit if it goes there, and the exponent.
+    counts: by group j = 1..4 and its value g, the digits up to the last
+    nonzero one of g (0 if g is 0); the largest over j, or 1, is the
+    number of significant digits.
+    moves: by key (point digit + 1) * _KEYS + n, where each byte of the
+    record comes from when only the first n digits are printed: a byte of
+    the record with all 17 digits and no point among them, 32 (NUL) or 33
+    (the point). The point follows its digit only if a digit follows it.
+    base, minimum: by row, (point digit + 1) * _KEYS (point digit -1:
+    none), and the digits fixed notation prints at least (d + 1 above 1,
+    else 1).
     """
     g = np.arange(10000)
-    quads = np.zeros((10000, 8), dtype=np.uint8)
-    for t in range(4):  # by column: a temporary above 128 KB raises glibc's mmap threshold and peak RSS
-        quads[:, 2 * t] = ord("0") + g // 10 ** (3 - t) % 10
-    quads = quads.view(np.uint64)[:, 0]
     last = (4 - sum(g % 10**t == 0 for t in range(1, 5))).astype(np.int8)  # of the last nonzero digit, 0 for none
-    counts = np.where(last > 0, last - 3 + 4 * np.arange(5, dtype=np.int8)[:, None], 0).astype(np.int8)
-    k = np.arange(17)[:, None]  # digit k sits in word j, byte b; the point slot is the next byte
-    j, b = (k + 3) // 4, 2 * ((k + 3) % 4)
-    n = np.arange(_KEYS)
-    keep = np.zeros((_KEYS, 5, 8), dtype=np.uint8)  # by keep alone; every point digit repeats it
-    keep[n, j, b] = np.where(k < n, 0xFF, 0)
-    keep = np.tile(keep, (_KEYS, 1, 1))
-    point = np.zeros((_KEYS, _KEYS, 5, 8), dtype=np.uint8)  # by point digit + 1, then keep
-    point[k + 1, n, j, b + 1] = np.where(k < n - 1, _DOT, 0)
-    point = point.reshape(_KEYS * _KEYS, 5, 8)
+    quads = np.zeros((20011, 4), dtype=np.uint8)
+    for t in range(4):
+        quads[:10000, t] = ord("0") + g // 10 ** (3 - t) % 10
+        quads[10011:, t] = np.where(t < last, quads[:10000, t], 0)
+    quads[10000:10010, _FIRST % 4] = ord("0") + np.arange(10)
+    counts = np.where(last > 0, last + 1 + 4 * np.arange(4, dtype=np.int8)[:, None], 0).astype(np.int8)
+    at = np.r_[_FIRST, 8 : 8 + 16]  # the byte of each digit
+    moves = np.tile(np.arange(_WIDTH, dtype=np.intp), (_KEYS, _KEYS, 1))  # by point digit + 1, then n
+    for p in range(-1, 17):
+        for n in range(1, _KEYS):
+            move = moves[p + 1, n]
+            if p <= 0:  # no point, or the point's slot after the first digit
+                move[at[n:]] = _WIDTH
+                if n == 1:
+                    move[_FIRST + 1] = _WIDTH
+            elif n > p + 1:  # digits p+1..n-1 move one byte up, behind the point
+                move[at[p + 1] : at[16] + 2] = _WIDTH
+                move[at[p + 1]] = _WIDTH + 1
+                move[at[p + 1] + 1 : at[n - 1] + 2] = at[p + 1 : n]
+            else:
+                move[at[n:]] = _WIDTH
     d = np.arange(_D_LO, _D_HI + 1)
-    lead = np.zeros((d.size, 2), dtype=np.uint64)
-    lead[:, 1] = _words(["-"])
-    fractions = [sign + "0." + "0" * z for z in (3, 2, 1, 0) for sign in ("", "-")]  # d = -4 .. -1
-    lead[-4 - _D_LO : -_D_LO] = _words(fractions).reshape(4, 2)
     fixed = (-4 <= d) & (d < 17)
+    point_at = np.where(fixed, np.maximum(d, -1), 0)
+    full = np.zeros((d.size, 2, _WIDTH), dtype=np.uint8)
+    full[:, 1, 0] = ord("-")
+    fractions = [sign + "0." + "0" * z for z in (3, 2, 1, 0) for sign in ("", "-")]  # d = -4 .. -1
+    full[-4 - _D_LO : -_D_LO, :, :_FIRST] = _bytes(fractions, _FIRST).reshape(4, 2, _FIRST)
+    full[point_at == 0, :, _FIRST + 1] = _DOT
     mag = np.abs(d)
     wide = mag >= 100  # the exponent has three digits, else two
-    suffix = np.zeros((d.size, 8), dtype=np.uint8)
+    suffix = np.zeros((d.size, 5), dtype=np.uint8)
     suffix[:, 0] = ord("e")
     suffix[:, 1] = np.where(d < 0, ord("-"), ord("+"))
     suffix[:, 2] = ord("0") + np.where(wide, mag // 100, mag // 10)
     suffix[:, 3] = ord("0") + np.where(wide, mag // 10 % 10, mag % 10)
     suffix[:, 4] = np.where(wide, ord("0") + mag % 10, 0)
-    suffix[fixed] = 0
-    minimum = np.where(fixed & (d >= 0), d + 1, 0)
-    point_at = np.where(fixed, np.maximum(d, -1), 0)
-    words = (keep.view(np.uint64)[..., 0].T.copy(), point.view(np.uint64)[..., 0].T.copy())
-    suffix = suffix.view(np.uint64)[:, 0]
-    return tuple(map(_frozen, (quads, counts, *words, lead.reshape(-1), suffix, minimum, point_at)))
-
-
-def _scaled(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = a.astype(np.longdouble) * _powers()[16 - d - _POW_LO]
-    return s, np.rint(s)
+    full[~fixed, :, 24:29] = suffix[~fixed, None]
+    base = np.repeat((point_at + 1) * _KEYS, 2)
+    minimum = np.repeat(np.where(fixed & (d >= 0), d + 1, 1), 2)
+    quads, full = quads.view(np.uint32)[:, 0], full.view(np.uint32).reshape(-1, _WIDTH // 4)
+    return tuple(map(_frozen, (quads, full, counts, moves.reshape(-1, _WIDTH), base, minimum)))
 
 
 def records(values: np.ndarray) -> np.ndarray:
@@ -150,51 +198,77 @@ def records(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     v = values.reshape(-1)
-    rec = np.zeros((v.size, _WIDTH), dtype=np.uint8)
-    slow = ~np.isfinite(v) | (v == 0.0)
-    if _exact():
-        _fast(v, slow, rec)
-    else:
-        slow[:] = True
-    idx = np.flatnonzero(slow)
+    rec = np.empty((v.size, _WIDTH), dtype=np.uint8)  # _fast writes every byte
+    idx = _fast(v, rec)
     if idx.size:
         rec[idx, :_SEP] = _bytes(["%.17g" % x for x in v[idx].tolist()], _SEP)
     return rec.reshape(values.shape + (_WIDTH,))
 
 
-def _fast(v: np.ndarray, slow: np.ndarray, rec: np.ndarray) -> None:
-    """Fill ``rec`` for every value not marked in ``slow``, and mark those it cannot prove exact."""
-    a = np.where(slow, 1.0, np.abs(v))
-    d = np.floor(np.log10(a)).astype(np.int64)
-    s, D = _scaled(a, d)
-    digits = D.astype(np.int64)
-    off = np.flatnonzero((digits < 10**16) | (digits >= 10**17))
-    if off.size:  # the estimate was one off
-        d[off] += np.where(digits[off] < 10**16, -1, 1)
-        s[off], D[off] = _scaled(a[off], d[off])
-        digits[off] = D[off].astype(np.int64)
-    slow |= (0.5 - np.abs(s - D) <= s * np.longdouble(2.0**-62)) | (digits <= 10**16) | (digits >= 10**17)
-    d[slow] = 0  # placeholders in range; the Python path overwrites these records
-    digits[slow] = 10**16
+def _scaled(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t and D of step 3 for the magnitudes a at exponent estimates d (in the table's range)."""
+    scale, p_hi, p_lo, p_hh, p_hl = np.take(_powers(), 16 - _K_LO - d, axis=1)
+    a = a * scale
+    h = a * p_hi
+    a_h, a_l = _split(a)
+    t = a_h * p_hh - h
+    t += a_h * p_hl
+    t += a_l * p_hh
+    t += a_l * p_hl  # now l, the exact error of h
+    t += a * p_lo
+    r = np.rint(t)
+    return t - r, h.astype(np.int64) + r.astype(np.int64)
 
-    g = []  # the leading digit, then four groups of four
-    for _ in range(4):
+
+def _outside(digits: np.ndarray) -> np.ndarray:
+    """Where D is not in (1e16, 1e17): the exponent estimate is off, or in doubt."""
+    return (digits - (10**16 + 1)).view(np.uint64) >= 9 * 10**16 - 1
+
+
+def _fast(v: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """Fill ``rec`` with the text of every value it can prove exact; return the indices of the rest."""
+    slow = ~np.isfinite(v) | (v == 0.0)
+    a = np.where(slow, 1.0, np.abs(v))
+    d = np.floor(np.log10(a)).astype(np.int64)  # in [-324, 308] for every finite double
+    frac, digits = _scaled(a, d)
+    outside = _outside(digits)
+    off = np.flatnonzero(outside)
+    if off.size:  # the estimate was one off
+        d[off] += np.where(digits[off] <= 10**16, -1, 1)
+        frac[off], digits[off] = _scaled(a[off], d[off])
+        outside[off] = _outside(digits[off])
+    slow |= outside
+    slow |= np.abs(frac) >= 0.5 - _TIE
+    idx = np.flatnonzero(slow)
+    if idx.size:  # placeholders in range; the Python path overwrites these records
+        d[idx] = 0
+        digits[idx] = 10**16 + 1
+
+    g = np.empty((_WIDTH // 4, v.size), dtype=np.int64)  # by 4 bytes of the record, the row of quads they take
+    for j in range(5, 1, -1):
         q = digits // 10000
-        g.append(digits - 10000 * q)
+        g[j] = digits - 10000 * q
         digits = q
-    g.append(digits)
-    g.reverse()
-    quads, counts, keep, point, lead, suffix, minimum, point_at = _layout()
-    count = counts[0][g[0]]
-    for j in range(1, 5):
-        np.maximum(count, counts[j][g[j]], out=count)
-    i = d - _D_LO
-    key = (point_at[i] + 1) * _KEYS + np.maximum(count, minimum[i])
-    w = rec.view(np.uint64)
-    for j in range(5):
-        w[:, j] = (quads[g[j]] & keep[j][key]) | point[j][key]
-    w[:, 0] |= lead[2 * i + np.signbit(v)]
-    w[:, 5] = suffix[i]
+    g[1] = digits + 10000
+    g[5] += 10011  # the last group drops its trailing zeros
+    g[0] = g[6] = g[7] = 10010
+    quads, full, counts, moves, base, minimum = _layout()
+    row = 2 * (d - _D_LO) + np.signbit(v)
+    w = rec.view(np.uint32)
+    np.take(full, row, axis=0, out=w, mode="clip")  # "clip" writes to ``out`` unbuffered; every index is in range
+    w |= np.take(quads, g.T, mode="clip")
+    # that is the text unless the point falls among the last 16 digits (fixed notation from 10 up) or the
+    # last group is 0 (the group before may end in zeros too)
+    redo = np.flatnonzero((minimum[row] > 1) | (g[5] == 10011))
+    if redo.size:
+        g, row = g[:, redo].T, row[redo]
+        g[:, 5] -= 10011
+        count = counts[np.arange(4), g[:, 2:6]].max(axis=1)
+        src = np.zeros((redo.size, _WIDTH + 2), dtype=np.uint8)  # the record with every digit, NUL, the point
+        src[:, :_WIDTH].view(np.uint32)[:] = full[row] | quads[g]
+        src[:, -1] = _DOT
+        rec[redo] = np.take_along_axis(src, moves[base[row] + np.maximum(count, minimum[row])], axis=1)
+    return idx
 
 
 def rows(table: np.ndarray, head: np.ndarray | None = None) -> str:

@@ -74,7 +74,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _code_version, _csv
-from .errors import BudgetError, DomainError, ResolutionError
+from .errors import BudgetError, DomainError, PlasticWalkError, ResolutionError
 from .fields import CProfile, SpinorField
 from .hamiltonians import (
     _check_term_budget,
@@ -560,8 +560,11 @@ def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) 
     flat sweep cross-validates its references there. Where that error sits
     at or below ``NOISE_FLOOR`` the coarsest grid resolves the reference, and
     every later row is planned with it as ``reference_N`` (``_run_row``).
-    Each check is decided here, from these numbers, next to the flag it
-    raises; ``min_order`` last.
+    A cross-validation that cannot run (a package error, such as a lattice
+    past the term budget on a finer row than the spec checked) fails its
+    check with the error as its detail; the sweep still reports. Each
+    check is decided here, from these numbers, next to the flag it raises;
+    ``min_order`` last.
     """
     ref_kind = spec.resolved_reference()
     adjustments: list[str] = []
@@ -620,19 +623,25 @@ def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) 
     # the references' cross-validation gap and own error must sit well below the walk's
     # smallest error, or at roundoff; with no completed row neither exists (and bound is NaN)
     gap: float | None = None
+    unvalidated = ""  # why the cross-validation could not run: its check fails, the sweep goes on
     if spec._cross_validated() and coarsest is not None:
-        gap = _cross_validate_references(spec, *coarsest, ref_kind)
+        try:
+            gap = _cross_validate_references(spec, *coarsest, ref_kind)
+        except PlasticWalkError as exc:
+            unvalidated = f"{type(exc).__name__}: {exc}"
+            flags.append(f"reference cross-validation could not run: {unvalidated}; sweep flagged invalid")
     tenth = min((r.error_l2 for r in good), default=float("nan")) / 10.0
     bound, bound_name = (NOISE_FLOOR, "the noise floor") if tenth < NOISE_FLOOR else (tenth, "smallest error/10")
     resolution = "" if reference_error is None else f"reference error {reference_error:.3e}"
-    for name, value, what, verdict, detail in (
-        ("reference_cross_validation", gap, "reference cross-validation gap", "sweep flagged invalid", ""),
-        ("reference_resolution", reference_error, "reference error", "reference under-resolved", resolution),
+    for name, value, ran, what, verdict, detail in (
+        ("reference_cross_validation", gap, not unvalidated, "reference cross-validation gap",
+         "sweep flagged invalid", unvalidated),
+        ("reference_resolution", reference_error, True, "reference error", "reference under-resolved", resolution),
     ):
-        failed = value is not None and value > bound
-        if failed:
+        over = value is not None and value > bound
+        if over:
             flags.append(f"{what} {value:.3e} exceeds {bound_name} ({bound:.3e}); {verdict}")
-        checks.append({"name": name, "passed": not failed, "detail": detail})
+        checks.append({"name": name, "passed": ran and not over, "detail": detail})
     if min_order is not None:
         passed = exact or (fitted is not None and fitted >= min_order)
         checks.append({"name": "min_order", "passed": passed, "detail": "exact" if exact else f"fitted {fitted}"})

@@ -163,12 +163,15 @@ def _mix(mat: tuple[np.ndarray, ...], p: np.ndarray, m: np.ndarray) -> tuple[np.
     return x, y
 
 
-def _shift(p: np.ndarray, m: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Shift by k sites on axis 0: np.roll(p, -k) and np.roll(m, k), without np.roll's per-call overhead."""
-    return np.concatenate((p[k:], p[:k])), np.concatenate((m[-k:], m[:-k]))
+def _shift(p: np.ndarray, m: np.ndarray, k: int = 1, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """Shift by k sites on axis 0: np.roll(p, -k) and np.roll(m, k), without np.roll's per-call overhead.
+
+    ``out``, if given, is a pair of arrays that receive the shifted p and m.
+    """
+    return np.concatenate((p[k:], p[:k]), out=out[0]), np.concatenate((m[-k:], m[:-k]), out=out[1])
 
 
-def _apply(ops: StepOperators, p, m, shift) -> tuple[np.ndarray, np.ndarray]:
+def _apply(ops: StepOperators, p, m, shift, out=None) -> tuple[np.ndarray, np.ndarray]:
     """One step's operators on the components (p, m): the one step kernel.
 
     ``shift(p, m, k)`` shifts the components by k sites (the ring's
@@ -177,13 +180,19 @@ def _apply(ops: StepOperators, p, m, shift) -> tuple[np.ndarray, np.ndarray]:
     sites to the right and m1 two to the left, p' = a p1(x+2) + b m1 and
     m' = c p1 + d m1(x-2), which is S . C(-zeta) . S. Lambda^(-kappa), if
     given, acts last.
+
+    ``out``, a pair of arrays that overlap neither p nor m, receives the
+    shifted components (``shift(p, m, 2, out)``), and the taps update it in
+    place; on a step without Lambda^(-kappa) it is the result returned,
+    bitwise the same as without ``out``.
     """
     lam, coin, taps, lam_inv = ops
     if lam is not None:
         p, m = _mix(lam, p, m)
     p, m = _mix(coin, p, m)
     a, b, c, d = taps
-    x, y = shift(p, m, 2)  # new arrays of the full shape, even where p and m are not
+    # new arrays of the full shape, even where p and m are not
+    x, y = shift(p, m, 2) if out is None else shift(p, m, 2, out)
     x *= a
     x += b * m
     y *= d
@@ -285,12 +294,19 @@ def qw_step(
     -------
     SpinorField
         The field at time t + 2*dt, stored in the input's memory order.
+        Without Lambda^(-kappa) on F-ordered data, whose components are
+        contiguous columns, ``_apply`` writes the two columns itself
+        (its ``out``); otherwise its results are copied in. Both give the
+        same bits.
     """
     _check_spacing(field, params)
     if ops is None:
         ops = _step_operators(params, t, field.positions())
     data = np.empty_like(field.data)
-    data[:, 0], data[:, 1] = _apply(ops, field.plus, field.minus, _shift)
+    if ops[3] is None and data.flags.f_contiguous:
+        _apply(ops, field.plus, field.minus, _shift, out=(data[:, 0], data[:, 1]))
+    else:
+        data[:, 0], data[:, 1] = _apply(ops, field.plus, field.minus, _shift)
     return SpinorField._unchecked(data, field.dx)  # unitary arithmetic on a valid field
 
 

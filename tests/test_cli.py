@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from plasticwalk import hamiltonians
 from plasticwalk.cli import RunConfig, main
 from plasticwalk.harness import CELL_BUDGET, MOMENTUM_BUDGET, SITE_BUDGET
 
@@ -467,6 +468,22 @@ def test_a_reference_past_the_term_budget_is_a_package_error(tmp_path, capsys):
     assert _run_quietly("sweep", raw, tmp_path) == (2, [])
     assert "Chebyshev terms, the term budget" in capsys.readouterr().err
     assert not (tmp_path / "c-out").exists()
+
+
+def test_a_cross_validation_past_the_term_budget_fails_its_check_not_the_sweep(tmp_path, capsys, monkeypatch):
+    # the 16-site row fails on its packet (w < 4 dx), so the cross-validation runs on the 32-site row,
+    # whose 8x lattice needs 32.4 terms; the spec checks the budget on the coarsest planned row only
+    monkeypatch.setattr(hamiltonians, "_CHEBYSHEV_BUDGET", 20)
+    raw = {"alpha": 0.0, "m": 0.2, "profile": {"name": "flat", "c0": 0.5}, "length": 8.0, "T": 2.0,
+           "epsilon_list": [0.5, 0.25], "initial": {"x0": 4.0, "w": 1.5}}
+    assert _run_quietly("sweep", raw, tmp_path) == (1, [])
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "c-out" / "sweep.json").read_text())
+    assert (tmp_path / "c-out" / "sweep.csv").exists()
+    assert report["crossval_gap"] is None
+    check = {c["name"]: c for c in report["checks"]}["reference_cross_validation"]
+    assert not check["passed"] and "BudgetError" in check["detail"] and "term budget" in check["detail"]
+    assert any(f.startswith("reference cross-validation could not run") for f in report["flags"])
 
 
 @pytest.mark.parametrize(

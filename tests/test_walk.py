@@ -332,6 +332,23 @@ def test_step_is_the_shared_kernel_on_a_new_field(prof):
     assert np.array_equal(f.data, before)  # the input field is left as it was
 
 
+@pytest.mark.parametrize("frame", ["mixing-frame", "full"])
+def test_step_is_bitwise_the_same_in_either_memory_order(frame):
+    # an F-ordered field without Lambda^(-kappa) takes _apply's out path, every other step the copy
+    well = CProfile.gaussian_well(0.8, 0.3, center=4.0, width=1.5)
+    p = ScalingParams(m=0.3, cprofile=well, epsilon=0.0625, alpha=0.5)
+    f = random_field(int(round(8.0 / p.dx)), np.random.default_rng(37), dx=p.dx)
+    ops = _step_operators(p, 0.0, f.positions())
+    if frame == "mixing-frame":
+        ops = (None, *ops[1:3], None)
+    c, fo = (SpinorField(np.array(f.data, order=order), f.dx) for order in "CF")
+    out_c, out_f = qw_step(c, p, ops=ops), qw_step(fo, p, ops=ops)
+    assert np.array_equal(out_c.data, out_f.data)
+    assert out_c.data.flags.c_contiguous and out_f.data.flags.f_contiguous
+    plus, minus = _apply(ops, f.plus, f.minus, _shift)
+    assert np.array_equal(out_f.plus, plus) and np.array_equal(out_f.minus, minus)
+
+
 # ---------------------------------------------------------------------------
 # momentum block
 
