@@ -154,20 +154,14 @@ def _layout() -> tuple[np.ndarray, ...]:
     quads[10000:10010, _FIRST % 4] = ord("0") + np.arange(10)
     counts = np.where(last > 0, last + 1 + 4 * np.arange(4, dtype=np.int8)[:, None], 0).astype(np.int8)
     at = np.r_[_FIRST, 8 : 8 + 16]  # the byte of each digit
-    moves = np.tile(np.arange(_WIDTH, dtype=np.intp), (_KEYS, _KEYS, 1))  # by point digit + 1, then n
-    for p in range(-1, 17):
-        for n in range(1, _KEYS):
-            move = moves[p + 1, n]
-            if p <= 0:  # no point, or the point's slot after the first digit
-                move[at[n:]] = _WIDTH
-                if n == 1:
-                    move[_FIRST + 1] = _WIDTH
-            elif n > p + 1:  # digits p+1..n-1 move one byte up, behind the point
-                move[at[p + 1] : at[16] + 2] = _WIDTH
-                move[at[p + 1]] = _WIDTH + 1
-                move[at[p + 1] + 1 : at[n - 1] + 2] = at[p + 1 : n]
-            else:
-                move[at[n:]] = _WIDTH
+    p = np.arange(-1, 17)[:, None, None]  # the point's digit, -1 for none
+    n = np.arange(_KEYS)[:, None]
+    b = np.arange(_WIDTH)
+    dot, end = at[1] + p, at[1] - 1 + n  # the point's byte if it moves; the byte of digit n (n >= 1)
+    inside = (p > 0) & (n > p + 1)  # the point falls among the printed digits; those after it move up a byte
+    cut = np.where(inside, (end < b) & (b <= at[16] + 1), (end <= b) & (b <= at[16]))
+    cut |= (p <= 0) & (n == 1) & (b == _FIRST + 1)  # one digit: no point after it
+    moves = np.where(cut, _WIDTH, np.where(inside & (b == dot), _WIDTH + 1, b - (inside & (dot < b) & (b <= end))))
     d = np.arange(_D_LO, _D_HI + 1)
     fixed = (-4 <= d) & (d < 17)
     point_at = np.where(fixed, np.maximum(d, -1), 0)

@@ -22,7 +22,8 @@ bond-midpoint lattice H (C the speed on the grid, D the FFT derivative
 without the even-N Nyquist mode), propagated by the same Chebyshev kernel.
 Fields move between grids of the ring only by one spectral resampler
 (``resample``), to any site count, finer or coarser; ``trig_interpolate``
-is its integer-refinement form.
+is its integer-refinement form. Every reference runs on its input's own
+grid; a caller that wants another grid resamples to it and back.
 Cayley stepping (``evolve_crank_nicolson``) is a second-order integrator
 with a dense step matrix, O(N^2) memory and an O(N^3) solve; no reference
 runs it, and it stays only until the benchmark stops warming it up.
@@ -336,21 +337,18 @@ def _spectral_radius(cs: np.ndarray, dx: float, m: float) -> float:
     return float(np.max(cs)) * np.pi / dx + m
 
 
-def curved_dirac_reference(
-    psi0: SpinorField, cprofile: CProfile, m: float, T: float, refinement: int
-) -> SpinorField:
-    """Pseudo-spectral continuum reference for inhomogeneous speeds.
+def curved_dirac_reference(psi0: SpinorField, cprofile: CProfile, m: float, T: float) -> SpinorField:
+    """Pseudo-spectral continuum reference for inhomogeneous speeds, on psi0's own grid.
 
-    The field is spectrally interpolated to a grid refined by the given
-    factor, propagated there under the pseudo-spectral curved Dirac operator
-    with c frozen at t = 0 by a Chebyshev expansion, and resampled back.
-    The operator needs a periodic speed profile. For a field resolved on the
-    coarse grid every refinement gives the same result to roundoff, so
-    comparing two refinements measures the reference's own error.
+    The field is propagated under the pseudo-spectral curved Dirac operator
+    with c frozen at t = 0 by a Chebyshev expansion; the result is C-ordered.
+    The operator needs a periodic speed profile. For a field the grid
+    resolves, the same propagation on a finer grid of the ring (through
+    ``resample``) gives the same result to roundoff, so comparing the two
+    measures the reference's own error.
     """
     if not (np.isfinite(m) and m >= 0):
         raise DomainError(f"mass must be finite and nonnegative, got {m}")
-    fine = trig_interpolate(psi0, refinement)
-    apply, radius = _spectral_dirac(cprofile.sample(0.0, fine.positions()), fine.dx, m)
-    evolved = _chebyshev_propagate(apply, fine.data.T.copy(), T, radius)
-    return resample(fine.with_data(evolved.T), psi0.n_sites)
+    apply, radius = _spectral_dirac(cprofile.sample(0.0, psi0.positions()), psi0.dx, m)
+    evolved = _chebyshev_propagate(apply, psi0.data.T.copy(), T, radius)
+    return psi0.with_data(np.ascontiguousarray(evolved.T))

@@ -11,26 +11,31 @@ The lattice reference, flat or curved, is one Chebyshev propagation of the
 lattice Hamiltonian (``evolve_exact``). The flat continuum reference is
 propagated per ring momentum with closed-form 2x2 blocks, as the walk's
 homogeneous trajectory is (``walk.MomentumOperator``). The curved continuum
-reference is a Chebyshev propagation on a grid of the ring; its sweep
-records the reference's own error once, on the coarsest row that completed:
-the distance to the same propagation on a 2x refined grid. Every row solves
-the same continuous problem, and a finer grid resolves it at least as well,
-so the coarsest row's error bounds the others'. Where that error sits at or
-below ``NOISE_FLOOR`` the coarsest grid N0 becomes the sweep's reference
-grid: each later row restricts its initial field to it spectrally,
-propagates it there and interpolates the result back, at
-O(N0^2 log N0 + N log N) instead of O(N^2 log N), unless the restriction
-drops more than ``NOISE_FLOOR`` of the field. Otherwise, and on every row of
-a sweep whose error is above the floor, the reference runs on the row's own
-grid; ``SweepRow.reference_N`` records the grid each row used. At alpha = 0
-the two homogeneous references are cross-validated: the lattice one on an 8x
-refined grid, resampled back to the row's grid, must agree with the row's
-own continuum one. Both numbers pass one gate: above
+reference is a Chebyshev propagation on a grid of the ring. Apart from the
+cross-validation's 8x lattice (below), a reference runs on another grid in
+one place only, ``_reference_evolution``: the field is resampled to n
+sites, propagated there and resampled back.
+
+Each sweep runs one audit of its reference, right after its first completed
+row, the coarsest grid. A curved sweep records the reference's own error:
+the distance to the same propagation on a 2x refined grid (its twin). Every
+row solves the same continuous problem, and a finer grid resolves it at
+least as well, so the coarsest row's error bounds the others'. Where that
+error sits at or below ``NOISE_FLOOR`` the coarsest grid N0 becomes the
+sweep's reference grid: each later row propagates its initial field there,
+at O(N0^2 log N0 + N log N) instead of O(N^2 log N), unless restricting the
+field to it drops more than ``NOISE_FLOOR`` of it. Otherwise, and on every
+row of a sweep whose error is above the floor, the reference runs on the
+row's own grid; ``SweepRow.reference_N`` records the grid each row used. At
+alpha = 0 the two homogeneous references are cross-validated instead: the
+lattice one on an 8x refined grid, resampled back to the row's grid, must
+agree with the row's own continuum one. Both numbers pass one gate: above
 max(smallest walk error / 10, ``NOISE_FLOOR``) each adds a flag and fails
-its check. The same floor decides exactness: a sweep is exact iff every
-completed error sits at or below it, and one with only some there is flagged
-and fits no order. The harness decides every check of a sweep from its
-numbers, ``min_order`` too; ``SweepReport.checks`` carries them.
+its check. An audit that cannot run fails its own check, never a row. The
+same floor decides exactness: a sweep is exact iff every completed error
+sits at or below it, and one with only some there is flagged and fits no
+order. The harness decides every check of a sweep from its numbers,
+``min_order`` too; ``SweepReport.checks`` carries them.
 
 Grids. ``_grid`` is the one grid rule: every command passes each epsilon
 through it, and it returns the snapped ``ScalingParams`` or refuses a grid
@@ -456,32 +461,38 @@ def _reference_radius(kind: str, m: float, cprofile: CProfile, n: int, dx: float
 
 
 def _reference_evolution(
-    params: ScalingParams, psi0: SpinorField, t_reach: float, kind: str
+    params: ScalingParams, field: SpinorField, t_reach: float, kind: str, n: int | None = None
 ) -> SpinorField:
+    """The reference of ``kind`` applied to ``field`` over t_reach, on the field's grid.
+
+    With n the field is resampled to n sites of the ring, propagated there
+    and resampled back: a row's coarser reference grid and the curved
+    reference's 2x twin both run this way; only the cross-validation's 8x
+    lattice moves between grids elsewhere.
+    """
+    psi0 = field if n is None else resample(field, n)
     if kind == "lattice_exact":
         h = lattice_hamiltonian_curved(psi0.n_sites, psi0.dx, params.m, params.cprofile, 0.0)
-        return evolve_exact(h, psi0, t_reach)
-    if kind == "dirac_momentum":
-        prop = dirac_propagator(
-            psi0.n_sites, psi0.dx, params.m, params.cprofile(0.0, 0.0), t_reach
-        )
-        return prop.apply(psi0)
-    return curved_dirac_reference(psi0, params.cprofile, params.m, t_reach, refinement=1)
+        evolved = evolve_exact(h, psi0, t_reach)
+    elif kind == "dirac_momentum":
+        evolved = dirac_propagator(psi0.n_sites, psi0.dx, params.m, params.cprofile(0.0, 0.0), t_reach).apply(psi0)
+    else:
+        evolved = curved_dirac_reference(psi0, params.cprofile, params.m, t_reach)
+    return evolved if n is None else resample(evolved, field.n_sites)
 
 
 def _run_row(
-    spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str, twin: bool
-) -> tuple[SweepRow, float | None]:
+    spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str
+) -> tuple[SweepRow, SpinorField, SpinorField]:
     """Fill in the errors of a planned row: the walk against its reference, in the frame.
 
-    With ``twin`` the curved reference is also propagated on a 2x refined
-    grid, and the relative distance between the two is returned with the
-    row (else None); the twin's time counts in the row's ``reference_s``.
+    Returns the row, its frame-mapped initial field and that field's
+    reference evolution, which the sweep's audit reads on its first row.
     A planned ``reference_N`` below N names a coarser grid that resolves the
-    reference: the frame-mapped initial field is restricted to it spectrally,
-    propagated there and interpolated back, unless the restriction drops
-    more than ``NOISE_FLOOR`` of it (relative L2); then, as without one, the
-    reference runs on the row's own grid. The row records the grid it used.
+    reference: the reference runs there (``_reference_evolution``) unless
+    restricting the initial field to it drops more than ``NOISE_FLOOR`` of
+    it (relative L2); then, as without one, the reference runs on the row's
+    own grid. The row records the grid it used.
     """
     t_start = time.perf_counter()
     psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
@@ -493,36 +504,26 @@ def _run_row(
     ref_initial = psi0.with_data(frame.apply_adjoint(psi0.data))
     walked_in_frame = frame.apply_adjoint(walked.data)
     t2 = time.perf_counter()
-    start = ref_initial
-    if row.reference_N is not None and row.reference_N < row.N:
-        coarse = resample(ref_initial, row.reference_N)
-        dropped = resample(coarse, row.N).data - ref_initial.data
-        if np.linalg.norm(dropped) <= NOISE_FLOOR * np.linalg.norm(ref_initial.data):
-            start = coarse
-    ref_final = _reference_evolution(params, start, row.time_reached, kind)
-    if start is not ref_initial:
-        ref_final = resample(ref_final, row.N)
-    ref_norm = np.linalg.norm(ref_final.data)
-    reference_error = None
-    if twin:
-        fine = curved_dirac_reference(
-            ref_initial, params.cprofile, params.m, row.time_reached, refinement=2
-        )
-        reference_error = float(np.linalg.norm(fine.data - ref_final.data) / ref_norm)
+    n = row.reference_N if row.reference_N is not None and row.reference_N < row.N else None
+    if n is not None:
+        dropped = resample(resample(ref_initial, n), row.N).data - ref_initial.data
+        if np.linalg.norm(dropped) > NOISE_FLOOR * np.linalg.norm(ref_initial.data):
+            n = None
+    ref_final = _reference_evolution(params, ref_initial, row.time_reached, kind, n)
     t3 = time.perf_counter()
 
     diff = walked_in_frame - ref_final.data
     return replace(
         row,
-        error_l2=float(np.linalg.norm(diff) / ref_norm),
+        error_l2=float(np.linalg.norm(diff) / np.linalg.norm(ref_final.data)),
         error_max=float(np.max(np.abs(diff))),
         walltime_s=time.perf_counter() - t_start,
         walk_s=t1 - t0,
         frame_s=t2 - t1,
         reference_s=t3 - t2,
         norm_drift=abs(walked.norm() - psi0.norm()),
-        reference_N=start.n_sites,
-    ), reference_error
+        reference_N=n or row.N,
+    ), ref_initial, ref_final
 
 
 def _cross_validate_references(
@@ -555,39 +556,51 @@ def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) 
     The epsilon list is snapped to the grid once, before any row runs, and
     the rows run one after another in list order (descending epsilon).
     Per-row failures are recorded in the row and excluded from the fit
-    instead of aborting the sweep. A curved sweep measures its reference's
-    own error on its first completed row, the coarsest grid; an alpha = 0
-    flat sweep cross-validates its references there. Where that error sits
-    at or below ``NOISE_FLOOR`` the coarsest grid resolves the reference, and
+    instead of aborting the sweep. Right after its first completed row, the
+    coarsest grid, the sweep runs its one audit of the reference: a curved
+    sweep measures the reference's own error against its 2x twin, an alpha
+    = 0 flat sweep cross-validates its references. Where the twin sits at
+    or below ``NOISE_FLOOR`` the coarsest grid resolves the reference, and
     every later row is planned with it as ``reference_N`` (``_run_row``).
-    A cross-validation that cannot run (a package error, such as a lattice
-    past the term budget on a finer row than the spec checked) fails its
-    check with the error as its detail; the sweep still reports. Each
-    check is decided here, from these numbers, next to the flag it raises;
-    ``min_order`` last.
+    An audit that cannot run (a package error, such as a propagation past
+    the term budget on a finer row than the spec checked) fails its own
+    check with the error as its detail, never the row; the sweep still
+    reports. Each check is decided here, from these numbers, next to the
+    flag it raises; ``min_order`` last.
     """
     ref_kind = spec.resolved_reference()
     adjustments: list[str] = []
     rows: list[SweepRow] = []
     kappas: list[float] = []
-    coarsest: tuple[ScalingParams, SweepRow] | None = None  # the first completed row and its params
+    # the check of the sweep's one audit; an alpha = 1 sweep runs none
+    audit = "reference_resolution" if ref_kind == "curved_fine_grid" else "reference_cross_validation"
+    audited = False  # the first completed row has run it
+    gap: float | None = None
     reference_error: float | None = None
+    unaudited = ""  # why the audit could not run: its check fails, the sweep goes on
     reference_n: int | None = None  # the coarsest row's N, once its twin sits at the floor
     for params, planned, notes in spec._planned:
         adjustments.extend(notes)
         kappas.append(params.kappa)
-        twin = ref_kind == "curved_fine_grid" and coarsest is None
         try:
-            row, row_reference_error = _run_row(spec, params, replace(planned, reference_N=reference_n),
-                                                ref_kind, twin)
+            row, initial, reference = _run_row(spec, params, replace(planned, reference_N=reference_n), ref_kind)
         except Exception as exc:  # per-row failures must not abort the sweep
             rows.append(replace(planned, failure=f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(row)
-        if coarsest is None:
-            coarsest, reference_error = (params, row), row_reference_error
-            if reference_error is not None and reference_error <= NOISE_FLOOR:
-                reference_n = row.N
+        if audited:
+            continue
+        audited = True
+        try:
+            if audit == "reference_resolution":
+                twin = _reference_evolution(params, initial, row.time_reached, ref_kind, 2 * row.N)
+                distance = np.linalg.norm(twin.data - reference.data)
+                reference_error = float(distance / np.linalg.norm(reference.data))
+                reference_n = row.N if reference_error <= NOISE_FLOOR else None
+            elif spec._cross_validated():
+                gap = _cross_validate_references(spec, params, row, ref_kind)
+        except PlasticWalkError as exc:
+            unaudited = f"{type(exc).__name__}: {exc}"
 
     good = [r for r in rows if r.failure is None]
     rises = [(a, b) for a, b in zip(good, good[1:]) if b.error_l2 > a.error_l2 + NOISE_FLOOR]
@@ -622,26 +635,22 @@ def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) 
 
     # the references' cross-validation gap and own error must sit well below the walk's
     # smallest error, or at roundoff; with no completed row neither exists (and bound is NaN)
-    gap: float | None = None
-    unvalidated = ""  # why the cross-validation could not run: its check fails, the sweep goes on
-    if spec._cross_validated() and coarsest is not None:
-        try:
-            gap = _cross_validate_references(spec, *coarsest, ref_kind)
-        except PlasticWalkError as exc:
-            unvalidated = f"{type(exc).__name__}: {exc}"
-            flags.append(f"reference cross-validation could not run: {unvalidated}; sweep flagged invalid")
     tenth = min((r.error_l2 for r in good), default=float("nan")) / 10.0
     bound, bound_name = (NOISE_FLOOR, "the noise floor") if tenth < NOISE_FLOOR else (tenth, "smallest error/10")
     resolution = "" if reference_error is None else f"reference error {reference_error:.3e}"
-    for name, value, ran, what, verdict, detail in (
-        ("reference_cross_validation", gap, not unvalidated, "reference cross-validation gap",
-         "sweep flagged invalid", unvalidated),
-        ("reference_resolution", reference_error, True, "reference error", "reference under-resolved", resolution),
+    for name, value, runs, what, verdict, detail in (
+        ("reference_cross_validation", gap, "reference cross-validation", "reference cross-validation gap",
+         "sweep flagged invalid", ""),
+        ("reference_resolution", reference_error, "reference 2x twin", "reference error",
+         "reference under-resolved", resolution),
     ):
+        why = unaudited if name == audit else ""
+        if why:
+            flags.append(f"{runs} could not run: {why}; sweep flagged invalid")
         over = value is not None and value > bound
         if over:
             flags.append(f"{what} {value:.3e} exceeds {bound_name} ({bound:.3e}); {verdict}")
-        checks.append({"name": name, "passed": ran and not over, "detail": detail})
+        checks.append({"name": name, "passed": not why and not over, "detail": why or detail})
     if min_order is not None:
         passed = exact or (fitted is not None and fitted >= min_order)
         checks.append({"name": "min_order", "passed": passed, "detail": "exact" if exact else f"fitted {fitted}"})

@@ -716,8 +716,8 @@ def test_partial_noise_floor_fails_min_order(tmp_path, monkeypatch):
     from plasticwalk import harness
 
     errors = iter([0.1, 0.01, 1e-15])
-    monkeypatch.setattr(harness, "_run_row", lambda spec, params, row, kind, twin: (
-        replace(row, error_l2=next(errors)), None))
+    monkeypatch.setattr(harness, "_run_row", lambda spec, params, row, kind: (
+        replace(row, error_l2=next(errors)), None, None))
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"alpha": 1.0, "length": 32.0, "T": 2.0, "epsilon_list": [0.2, 0.1, 0.05],
                                 "min_order": 0.9, "initial": {"x0": 16.0, "w": 4.0}}))

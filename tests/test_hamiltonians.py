@@ -103,8 +103,8 @@ _PSI = make_wavepacket(8, 1.0, 4.0, 4.0, 0.3)
     (lambda v: evolve_exact(lattice_hamiltonian_curved(8, 1.0, 0.2, _BUMP), _PSI, v), "T"),
     (lambda v: lattice_hamiltonian_curved(8, 1.0, v, _BUMP), "mass"),
     (lambda v: lattice_hamiltonian_curved(8, v, 0.2, _BUMP), "dx"),
-    (lambda v: curved_dirac_reference(_PSI, _BUMP, v, 1.0, 1), "mass"),
-    (lambda v: curved_dirac_reference(_PSI, _BUMP, 0.2, v, 1), "T"),
+    (lambda v: curved_dirac_reference(_PSI, _BUMP, v, 1.0), "mass"),
+    (lambda v: curved_dirac_reference(_PSI, _BUMP, 0.2, v), "T"),
     (lambda v: dirac_propagator(8, 1.0, v, 0.5, 1.0), "mass"),
     (lambda v: dirac_propagator(8, v, 0.2, 0.5, 1.0), "dx"),
     (lambda v: dirac_propagator(8, 1.0, 0.2, 0.5, v), "T"),
@@ -419,7 +419,8 @@ def test_zitterbewegung_frequency():
 def test_curved_reference_matches_momentum_propagator_for_flat_profile():
     n, dx, m, T = 64, 1.0, 0.2, 1.0
     packet = make_wavepacket(n, dx, x0=32.0, w=6.0, k0=0.4)
-    ref = curved_dirac_reference(packet, CProfile.constant(0.5), m, T, refinement=8)
+    # propagated on a grid refined 8x, and resampled back
+    ref = resample(curved_dirac_reference(resample(packet, 8 * n), CProfile.constant(0.5), m, T), n)
     prop = dirac_propagator(n, dx, m, 0.5, T).apply(packet)
     assert np.max(np.abs(ref.data - prop.data)) <= 1e-4
 
@@ -432,7 +433,7 @@ def test_curved_reference_self_convergence():
     length = n * dx
     packet = make_wavepacket(n, dx, x0=32.0, w=6.0, k0=2 * np.pi * 3 / length)
     prof = sine_profile(length)
-    sols = {r: curved_dirac_reference(packet, prof, m, T, refinement=r) for r in (1, 2, 4)}
+    sols = {r: resample(curved_dirac_reference(resample(packet, r * n), prof, m, T), n) for r in (1, 2, 4)}
     assert np.max(np.abs(sols[1].data - sols[2].data)) <= 1e-12
     assert np.max(np.abs(sols[1].data - sols[4].data)) <= 1e-12
 
@@ -441,7 +442,7 @@ def test_curved_reference_norm_preserved():
     n, dx, T = 48, 0.5, 1.5
     packet = make_wavepacket(n, dx, x0=12.0, w=2.5, k0=0.5)
     prof = CProfile.gaussian_well(0.8, 0.3, center=12.0, width=3.0)
-    out = curved_dirac_reference(packet, prof, 0.0, T, refinement=1)
+    out = curved_dirac_reference(packet, prof, 0.0, T)
     assert abs(out.norm() - 1.0) <= 1e-9
 
 

@@ -20,6 +20,7 @@ from plasticwalk import (
     make_wavepacket,
     run_convergence_sweep,
 )
+from plasticwalk.hamiltonians import resample
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +165,8 @@ def test_sweep_identity_case_reports_exact():
 def _sweep_with_errors(monkeypatch, errors, min_order=None):
     """A sweep at alpha = 1 whose rows report the given errors, in order."""
     queue = iter(errors)
-    monkeypatch.setattr(harness, "_run_row", lambda spec, params, row, kind, twin: (
-        replace(row, error_l2=next(queue)), None))
+    monkeypatch.setattr(harness, "_run_row", lambda spec, params, row, kind: (
+        replace(row, error_l2=next(queue)), None, None))
     spec = _spec(1.0, CProfile.constant(0.5), [0.5, 0.25, 0.125][:len(errors)])
     return run_convergence_sweep(spec, min_order)
 
@@ -382,7 +383,8 @@ def _own_twin_errors(spec):
     """Each row's reference against its own 2x refined twin, computed row by row."""
     errors = []
     for params, row, _, _, initial in _framed_rows(spec):
-        ref, twin = (curved_dirac_reference(initial, params.cprofile, params.m, row.time_reached, r)
+        ref, twin = (resample(curved_dirac_reference(resample(initial, r * row.N), params.cprofile, params.m,
+                                                     row.time_reached), row.N)
                      for r in (1, 2))
         errors.append(float(np.linalg.norm(twin.data - ref.data) / np.linalg.norm(ref.data)))
     return errors
@@ -415,19 +417,26 @@ def test_coarsest_row_reference_error_bounds_every_rows_twin(spec, flagged):
 
 def test_reference_error_is_measured_on_the_first_completed_row(monkeypatch):
     # a row that fails leaves the twin to the next row; later rows run none
-    real_run_row = harness._run_row
-    twins = []
+    real_run_row, real_evolution = harness._run_row, harness._reference_evolution
+    attempts, twins = [], []
 
-    def first_row_fails(spec, params, row, kind, twin):
-        twins.append(twin)
-        if len(twins) == 1:
+    def first_row_fails(spec, params, row, kind):
+        attempts.append(row.N)
+        if len(attempts) == 1:
             raise RuntimeError("row failed")
-        return real_run_row(spec, params, row, kind, twin)
+        return real_run_row(spec, params, row, kind)
+
+    def recording(params, field, t_reach, kind, n=None):
+        if n is not None and n > field.n_sites:  # a propagation on a finer grid: the twin
+            twins.append((field.n_sites, n))
+        return real_evolution(params, field, t_reach, kind, n)
 
     monkeypatch.setattr(harness, "_run_row", first_row_fails)
+    monkeypatch.setattr(harness, "_reference_evolution", recording)
     spec = _spec(0.0, CProfile.sine_bump(0.5, 0.3, 64.0), [0.5, 0.25, 0.125], m=0.1, length=64.0, T=4.0)
     report = run_convergence_sweep(spec)
-    assert twins == [True, True, False]
+    assert attempts == [128, 256, 512]
+    assert twins == [(256, 512)]
     assert report.rows[0].failure == "RuntimeError: row failed"
     assert report.reference_error <= 1e-12
 
@@ -447,7 +456,7 @@ def _own_grid_errors(spec):
     errors = []
     for params, row, psi0, frame, initial in _framed_rows(spec):
         walked = frame.apply_adjoint(harness.evolve_walk(psi0, params, row.steps).data)
-        ref = curved_dirac_reference(initial, params.cprofile, params.m, row.time_reached, refinement=1)
+        ref = curved_dirac_reference(initial, params.cprofile, params.m, row.time_reached)
         errors.append(float(np.linalg.norm(walked - ref.data) / np.linalg.norm(ref.data)))
     return errors
 
@@ -455,16 +464,16 @@ def _own_grid_errors(spec):
 def test_curved_rows_propagate_on_the_coarsest_grid_once_its_twin_is_at_the_floor(monkeypatch):
     sizes = []
 
-    def recording(psi0, cprofile, m, T, refinement):
-        sizes.append((psi0.n_sites, refinement))
-        return curved_dirac_reference(psi0, cprofile, m, T, refinement)
+    def recording(psi0, cprofile, m, T):
+        sizes.append(psi0.n_sites)
+        return curved_dirac_reference(psi0, cprofile, m, T)
 
     monkeypatch.setattr(harness, "curved_dirac_reference", recording)
     report = run_convergence_sweep(_curved_5c_spec())
     assert report.reference_error <= harness.NOISE_FLOOR
     assert [r.N for r in report.rows] == [128, 256, 512, 1024]
-    # the first row's reference and its twin, then one reference a row
-    assert sizes == [(128, 1), (128, 2), (128, 1), (128, 1), (128, 1)]
+    # the first row's reference and its twin on the 2x grid, then one reference a row
+    assert sizes == [128, 256, 128, 128, 128]
     assert [r.reference_N for r in report.rows] == [128] * 4
     assert [row["reference_N"] for row in report.to_json_dict()["rows"]] == [128] * 4
     assert "reference_N" not in report.to_csv().splitlines()[0]
@@ -504,8 +513,8 @@ def test_row_whose_field_the_reference_grid_does_not_resolve_keeps_its_own_grid(
     # floor: the row's reference runs on its own grid, as it does with no reference grid
     spec = _curved_5c_spec()
     params, planned, _ = spec._planned[1]
-    own, _ = harness._run_row(spec, params, planned, "curved_fine_grid", False)
-    coarse, _ = harness._run_row(spec, params, replace(planned, reference_N=32), "curved_fine_grid", False)
+    own, _, _ = harness._run_row(spec, params, planned, "curved_fine_grid")
+    coarse, _, _ = harness._run_row(spec, params, replace(planned, reference_N=32), "curved_fine_grid")
     assert own.reference_N == coarse.reference_N == planned.N == 256
     assert (coarse.error_l2, coarse.error_max) == (own.error_l2, own.error_max)
     assert own.error_l2 == _own_grid_errors(spec)[1]
@@ -832,6 +841,27 @@ def test_spec_refuses_a_sweep_whose_coarsest_row_extra_propagation_is_over_the_t
         _spec(0.0, profile, [0.5, 0.25])
     monkeypatch.setattr(hamiltonians, "_CHEBYSHEV_BUDGET", admitted)
     _spec(0.0, profile, [0.5, 0.25])
+
+
+def test_a_twin_past_the_term_budget_fails_its_check_not_its_row(monkeypatch):
+    # the 32-site row fails on its packet (w < 4 dx), so the twin runs on the 64-site row:
+    # to t = 1 at dx / 2 = 0.125 it runs 0.8 pi / 0.125 + 0.1 = 20.2 terms, past the budget of 15, where the
+    # row's own reference runs 10.2
+    from plasticwalk import hamiltonians
+
+    monkeypatch.setattr(hamiltonians, "_CHEBYSHEV_BUDGET", 15)
+    spec = ExperimentSpec(alpha=0.0, m=0.1, cprofile=CProfile.sine_bump(0.5, 0.3, 16.0), length=16.0, T=1.0,
+                          epsilon_list=[0.5, 0.25, 0.125], x0=8.0, w=1.5, k0=0.3)
+    report = run_convergence_sweep(spec)
+    assert [r.N for r in report.rows] == [32, 64, 128]
+    assert "ResolutionError" in report.rows[0].failure
+    assert report.rows[1].failure is None and abs(report.rows[1].error_l2 - 0.0431) < 5e-4
+    assert report.reference_error is None
+    checks = {c["name"]: c for c in report.checks}
+    assert [c["name"] for c in report.checks if not c["passed"]] == ["rows_completed", "reference_resolution"]
+    detail = checks["reference_resolution"]["detail"]
+    assert detail.startswith("BudgetError") and "the term budget" in detail
+    assert f"reference 2x twin could not run: {detail}; sweep flagged invalid" in report.flags
 
 
 def test_a_flat_continuum_sweep_is_not_refused_by_the_term_budget():

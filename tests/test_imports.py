@@ -22,7 +22,7 @@ h = pw.lattice_hamiltonian_curved(16, 1.0, 0.2, bump)
 h.dense()
 pw.evolve_exact(h, psi, 0.5)
 pw.evolve_crank_nicolson(h, psi, 0.5, 2)
-pw.curved_dirac_reference(psi, bump, 0.2, 0.5, 2)
+pw.curved_dirac_reference(psi, bump, 0.2, 0.5)
 pw.qca_step(pw.QcaState.vacuum(2), 1.0, 0.3).occupations()
 spec = pw.ExperimentSpec(alpha=1.0, m=0.2, cprofile=bump, length=16.0, T=0.5, epsilon_list=[0.2, 0.1],
                          x0=8.0, w=4.0, k0=0.3, chirality_mix=0.5)
