@@ -1,9 +1,14 @@
 """Command-line front end: configure, run, and export every experiment.
 
+The grammar is fixed, ``plasticwalk COMMAND [--config PATH] [--out DIR]
+[--seed N]``, and ``load_config`` parses it directly, with no parser library:
+each flag is ``--flag VALUE`` or ``--flag=VALUE`` and the last one given
+wins; ``--version`` and ``-h`` print and exit 0.
 A single JSON document configures a run; command-line flags override
 config fields, which override defaults. Exit codes: 0 success, 1 runtime
-or numerical failure, 2 configuration error. All files are written
-atomically (temp file in the target directory, then rename) and floats are
+or numerical failure, 2 configuration error, a command-line error
+included. All files are written atomically (a new file in the target
+directory, created with the umask's mode, then renamed) and floats are
 printed with 17 significant digits (``%.17g``) so they round-trip exactly;
 the CSV tables (snapshots, sweep rows, dispersion scans) are formatted on
 whole arrays by ``_csv.rows``, with the same bytes.
@@ -11,14 +16,11 @@ whole arrays by ``_csv.rows``, with the same bytes.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -42,6 +44,9 @@ from .qca import dense_step_operator  # not called here; perfbench/probes.py pat
 from .walk import _trajectory
 from .walk import qw_step  # not called here; perfbench/probes.py patches it on this module
 from . import __version__, _csv
+
+COMMANDS = ("simulate", "sweep", "dispersion", "qca")
+USAGE = "usage: plasticwalk {" + ",".join(COMMANDS) + "} [--config PATH] [--out DIR] [--seed N]"
 
 # each profile name and its constructor, whose parameters are the profile's config keys
 _PROFILES = {
@@ -130,7 +135,7 @@ class RunConfig:
         """Refuse a bad config with a ConfigError. Each field's JSON shape follows its annotation;
         each physics range is checked by building the domain object that owns it."""
         self._check_shape()
-        if self.command not in ("simulate", "sweep", "dispersion", "qca"):
+        if self.command not in COMMANDS:
             raise ConfigError(
                 f"field 'command': got {self.command!r}, must be one of simulate|sweep|dispersion|qca"
             )
@@ -206,8 +211,11 @@ def _fmt(v: float) -> str:
 
 
 def atomic_write(path: Path, text: str) -> None:
+    """Write text to a new file beside path, then rename it over path. The file is
+    created with mode 0o666, which the umask narrows, as for any file the user creates."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")  # unique across processes
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -359,50 +367,60 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
     return 0 if (residual_ok and conservation_exact) else 1
 
 
-@functools.cache  # parse_args leaves the parser unchanged, so one serves every main call
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="plasticwalk",
-        description="Tunable-scaling quantum walk laboratory",
-    )
-    parser.add_argument("--version", action="version", version=f"plasticwalk {__version__}")
-    sub = parser.add_subparsers(dest="command")
-    for name in ("simulate", "sweep", "dispersion", "qca"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in outputs; main path is deterministic")
-    return parser
+def _usage_error(message: str) -> ConfigError:
+    return ConfigError(f"{message}\n{USAGE}")
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    raw: dict = {}
-    if args.config is not None:
+def _flags(tokens: list[str]) -> dict:
+    """A command's flags by name, each written --flag VALUE or --flag=VALUE; the last one given wins."""
+    given: dict = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in ("--config", "--out", "--seed"):
+            raise _usage_error(f"unknown option {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):  # --out=--x names a directory "--x"
+                raise _usage_error(f"option {flag} needs a value")
+        given[flag[2:]] = value
+    if "seed" in given:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")  # JSON text is UTF-8
+            given["seed"] = int(given["seed"])
+        except ValueError:
+            raise _usage_error(f"option --seed: got {given['seed']!r}, must be an integer") from None
+    return given
+
+
+def load_config(argv: list[str]) -> RunConfig:
+    """The one step from a command line to a validated config; precedence: flags > config file > defaults."""
+    if not argv or argv[0] not in COMMANDS:
+        raise _usage_error(f"unknown command {argv[0]!r}" if argv else "no command given")
+    flags = _flags(argv[1:])
+    raw: dict = {}
+    path = flags.pop("config", None)
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")  # JSON text is UTF-8
         except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
-            raise ConfigError(f"field 'config': cannot read {args.config}: {exc}") from exc
+            raise ConfigError(f"field 'config': cannot read {path}: {exc}") from exc
         if text.strip():  # a blank file is the empty config
             raw = _json_object(text)
-    raw["command"] = args.command
-    # precedence: flags > config > defaults
-    if args.out is not None:
-        raw["out"] = args.out
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict({**raw, "command": argv[0], **flags})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--version"]:
+        print(f"plasticwalk {__version__}")
+        return 0
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
+    # looked up per call, so that a handler patched on this module is the one that runs
     handlers = {"simulate": cmd_simulate, "sweep": cmd_sweep, "dispersion": cmd_dispersion, "qca": cmd_qca}
     try:
-        cfg = load_config(args)
+        cfg = load_config(argv)
         return handlers[cfg.command](cfg, Path(cfg.out))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,10 +1,15 @@
 """Command-line surface: config round-trips, exit codes, file outputs."""
 
 import json
+import os
 import random
 import re
+import stat
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,12 +63,12 @@ def test_config_rejects_unknown_field(tmp_path, capsys):
 def test_threads_config_key_is_accepted(tmp_path):
     # sweeps run serially: the key is validated and kept, and there is no flag for it
     path, _ = write_config(tmp_path, command="dispersion", out=str(tmp_path / "o"), threads=3)
-    from plasticwalk.cli import build_parser, load_config
+    from plasticwalk.cli import load_config
+    from plasticwalk.errors import ConfigError
 
-    args = build_parser().parse_args(["dispersion", "--config", str(path)])
-    assert load_config(args).threads == 3
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["dispersion", "--config", str(path), "--threads", "2"])
+    assert load_config(["dispersion", "--config", str(path)]).threads == 3
+    with pytest.raises(ConfigError):
+        load_config(["dispersion", "--config", str(path), "--threads", "2"])
 
 
 @pytest.mark.parametrize("text", ["x{", "[1, 2]"], ids=["malformed", "not_an_object"])
@@ -122,12 +127,11 @@ def test_config_with_a_number_that_overflows_exits_two(tmp_path, capsys, command
 
 
 def test_blank_config_file_is_the_default_config(tmp_path):
-    from plasticwalk.cli import build_parser, load_config
+    from plasticwalk.cli import load_config
 
     path = tmp_path / "blank.json"
     path.write_text("  \n")
-    args = build_parser().parse_args(["qca", "--config", str(path)])
-    assert load_config(args) == RunConfig(command="qca")
+    assert load_config(["qca", "--config", str(path)]) == RunConfig(command="qca")
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +331,16 @@ def test_simulate_flag_overrides_out(tmp_path):
 
 
 def test_consecutive_main_calls_share_no_flag_state(tmp_path):
-    # the parser is built once per process; each call's flags stay its own
-    from plasticwalk.cli import build_parser
+    # each call's flags stay its own
+    from plasticwalk.cli import load_config
 
-    assert build_parser() is build_parser()
     first, second = tmp_path / "qca", tmp_path / "dispersion"
     (tmp_path / "qca.json").write_text(json.dumps({"qca_cells": 3}))
     assert main(["qca", "--config", str(tmp_path / "qca.json"), "--out", str(first), "--seed", "7"]) == 0
     assert main(["dispersion", "--out", str(second)]) == 0
     assert json.loads((first / "qca_report.json").read_text())["seed"] == 7
     assert json.loads((second / "dispersion.json").read_text())["seed"] == 0
-    args = build_parser().parse_args(["sweep"])
-    assert (args.command, args.config, args.out, args.seed) == ("sweep", None, None, None)
+    assert load_config(["sweep"]) == RunConfig(command="sweep")
 
 
 _WELL = {"name": "gaussian-well", "c0": 0.8, "depth": 0.3, "center": 32.0}
@@ -875,6 +877,118 @@ def test_qca_number_conservation_check_can_fail(tmp_path, monkeypatch, capsys):
 
 def test_no_subcommand_exits_two(capsys):
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "equals"])
+def test_flags_in_both_forms(tmp_path, joined):
+    from plasticwalk.cli import load_config
+
+    path, _ = write_config(tmp_path, command="qca", out="from-config", seed=1, qca_cells=3)
+    path = str(path)
+
+    def flag(name, value):
+        return [f"--{name}={value}"] if joined else [f"--{name}", value]
+
+    assert load_config(["qca", *flag("config", path)]) == RunConfig(
+        command="qca", out="from-config", seed=1, qca_cells=3)
+    argv = ["qca", *flag("config", path), *flag("out", "o"), *flag("seed", "-4")]
+    assert load_config(argv) == RunConfig(command="qca", out="o", seed=-4, qca_cells=3)
+    # a repeated flag takes its last value
+    assert load_config([*argv, *flag("seed", "9"), *flag("out", "p")]) == RunConfig(
+        command="qca", out="p", seed=9, qca_cells=3)
+
+
+def test_an_equals_value_may_start_with_dashes(tmp_path, monkeypatch):
+    from plasticwalk.cli import load_config
+
+    monkeypatch.chdir(tmp_path)
+    assert load_config(["qca", "--out=--o"]).out == "--o"
+    assert main(["qca", "--out=--o", "--seed=+3"]) == 0
+    assert json.loads((tmp_path / "--o" / "qca_report.json").read_text())["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["simulation", "--out", "o"], "unknown command 'simulation'", id="unknown_command"),
+        pytest.param(["--out", "o", "qca"], "unknown command '--out'", id="flag_before_command"),
+        pytest.param(["qca", "--out", "o", "--bogus", "1"], "unknown option '--bogus'", id="unknown_flag"),
+        pytest.param(["qca", "--ou", "o"], "unknown option '--ou'", id="abbreviation"),
+        pytest.param(["qca", "--out", "o", "--", "x"], "unknown option '--'", id="separator"),
+        pytest.param(["qca", "--out", "o", "extra"], "unknown option 'extra'", id="positional"),
+        pytest.param(["qca", "--out", "o", "--seed"], "option --seed needs a value", id="no_value_at_end"),
+        pytest.param(["qca", "--out", "--seed", "3"], "option --out needs a value", id="no_value_before_flag"),
+        pytest.param(["qca", "--out", "o", "--seed", "x"], "got 'x', must be an integer", id="seed_text"),
+        pytest.param(["qca", "--out", "o", "--seed=1.5"], "got '1.5', must be an integer", id="seed_real"),
+        pytest.param(["qca", "--out", "o", "--seed="], "got '', must be an integer", id="seed_empty"),
+    ],
+)
+def test_command_line_errors_exit_two(tmp_path, monkeypatch, capsys, argv, named):
+    from plasticwalk.cli import USAGE
+
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
+    assert err.endswith(f"\n{USAGE}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["--version"], "plasticwalk 0.1.0"),
+        (["-h"], "usage: plasticwalk"),
+        (["--help"], "usage: plasticwalk"),
+        (["qca", "--out", "o", "-h"], "usage: plasticwalk"),
+    ],
+)
+def test_version_and_help_exit_zero(tmp_path, monkeypatch, capsys, argv, printed):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(printed)
+    assert list(tmp_path.iterdir()) == []
+
+
+# one command in a fresh interpreter; prints the command-line modules it loaded
+_PARSER_PROBE = """
+import json
+import sys
+
+from plasticwalk import cli
+
+assert cli.main(["qca", "--out", sys.argv[1]]) == 0
+print(json.dumps(sorted(name for name in ("argparse", "gettext", "locale") if name in sys.modules)))
+"""
+
+
+def test_a_command_loads_no_argparse_gettext_or_locale(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _PARSER_PROBE, str(tmp_path / "q")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"])
+def test_output_files_follow_the_umask(tmp_path, umask, mode):
+    path, _ = write_config(tmp_path, length=16.0, T=0.5, epsilon=0.25, snapshot_stride=1000,
+                           initial={"x0": 8.0, "w": 4.0})
+    old = os.umask(umask)
+    try:
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        assert main(["qca", "--out", str(tmp_path / "q")]) == 0
+    finally:
+        os.umask(old)
+    for written in (tmp_path / "s" / "snapshot_000000.csv", tmp_path / "q" / "qca_report.json"):
+        assert stat.S_IMODE(written.stat().st_mode) == mode, written
+    # each write leaves only its file behind
+    assert sorted(p.name for p in (tmp_path / "q").iterdir()) == ["qca_report.json"]
 
 
 _COMMANDS = ("simulate", "sweep", "dispersion", "qca")
