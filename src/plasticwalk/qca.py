@@ -32,7 +32,10 @@ swap layer V is one signed permutation (a gather and one multiply) in
 every sector; a crossing layer is one gathered 2x2 update below two
 particles, where each mode sits in one gate, and one update per gate
 above. One builder, :func:`_sector_plan`, makes every plan, the
-one-particle plan of a ring of any size included. The k-particle seam
+one-particle plan of a ring of any size included, in a few passes over
+the sector's whole mode array: :func:`_sector_modes` lists the states by
+an array recursion on their top mode, and each layer's updates come from
+slices of that array, with no loop over states. The k-particle seam
 sign is the one scalar (-1)^(k-1), folded into the seam gate's hopping
 entries, and the N crossing gates are built in one call. The dense step
 operator is assembled block by block from the same plans, and the
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import chain, combinations
 from math import comb, hypot
 
 import numpy as np
@@ -225,12 +227,23 @@ class _SectorPlan:
 def _sector_modes(n_modes: int, k: int) -> np.ndarray:
     """Occupied modes m_0 < ... < m_(k-1) of every k-particle basis state, in basis-index order.
 
-    Shaped (C(n_modes, k), k). ``combinations`` of the reversed mode range
-    lists each state highest mode first, the states in descending order of
-    basis index, so reversing both axes gives the ascending order of both.
+    Shaped (C(n_modes, k), k), each column contiguous. In basis-index order
+    the j-particle states with top mode t follow every state of lower top
+    mode, and are the first C(t, j - 1) states of j - 1 particles with t
+    added. So level j, the j-particle states of the modes below
+    n_modes - k + j, writes its top modes into column j - 1 and then, top
+    mode descending, copies each block's lower modes from the first rows of
+    level j - 1, which no block written before it has overwritten.
     """
-    flat = np.fromiter(chain.from_iterable(combinations(range(n_modes - 1, -1, -1), k)), dtype=np.intp)
-    return flat.reshape(comb(n_modes, k), k)[::-1, ::-1]  # (1, 0) for no particles
+    modes = np.empty((k, comb(n_modes, k)), dtype=np.intp)  # one row per column of the result
+    size = np.ones(n_modes - k + 1, dtype=np.intp)  # C(t, j - 1) states in level j's block of top mode t
+    for j in range(1, k + 1):
+        end = np.cumsum(size)  # the block of top mode t ends at C(t + 1, j)
+        modes[j - 1, : end[-1]] = np.repeat(np.arange(j - 1, n_modes - k + j), size)
+        for b, c in zip(end[:0:-1].tolist(), size[:0:-1].tolist()) if j > 1 else ():  # level 1: no lower modes
+            modes[: j - 1, b - c : b] = modes[: j - 1, :c]
+        size = end
+    return modes.T  # (1, 0) for no particles
 
 
 @lru_cache(maxsize=QUBIT_BUDGET + 1)  # every sector of the largest ring the budget allows
@@ -247,33 +260,46 @@ def _sector_plan(n_cells: int, k: int) -> _SectorPlan:
     since the kernel leaves doubly occupied pairs as they are. The swaps of
     the N cells compose into one signed permutation: V moves the particle
     of every singly occupied cell to the cell's other mode, and its |11>
-    entry -1 signs each doubly occupied cell.
+    entry -1 signs each doubly occupied cell. Each array comes from a pass
+    over the whole (C(2N, k), k) mode array or its column slices: a mode's
+    cyclic next mode is the next column's, and the first column's for the
+    last. The |01> entries are found in state order and sorted by gate,
+    stably, so gate l's updates are one slice.
     """
     n_modes = 2 * n_cells
     modes = _sector_modes(n_modes, k)
-    binom = np.array([[comb(m, i) for i in range(k + 1)] for m in range(n_modes)], dtype=np.intp)
-    row, col = np.nonzero(modes % 2)  # each state's odd modes, m = q_b of crossing gate m // 2
+    binom = np.zeros((n_modes, k + 1), dtype=np.intp)  # C(m, i), by Pascal's rule down each column
+    binom[:, 0] = 1
+    for i in range(1, k + 1):
+        np.cumsum(binom[:-1, i - 1], out=binom[1:, i])
+    idx = np.sum(1 << modes, axis=1) if n_cells <= 31 else None  # 2^m fits int64 up to m = 62
+    pair = (modes[:, 1:] ^ modes[:, :-1]) == 1  # neighbouring modes 2l, 2l + 1 of one cell
+    single = np.ones_like(modes, dtype=bool)
+    single[:, 1:] = ~pair
+    single[:, :-1] &= ~pair
+    moved = np.repeat(binom[::2, :k], 2, axis=0)  # V moves a single mode i 2l <-> 2l + 1: +-C(2l, i)
+    moved[1::2] *= -1
+    swap = np.arange(len(modes)) + np.sum(moved[modes, np.arange(k)], axis=1, where=single)
+    swap_sign = np.where(np.logical_xor.reduce(pair, axis=1), gate_V()[3, 3].real, 1.0)  # an odd number of pairs
+    alone = (modes & 1).astype(bool)  # odd mode m = q_b of gate m // 2; a |01> state's if q_a is empty
+    alone[:, :-1] &= modes[:, 1:] != modes[:, :-1] + 1
+    alone[:, -1:] &= modes[:, :1] != modes[:, -1:] + 1 - n_modes  # the last mode's next is the first
+    row, col = np.nonzero(alone)
     q_b = modes[row, col]
-    alone = np.roll(modes, -1, axis=1)[row, col] != (q_b + 1) % n_modes  # q_a empty: a |01> state
-    row, col, q_b = row[alone], col[alone], q_b[alone]
+    order = np.argsort(q_b.astype(np.min_scalar_type(n_modes)), kind="stable")  # by gate; a narrow key: radix
+    row, col, q_b = row[order], col[order], q_b[order]
     p10 = row + binom[q_b, col]
-    seam = q_b == n_modes - 1  # the partner lists mode 0 first and the others one column on
+    gate = q_b // 2
+    bounds = np.searchsorted(gate, np.arange(n_cells + 1)).tolist()  # gate l's are bounds[l]:bounds[l + 1]
+    seam = slice(bounds[-2], None)  # the partner lists mode 0 first and the others one column on
     p10[seam] = binom[modes[row[seam], :-1], np.arange(2, k + 1)].sum(axis=1)
-    order = np.argsort(q_b // 2, kind="stable")  # by gate, each gate's states in order
-    row, p10, gate = row[order], p10[order], q_b[order] // 2
+    for arr in (idx, swap, swap_sign, row, p10, gate):
+        if arr is not None:
+            arr.setflags(write=False)
     if k <= 1:  # each mode in one gate: the layer is one update
         updates = ((row, p10, gate),)
     else:  # gates share positions: one update each
-        split = np.cumsum(np.bincount(gate, minlength=n_cells))[:-1]
-        updates = tuple(zip(np.split(row, split), np.split(p10, split), range(n_cells)))
-    pair = modes[:, 1:] // 2 == modes[:, :-1] // 2  # neighbouring modes in one cell
-    single = ~np.pad(pair, ((0, 0), (1, 0))) & ~np.pad(pair, ((0, 0), (0, 1)))
-    moved = single * (1 - 2 * (modes % 2)) * binom[modes & ~1, np.arange(k)]  # 2l <-> 2l + 1: +-C(2l, i)
-    swap, swap_sign = np.arange(len(modes)) + moved.sum(axis=1), gate_V()[3, 3].real ** pair.sum(axis=1)
-    idx = np.sum(1 << modes, axis=1) if n_cells <= 31 else None  # 2^m fits int64 up to m = 62
-    for arr in (idx, swap, swap_sign, *chain.from_iterable(updates)):
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
+        updates = tuple((row[a:b], p10[a:b], l) for l, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])))
     return _SectorPlan(idx, updates, swap, swap_sign, 1 if k % 2 else -1)
 
 

@@ -597,6 +597,21 @@ def test_one_particle_matrix_is_block_of_dense_operator(n, scalar_angles):
     assert np.max(np.abs(one_particle_matrix(n, theta, zeta) - block)) <= 1e-13
 
 
+def test_sector_modes_list_every_state_in_basis_index_order():
+    # every sector of up to 16 modes: the rows are the mode combinations in
+    # ascending basis index, the order that slater_determinant_state's
+    # amplitudes and every plan's positions follow; no particles is the one
+    # empty row, shaped (1, 0)
+    from itertools import combinations
+
+    for n_modes in range(17):
+        for k in range(n_modes + 1):
+            states = sorted(combinations(range(n_modes), k), key=lambda modes: sum(1 << m for m in modes))
+            got = qca._sector_modes(n_modes, k)
+            assert got.dtype == np.intp and got.shape == (len(states), k)
+            assert got.tolist() == [list(modes) for modes in states]
+
+
 def _filtered_plan(n, sectors):
     """A sector plan by the definition: every basis index whose bit count is in ``sectors``."""
     nq = 2 * n
@@ -625,8 +640,10 @@ def _per_gate(plan):
 def test_sector_plans_and_one_particle_matrix_read_no_popcount_table(monkeypatch):
     # a sector is reached through its own basis states, and the one-particle
     # sector through its 2N modes; only paths that read a whole statevector
-    # may build the 4^N table. The per-entry Jordan-Wigner parity of every
-    # seam |01> entry is the sector's one scalar (-1)^(k-1).
+    # may build the 4^N table. Every sector of rings of 1 to 8 cells matches
+    # the definition, the vacuum and the filled sector (no |01> entry at
+    # all) included. The per-entry Jordan-Wigner parity of every seam |01>
+    # entry is the sector's one scalar (-1)^(k-1).
     n, theta, zeta = 5, 1.1, 0.35
     one = 1 << np.arange(2 * n)
     block = dense_step_operator(n, theta, zeta)[np.ix_(one, one)]
@@ -636,15 +653,20 @@ def test_sector_plans_and_one_particle_matrix_read_no_popcount_table(monkeypatch
 
     monkeypatch.setattr(qca, "_popcount", no_table)
     assert np.max(np.abs(one_particle_matrix(n, theta, zeta) - block)) <= 1e-13
-    for k in [1, 2, 3, 4]:
-        plan = qca._sector_plan.__wrapped__(n, k)  # past the cache
-        idx, pairs, seam_sign = _filtered_plan(n, (k,))
-        assert plan.idx.tolist() == idx
+    none = (np.zeros(0, dtype=int),) * 2
+    for n in range(1, 9):
         crossing_pairs = _gate_pairs(n)[:n]
-        assert {crossing_pairs[l]: tuple(a.tolist() for a in arrs) for l, arrs in _per_gate(plan).items()} == {
-            key: pairs[key] for key in crossing_pairs
-        }
-        assert seam_sign and all(s == plan.seam_sign == (-1) ** (k - 1) for s in seam_sign)
+        for k in range(2 * n + 1):
+            plan = qca._sector_plan.__wrapped__(n, k)  # past the cache
+            idx, pairs, seam_sign = _filtered_plan(n, (k,))
+            assert plan.idx.tolist() == idx
+            per_gate = _per_gate(plan)
+            assert set(per_gate) <= set(range(n))
+            assert {key: tuple(a.tolist() for a in per_gate.get(l, none)) for l, key in enumerate(crossing_pairs)} == {
+                key: pairs[key] for key in crossing_pairs
+            }
+            assert bool(seam_sign) == (0 < k < 2 * n)
+            assert all(s == plan.seam_sign == (-1) ** (k - 1) for s in seam_sign)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
