@@ -393,7 +393,7 @@ GRID_BUDGET = 10**9  # sites x steps of one grid; the largest in the tests and b
 # sites of one grid; a sweep row peaks near 2.5 kB a site (alpha = 0 flat, with its 8x lattice), ~2.6 GB here
 SITE_BUDGET = 2**20
 MOMENTUM_BUDGET = 2**16  # k_count of one dispersion scan, ~400 B a momentum; a process peaks near 60 MB
-CELL_BUDGET = 512  # qca_cells of the encoding check, memory ~ cells^2; a process peaks near 120 MB
+CELL_BUDGET = 512  # qca_cells of the encoding check, at most 17 probe columns: at 512 ~3 ms and +2.4 MB peak RSS
 NOISE_FLOOR = 1e-14  # an error or reference gap at or below it is double roundoff
 
 
@@ -678,13 +678,16 @@ def estimate_order(rows: list[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(epsilon).
 
     Returns the slope and the standard-error half-width of the fit. Raises
-    DomainError for fewer than 3 rows, epsilons that do not decrease, or an
-    error that is not finite and above ``NOISE_FLOOR``: roundoff has no order.
+    DomainError for fewer than 3 rows, an epsilon that is not finite and
+    positive, epsilons that do not decrease, or an error that is not finite
+    and above ``NOISE_FLOOR``: roundoff has no order.
     """
     if len(rows) < 3:
         raise DomainError(f"need at least 3 rows to fit an order, got {len(rows)}")
     eps = np.array([r[0] for r in rows], dtype=float)
     err = np.array([r[1] for r in rows], dtype=float)
+    if not np.all(np.isfinite(eps) & (eps > 0)):
+        raise DomainError(f"epsilon values must be finite and positive, got {eps.tolist()}")
     if np.any(np.diff(eps) >= 0):
         raise DomainError("epsilon values must be strictly decreasing")
     if not np.all(np.isfinite(err) & (err > NOISE_FLOOR)):
@@ -723,8 +726,10 @@ def dispersion_scan(params: ScalingParams, k_count: int) -> DispersionTable:
     Momenta are the ring momenta of a k_count-site grid at the walk's
     spacing, which include the zone edge -pi/dx for even counts; there the
     massless lattice branch vanishes while the continuum branch does not
-    (the doubling exhibit).
+    (the doubling exhibit). Raises DomainError for a ``k_count`` below 1.
     """
+    if k_count < 1:
+        raise DomainError(f"k_count must be at least 1, got {k_count}")
     c0 = params.cprofile(0.0, 0.0)  # raises through profile if not evaluable
     ks = np.sort(ring_momenta(k_count, params.dx))
     phases = np.sort(np.angle(np.linalg.eigvals(momentum_block(params, ks))), axis=1)

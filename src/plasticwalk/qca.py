@@ -24,26 +24,28 @@ A :class:`QcaState` holds only the number sectors it occupies, each as
 the amplitudes at that sector's sorted basis indices, and every path
 that steps the automaton acts on one sector at a time through one
 kernel, :func:`_step_sector`, and a cached plan built from the sector's
-own basis states. By the determinant rule a crossing gate acts on a
-doubly occupied pair as the identity, so the kernel reads only each
-gate's |01>/|10> block, and a plan holds no |11> positions. The plan
-applies each layer with as few array updates as the sector allows: the
-swap layer V is one signed permutation (a gather and one multiply) in
-every sector; a crossing layer is one gathered 2x2 update below two
-particles, where each mode sits in one gate, and one update per gate
-above. One builder, :func:`_sector_plan`, makes every plan, the
-one-particle plan of a ring of any size included, in a few passes over
-the sector's whole mode array: :func:`_sector_modes` lists the states by
-an array recursion on their top mode, and each layer's updates come from
-slices of that array, with no loop over states. The k-particle seam
-sign is the one scalar (-1)^(k-1), folded into the seam gate's hopping
-entries, and the N crossing gates are built in one call. The dense step
-operator is assembled block by block from the same plans, and the
-one-particle matrix steps the modes as a few batched states through the
-one-particle plan. Of the paths that take or return a state, only the
-``QcaState`` constructor and its ``amplitudes`` touch 4^N entries; the
-dense step operator is kept for checks. Only the constructor reads the
-4^N popcount table.
+own basis states. Each crossing gate's |01>/|10> block is the walk's
+coin times sigma_x (:func:`gate_U` takes it from ``walk.coin_matrix``).
+By the determinant rule a crossing gate acts on a doubly occupied pair
+as the identity, so the kernel reads only that block, applies it with
+the walk's own 2x2 kernel, ``walk._mix``, and a plan holds no |11>
+positions. The plan applies each layer with as few array updates as the
+sector allows: the swap layer V is one signed permutation (a gather and
+one multiply) in every sector; a crossing layer is one gathered 2x2
+update below two particles, where each mode sits in one gate, and one
+update per gate above. One builder, :func:`_sector_plan`, makes every
+plan, the one-particle plan of a ring of any size included, in a few
+passes over the sector's whole mode array: :func:`_sector_modes` lists
+the states by an array recursion on their top mode, and each layer's
+updates come from slices of that array, with no loop over states. The
+k-particle seam sign is the one scalar (-1)^(k-1), folded into the seam
+gate's hopping entries, and the N crossing gates are built in one call.
+The dense step operator is assembled block by block from the same plans,
+and the one-particle matrix steps the modes as a few batched states
+through the one-particle plan. Of the paths that take or return a state,
+only the ``QcaState`` constructor and its ``amplitudes`` touch 4^N
+entries; the dense step operator is kept for checks. Only the
+constructor reads the 4^N popcount table.
 
 Conventions: qubit 2l is the left-mover subcell of cell l, qubit 2l+1 the
 right-mover. The crossing gate of cell l acts on the qubit pair
@@ -64,7 +66,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, OrthogonalityError, SectorError
 from .fields import SpinorField
-from .walk import _apply, _operators, _shift, coin_matrix
+from .walk import _apply, _mix, _operators, _shift, coin_matrix
 
 QUBIT_BUDGET = 24
 
@@ -84,29 +86,27 @@ def gate_V() -> np.ndarray:
 
 
 def gate_U(theta, zeta) -> np.ndarray:
-    """Crossing gate; its one-particle block realizes the walk coin.
+    """Crossing gate; its one-particle block is the walk coin times sigma_x.
 
-    Stacked over the broadcast shape of the angles, as
-    :func:`plasticwalk.walk.coin_matrix` is: scalar angles give one 4x4
-    gate, an array of N crossing angles an (N, 4, 4) stack. The |11><11|
+    The block [[e^{-iz} sin t, -cos t], [cos t, e^{iz} sin t]] is
+    :func:`plasticwalk.walk.coin_matrix` with its columns swapped, stacked
+    as the coin is: scalar angles give one 4x4 gate, an array of N
+    crossing angles an (N, 4, 4) stack. The |11><11|
     entry is the determinant of the one-particle block (+1), so the gate is
     the second quantization of that block and two movers that meet pick up
     no phase beyond fermionic antisymmetry. At theta = pi/2, zeta = 0 the
     gate is the identity.
     """
-    theta, zeta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(zeta, dtype=float))
-    s, c = np.sin(theta), np.cos(theta)
-    u = np.zeros(theta.shape + (4, 4), dtype=np.complex128)
-    u[..., 0, 0] = 1.0
-    u[..., 1, 1] = np.exp(-1j * zeta) * s
-    u[..., 1, 2] = -c
-    u[..., 2, 1] = c
-    u[..., 2, 2] = np.exp(1j * zeta) * s
-    u[..., 3, 3] = 1.0
+    coin = coin_matrix(theta, zeta)
+    u = np.zeros(coin.shape[:-2] + (4, 4), dtype=np.complex128)
+    u[..., 0, 0] = u[..., 3, 3] = 1.0
+    u[..., 1:3, 1:3] = coin[..., :, ::-1]  # the coin times sigma_x
     return u
 
 
 def _check_budget(n_cells: int) -> None:
+    if n_cells < 1:
+        raise DomainError(f"the automaton needs at least 1 cell, got {n_cells}")
     if 2 * n_cells > QUBIT_BUDGET:
         raise BudgetError(f"{2 * n_cells} qubits exceed the statevector budget of {QUBIT_BUDGET}")
 
@@ -178,22 +178,6 @@ def _popcount(n_bits: int) -> np.ndarray:
         count = np.concatenate([count, count + 1])
     count.setflags(write=False)
     return count
-
-
-def _mix(block: np.ndarray, a01: np.ndarray, a10: np.ndarray) -> None:
-    """The |01>/|10> block of a number-conserving gate, in place on a01 and a10.
-
-    ``block`` holds its four entries b00, b01, b10, b11 (the gate's [1, 1],
-    [1, 2], [2, 1] and [2, 2]), each a scalar or an array that broadcasts
-    against a01 and a10, one gate per row; every stepping path uses this.
-    """
-    b00, b01, b10, b11 = block
-    into_01 = b01 * a10
-    into_10 = b10 * a01
-    a01 *= b00
-    a01 += into_01
-    a10 *= b11
-    a10 += into_10
 
 
 @dataclass(frozen=True)
@@ -311,7 +295,8 @@ def _step_sector(x: np.ndarray, gates: np.ndarray, plan: _SectorPlan) -> np.ndar
     (N, 4, 4) crossing-gate stack, of which only each gate's |01>/|10>
     block is read, once per call. Each of the four layers, U, V, U*, V, is
     the plan's few array updates: one gather and one multiply for V, and
-    one gathered 2x2 update per crossing run for U and U*.
+    for U and U* one gathered 2x2 update per crossing run, which the walk's
+    ``_mix`` computes as entry times amplitude.
     """
     column = (-1,) + (1,) * (x.ndim - 1)  # one factor per position, for a state or a batch
     b = gates[:, [1, 1, 2, 2], [1, 2, 1, 2]].T  # (4, N) entries of each |01>/|10> block, a copy
@@ -320,10 +305,7 @@ def _step_sector(x: np.ndarray, gates: np.ndarray, plan: _SectorPlan) -> np.ndar
     y = x.copy()
     for layer in (b, b.conj()):
         for p01, p10, l in plan.crossings:
-            a01, a10 = y[p01], y[p10]
-            _mix(layer[:, l], a01, a10)
-            y[p01] = a01
-            y[p10] = a10
+            y[p01], y[p10] = _mix(layer[:, l], y[p01], y[p10])
         y = y[plan.swap]
         y *= plan.swap_sign.reshape(column)
     return y
@@ -331,6 +313,8 @@ def _step_sector(x: np.ndarray, gates: np.ndarray, plan: _SectorPlan) -> np.ndar
 
 def _crossing_gates(n_cells: int, theta, zeta) -> np.ndarray:
     """The N crossing gates as an (N, 4, 4) stack; each angle is a scalar or one value per crossing."""
+    if n_cells < 1:
+        raise DomainError(f"the automaton needs at least 1 cell, got {n_cells}")
     angles = []
     for name, x in (("theta", theta), ("zeta", zeta)):
         x = np.asarray(x, dtype=float)
@@ -454,7 +438,8 @@ def _gram_deviation(phi: np.ndarray) -> float:
 class SlaterState:
     """Orthonormal single-particle orbitals, one column per particle.
 
-    Row index is the mode 2l + s (s = 0 left-mover, 1 right-mover).
+    Row index is the mode 2l + s (s = 0 left-mover, 1 right-mover), so the
+    modes come in cell pairs, and no more particles than modes.
     """
 
     orbitals: np.ndarray
@@ -464,6 +449,8 @@ class SlaterState:
         self.orbitals = np.asarray(self.orbitals, dtype=np.complex128)
         if self.orbitals.ndim != 2:
             raise DomainError("orbitals must form a (modes, particles) matrix")
+        if self.n_modes % 2 or self.n_particles > self.n_modes:
+            raise DomainError(f"orbitals of shape {self.orbitals.shape}: need two modes a cell, one a particle")
 
     @property
     def n_modes(self) -> int:

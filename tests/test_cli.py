@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plasticwalk import hamiltonians
-from plasticwalk.cli import RunConfig, main
+from plasticwalk import PlasticWalkError, cli, hamiltonians
+from plasticwalk.cli import RunConfig, atomic_write, main
 from plasticwalk.harness import CELL_BUDGET, MOMENTUM_BUDGET, SITE_BUDGET
 
 
@@ -989,6 +989,36 @@ def test_output_files_follow_the_umask(tmp_path, umask, mode):
         assert stat.S_IMODE(written.stat().st_mode) == mode, written
     # each write leaves only its file behind
     assert sorted(p.name for p in (tmp_path / "q").iterdir()) == ["qca_report.json"]
+
+
+def test_a_failed_rename_leaves_no_temporary_file_and_the_old_target(tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    target.write_text("old")
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write(target, "new")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    assert target.read_text() == "old"
+
+
+@pytest.mark.parametrize(
+    "error, printed",
+    [(PlasticWalkError("sector lost"), "runtime error: sector lost"),
+     (RuntimeError("no memory"), "runtime error: RuntimeError: no memory")],
+    ids=["package_error", "plain_exception"],
+)
+def test_an_error_inside_a_command_exits_one_without_a_traceback(tmp_path, monkeypatch, capsys, error, printed):
+    def failing_command(cfg, out_dir):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_qca", failing_command)
+    assert main(["qca", "--out", str(tmp_path / "q")]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == printed and "Traceback" not in err
 
 
 _COMMANDS = ("simulate", "sweep", "dispersion", "qca")

@@ -1,6 +1,7 @@
 """Wavepackets, order fitting, sweeps, dispersion tables."""
 
 import platform
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,19 @@ def test_estimate_order_degenerate_and_domain():
         estimate_order([(0.01, 1e-3), (0.02, 1e-4), (0.005, 1e-5)])
     with pytest.raises(DomainError):  # a negative error is not at the noise floor
         estimate_order([(0.02, 1e-3), (0.01, -1e-4), (0.005, 1e-5)])
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [(0.4, np.nan, 0.1), (0.4, 0.2, np.nan), (np.inf, 0.2, 0.1), (0.4, 0.2, 0.0), (0.4, 0.0, -0.1)],
+    ids=["nan_middle", "nan_last", "inf_first", "zero_last", "zero_and_negative"],
+)
+def test_estimate_order_refuses_an_epsilon_that_is_not_finite_and_positive(eps):
+    # a NaN compares false in the decrease check, and log(0) or log(-x) would fit NaNs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite and positive"):
+            estimate_order(list(zip(eps, (0.1, 0.05, 0.01))))
 
 
 # ---------------------------------------------------------------------------
@@ -930,6 +944,13 @@ def test_dispersion_phase_residual_quadratic_with_bounded_constant():
     slope = np.polyfit(np.log(eps_seq), np.log(resid), 1)[0]
     assert slope >= 1.8
     assert resid[-1] / eps_seq[-1] ** 2 <= 10.0 * (c ** 2 + m ** 2)
+
+
+@pytest.mark.parametrize("k_count", [0, -3])
+def test_dispersion_scan_refuses_fewer_than_one_momentum(k_count):
+    params = ScalingParams(m=0.1, cprofile=CProfile.constant(0.5), epsilon=0.05, alpha=1.0)
+    with pytest.raises(DomainError, match="k_count"):
+        dispersion_scan(params, k_count)
 
 
 def test_dispersion_csv():

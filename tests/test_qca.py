@@ -61,13 +61,13 @@ def _gate_pairs(n_cells: int) -> list[tuple[int, int]]:
 
 
 def _reference_mix(gate, a01, a10):
-    """The |01>/|10> block of one 4x4 gate, in place: the per-gate arithmetic."""
-    into_01 = gate[1, 2] * a10
+    """The |01>/|10> block of one 4x4 gate, in place: the per-gate arithmetic, entry times amplitude."""
+    into_01 = gate[1, 1] * a01
+    into_01 += gate[1, 2] * a10
     into_10 = gate[2, 1] * a01
-    a01 *= gate[1, 1]
-    a01 += into_01
-    a10 *= gate[2, 2]
-    a10 += into_10
+    into_10 += gate[2, 2] * a10
+    a01[...] = into_01
+    a10[...] = into_10
 
 
 def _reference_layers(gates, seam_sign):
@@ -167,6 +167,22 @@ def test_gate_u_doubly_occupied_entry_is_block_determinant(conj):
         assert abs(u[3, 3] - np.linalg.det(u[1:3, 1:3])) <= 1e-15
 
 
+def test_gate_u_block_is_the_closed_form():
+    # written out here, not taken from the coin the gate is built from
+    rng = np.random.default_rng(43)
+    theta, zeta = rng.uniform(-7, 7, size=(2, 200))
+
+    def closed_form(t, z):
+        return np.array([[np.exp(-1j * z) * np.sin(t), -np.cos(t)], [np.cos(t), np.exp(1j * z) * np.sin(t)]])
+
+    expected = np.stack([closed_form(t, z) for t, z in zip(theta, zeta)])
+    assert np.max(np.abs(gate_U(theta, zeta)[:, 1:3, 1:3] - expected)) <= 1e-15
+    for t, z, block in zip(theta[:20], zeta[:20], expected):
+        u = gate_U(float(t), float(z))
+        assert np.max(np.abs(u[1:3, 1:3] - block)) <= 1e-15
+        assert u[0, 0] == u[3, 3] == 1.0
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 64, 512])
 def test_gate_u_stacks_over_array_angles(n):
     # one call over the N crossing angles against the scalar calls, for a
@@ -230,6 +246,23 @@ def test_occupations_match_bit_formula():
 def test_budget_guard():
     with pytest.raises(BudgetError):
         QcaState.vacuum(13)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QcaState.vacuum(0),
+        lambda: QcaState(np.ones(1), 0),
+        lambda: one_particle_matrix(0, 1.0, 0.3),
+        lambda: verify_encoding(1.0, 0.3, 0),
+        lambda: dense_step_operator(0, 1.0, 0.3),
+        lambda: one_particle_matrix(-2, 1.0, 0.3),
+    ],
+    ids=["vacuum", "constructor", "one_particle_matrix", "verify_encoding", "dense_step_operator", "negative"],
+)
+def test_fewer_than_one_cell_raises_domain_error(call):
+    with pytest.raises(DomainError, match="at least 1 cell"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -377,6 +410,33 @@ def test_slater_rejects_nonorthonormal():
 def test_slater_evolve_refuses_a_bad_step_count(steps):
     with pytest.raises(DomainError, match="steps must be a nonnegative integer"):
         slater_evolve(SlaterState(np.eye(8, 2, dtype=complex)), one_particle_step(1.0, 0.3), steps)
+
+
+def test_orbitals_on_an_odd_number_of_modes_raise_domain_error():
+    with pytest.raises(DomainError, match="two modes a cell"):
+        slater_evolve(SlaterState(np.eye(5, 1)), one_particle_step(1.0, 0.3), 1)
+
+
+def test_more_particles_than_modes_raise_domain_error():
+    with pytest.raises(DomainError, match="one a particle"):
+        slater_determinant_state(SlaterState(np.ones((4, 5))), 2)
+
+
+def _scaled(step, factor):
+    return lambda field: SpinorField(step(field).data * factor, field.dx)
+
+
+def test_slater_evolve_reorthonormalizes_a_drifting_step():
+    # a step that scales every orbital by 1 + 1e-9 moves the Gram matrix by
+    # ~2e-9, past 1e-10, on every step; by 1 + 1e-6 it moves it past 1e-6
+    rng = np.random.default_rng(71)
+    phi = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
+    step = one_particle_step(1.0, 0.3)
+    out = slater_evolve(SlaterState(phi), _scaled(step, 1 + 1e-9), 5)
+    assert out.reortho_count == 5
+    assert out.gram_deviation() <= 1e-12
+    with pytest.raises(OrthogonalityError, match="orbital drift"):
+        slater_evolve(SlaterState(phi), _scaled(step, 1 + 1e-6), 1)
 
 
 def test_zero_particle_determinant_evolves_as_the_vacuum():
