@@ -158,12 +158,15 @@ class QcaState:
         return hypot(*(np.linalg.norm(x) for x in self.sectors.values()))
 
     def occupations(self) -> np.ndarray:
-        """Expectation of the occupation of each qubit (mode)."""
-        modes = np.arange(2 * self.n_cells)
+        """Expectation of the occupation of each qubit (mode).
+
+        Each state's weight is added to its k occupied modes, so the
+        temporaries are the sector's (k, C) mode array, not a (C, 2N) bit table.
+        """
         occ = np.zeros(2 * self.n_cells)
         for k, x in self.sectors.items():
-            bits = (_sector_plan(self.n_cells, k).idx[:, None] >> modes) & 1
-            occ += (np.abs(x) ** 2) @ bits
+            modes = _sector_modes(2 * self.n_cells, k).T  # row i: the i-th mode of every state
+            occ += np.bincount(modes.ravel(), np.tile(np.abs(x) ** 2, k), minlength=2 * self.n_cells)
         return occ
 
 
