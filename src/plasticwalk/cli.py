@@ -338,7 +338,8 @@ def cmd_qca(cfg: RunConfig, out_dir: Path) -> int:
     residual = verify_encoding(cfg.qca_theta, cfg.qca_zeta, cfg.qca_cells)
     residual_ok = residual <= 1e-12
 
-    # every entry of the stepper's gates between two-qubit states of different occupation
+    # every entry of the crossing gates and V between two-qubit states of different occupation; the
+    # stepper holds V as a signed permutation and reads only each crossing gate's |01>/|10> block
     w = _popcount(2)
     gates = np.concatenate([_crossing_gates(cfg.qca_cells, cfg.qca_theta, cfg.qca_zeta), gate_V()[None]])
     off_sector = float(np.max(np.abs(gates[:, w[:, None] != w[None, :]])))

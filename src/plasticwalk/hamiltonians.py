@@ -21,9 +21,12 @@ H = -(i/2) sigma_x (C D + D C) - m sigma_z, the continuum limit of the
 bond-midpoint lattice H (C the speed on the grid, D the FFT derivative
 without the even-N Nyquist mode), propagated by the same Chebyshev kernel.
 Fields move between grids of the ring only by one spectral resampler
-(``resample``), to any site count, finer or coarser; ``trig_interpolate``
-is its integer-refinement form. Every reference runs on its input's own
-grid; a caller that wants another grid resamples to it and back.
+(``resample``), to any site count, finer or coarser. Every reference runs
+on its input's own grid; a sweep that wants another grid resamples to it
+and back in one place, ``harness._reference_evolution``.
+``trig_interpolate``, the integer-refinement form of ``resample``, has no
+caller in the package; it stays only because the benchmark's probes patch
+it.
 Cayley stepping (``evolve_crank_nicolson``) is a second-order integrator
 with a dense step matrix, O(N^2) memory and an O(N^3) solve; no reference
 runs it, and it stays only until the benchmark stops warming it up.

@@ -11,10 +11,12 @@ The lattice reference, flat or curved, is one Chebyshev propagation of the
 lattice Hamiltonian (``evolve_exact``). The flat continuum reference is
 propagated per ring momentum with closed-form 2x2 blocks, as the walk's
 homogeneous trajectory is (``walk.MomentumOperator``). The curved continuum
-reference is a Chebyshev propagation on a grid of the ring. Apart from the
-cross-validation's 8x lattice (below), a reference runs on another grid in
-one place only, ``_reference_evolution``: the field is resampled to n
-sites, propagated there and resampled back.
+reference is a Chebyshev propagation on a grid of the ring. A sweep moves a
+field between grids in one place only, ``_reference_evolution``: the field
+is resampled to n sites, propagated there and resampled back. A row's
+coarser reference grid, the curved reference's 2x twin and the
+cross-validation's 8x lattice (below) all run there, and it alone decides
+whether a coarser grid may be used.
 
 Each sweep runs one audit of its reference, right after its first completed
 row, the coarsest grid. A curved sweep records the reference's own error:
@@ -90,8 +92,8 @@ from .hamiltonians import (
     evolve_exact,
     lattice_hamiltonian_curved,
     resample,
-    trig_interpolate,
 )
+from .hamiltonians import trig_interpolate  # not called here; perfbench/probes.py patches it on this module
 from .scaling import ScalingParams, derive_angle_arrays
 from .walk import _entries, _mix, _product, evolve_walk, lambda_power, momentum_block, ring_momenta
 
@@ -223,7 +225,7 @@ class SweepRow:
     reference_s: float = dc_field(default=0.0, metadata={"csv": False})
     norm_drift: float = dc_field(default=float("nan"), metadata={"csv": False})
     time_reached: float = dc_field(default=0.0, metadata={"csv": False})
-    # sites of the grid the reference ran on: N, or the sweep's reference grid (see _run_row)
+    # sites of the grid the reference ran on: N, or the sweep's reference grid (see _reference_evolution)
     reference_N: int | None = dc_field(default=None, metadata={"csv": False})
     failure: str | None = dc_field(default=None, metadata={"csv": False})
 
@@ -310,8 +312,15 @@ class SweepReport:
 # initial data
 
 
-def _check_packet(x0: float, w: float, k0: float, chirality_mix: float, length: float) -> None:
-    """The packet's own ranges: finite x0 and k0, w in (0, length], chirality_mix in [0, 1]."""
+def _check_packet(x0: float, w: float, k0: float, chirality_mix: float, length: float) -> int:
+    """The packet's own ranges: finite x0 and k0, w in (0, length], chirality_mix in [0, 1].
+
+    Returns the number of ring images on each side that ``make_wavepacket``
+    sums. Its phases reach about k0 (x0 + (images + 1) length), and it forms
+    k0 s and k0 x0 / length on the way; a packet whose bound on these,
+    k0 (|x0| + (images + 1) length) / min(1, length), is not finite is
+    refused, before any of them overflows.
+    """
     if not (np.isfinite(w) and w > 0):
         raise DomainError(f"w must be finite and positive, got {w}")
     if w > length * (1.0 + 1e-12):  # a snapped grid's N dx may sit an ulp below the configured length
@@ -321,6 +330,11 @@ def _check_packet(x0: float, w: float, k0: float, chirality_mix: float, length: 
             raise DomainError(f"{name} must be finite, got {value}")
     if not 0.0 <= chirality_mix <= 1.0:
         raise DomainError(f"chirality_mix must lie in [0, 1], got {chirality_mix}")
+    images = max(2, int(np.ceil(12.2 * w / length)))
+    if not np.isfinite(abs(k0) * ((abs(x0) + (images + 1) * length) / min(1.0, length))):
+        raise DomainError(f"k0 = {k0} at x0 = {x0} on a ring of length {length} gives the packet "
+                          f"a phase past the float range")
+    return images
 
 
 def make_wavepacket(
@@ -337,13 +351,12 @@ def make_wavepacket(
     x0' times e^{i k0 j length}.
     """
     length = N * dx
-    _check_packet(x0, w, k0, chirality_mix, length)
+    images = _check_packet(x0, w, k0, chirality_mix, length)
     if w < 4.0 * dx:
         raise ResolutionError(f"width w = {w} below the resolvable minimum 4*dx = {4 * dx}")
     j, x0 = divmod(x0, length)
     x = np.arange(N) * dx
     wave = np.zeros(N, dtype=np.complex128)
-    images = max(2, int(np.ceil(12.2 * w / length)))
     for s in range(-images, images + 1):  # image s carries the phase e^{i k0 (x + s length)}
         wave += np.exp(1j * k0 * s * length) * np.exp(-((x - x0 + s * length) ** 2) / (4.0 * w ** 2))
     wave *= np.exp(1j * k0 * x) * np.exp(1j * k0 * j * length)
@@ -462,15 +475,22 @@ def _reference_radius(kind: str, m: float, cprofile: CProfile, n: int, dx: float
 
 def _reference_evolution(
     params: ScalingParams, field: SpinorField, t_reach: float, kind: str, n: int | None = None
-) -> SpinorField:
-    """The reference of ``kind`` applied to ``field`` over t_reach, on the field's grid.
+) -> tuple[SpinorField, int]:
+    """The reference of ``kind`` applied to ``field`` over t_reach, on its grid, and the sites it ran on.
 
-    With n the field is resampled to n sites of the ring, propagated there
-    and resampled back: a row's coarser reference grid and the curved
-    reference's 2x twin both run this way; only the cross-validation's 8x
-    lattice moves between grids elsewhere.
+    The one place a sweep moves a field between grids. With n the field is
+    resampled to n sites of the ring, propagated there and resampled back:
+    a row's coarser reference grid, the curved reference's 2x twin and the
+    cross-validation's 8x lattice all run this way. A coarser n is used
+    only if restricting the field to it and back drops at most
+    ``NOISE_FLOOR`` of it (relative L2); otherwise the reference runs on
+    the field's own grid.
     """
     psi0 = field if n is None else resample(field, n)
+    if psi0.n_sites < field.n_sites:
+        dropped = resample(psi0, field.n_sites).data - field.data
+        if np.linalg.norm(dropped) > NOISE_FLOOR * np.linalg.norm(field.data):
+            psi0 = field
     if kind == "lattice_exact":
         h = lattice_hamiltonian_curved(psi0.n_sites, psi0.dx, params.m, params.cprofile, 0.0)
         evolved = evolve_exact(h, psi0, t_reach)
@@ -478,7 +498,7 @@ def _reference_evolution(
         evolved = dirac_propagator(psi0.n_sites, psi0.dx, params.m, params.cprofile(0.0, 0.0), t_reach).apply(psi0)
     else:
         evolved = curved_dirac_reference(psi0, params.cprofile, params.m, t_reach)
-    return evolved if n is None else resample(evolved, field.n_sites)
+    return (evolved if psi0 is field else resample(evolved, field.n_sites)), psi0.n_sites
 
 
 def _run_row(
@@ -488,11 +508,9 @@ def _run_row(
 
     Returns the row, its frame-mapped initial field and that field's
     reference evolution, which the sweep's audit reads on its first row.
-    A planned ``reference_N`` below N names a coarser grid that resolves the
-    reference: the reference runs there (``_reference_evolution``) unless
-    restricting the initial field to it drops more than ``NOISE_FLOOR`` of
-    it (relative L2); then, as without one, the reference runs on the row's
-    own grid. The row records the grid it used.
+    A planned ``reference_N`` names the sweep's coarser reference grid;
+    ``_reference_evolution`` decides whether the field may run there, and
+    the row records the grid it ran on.
     """
     t_start = time.perf_counter()
     psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
@@ -504,12 +522,7 @@ def _run_row(
     ref_initial = psi0.with_data(frame.apply_adjoint(psi0.data))
     walked_in_frame = frame.apply_adjoint(walked.data)
     t2 = time.perf_counter()
-    n = row.reference_N if row.reference_N is not None and row.reference_N < row.N else None
-    if n is not None:
-        dropped = resample(resample(ref_initial, n), row.N).data - ref_initial.data
-        if np.linalg.norm(dropped) > NOISE_FLOOR * np.linalg.norm(ref_initial.data):
-            n = None
-    ref_final = _reference_evolution(params, ref_initial, row.time_reached, kind, n)
+    ref_final, reference_n = _reference_evolution(params, ref_initial, row.time_reached, kind, row.reference_N)
     t3 = time.perf_counter()
 
     diff = walked_in_frame - ref_final.data
@@ -522,19 +535,20 @@ def _run_row(
         frame_s=t2 - t1,
         reference_s=t3 - t2,
         norm_drift=abs(walked.norm() - psi0.norm()),
-        reference_N=n or row.N,
+        reference_N=reference_n,
     ), ref_initial, ref_final
 
 
 def _cross_validate_references(
     spec: ExperimentSpec, params: ScalingParams, row: SweepRow, kind: str
 ) -> float:
-    """L2 gap between the lattice reference on an 8x refined grid and the row's own reference."""
+    """L2 gap between the lattice reference on an 8x refined grid and the row's own reference.
+
+    Both run through ``_reference_evolution``, the lattice one with n = 8 N.
+    """
     psi0 = make_wavepacket(row.N, params.dx, spec.x0, spec.w, spec.k0, spec.chirality_mix)
-    fine = trig_interpolate(psi0, 8)
-    h = lattice_hamiltonian_curved(fine.n_sites, fine.dx, params.m, params.cprofile)
-    lattice_side = resample(evolve_exact(h, fine, row.time_reached), row.N)
-    continuum_side = _reference_evolution(params, psi0, row.time_reached, kind)
+    lattice_side, _ = _reference_evolution(params, psi0, row.time_reached, "lattice_exact", 8 * row.N)
+    continuum_side, _ = _reference_evolution(params, psi0, row.time_reached, kind)
     return float(np.linalg.norm(lattice_side.data - continuum_side.data))
 
 
@@ -593,7 +607,7 @@ def run_convergence_sweep(spec: ExperimentSpec, min_order: float | None = None) 
         audited = True
         try:
             if audit == "reference_resolution":
-                twin = _reference_evolution(params, initial, row.time_reached, ref_kind, 2 * row.N)
+                twin, _ = _reference_evolution(params, initial, row.time_reached, ref_kind, 2 * row.N)
                 distance = np.linalg.norm(twin.data - reference.data)
                 reference_error = float(distance / np.linalg.norm(reference.data))
                 reference_n = row.N if reference_error <= NOISE_FLOOR else None

@@ -461,6 +461,25 @@ def test_a_profile_only_the_sites_see_exits_two(tmp_path, capsys, command):
     assert not (tmp_path / "c-out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "dispersion", "qca"])
+@pytest.mark.parametrize(
+    "initial", [{"k0": 1e308}, {"x0": 1e308, "k0": 10.0}], ids=["k0", "x0_k0"])
+def test_a_packet_phase_past_the_float_range_exits_two(tmp_path, capsys, command, initial):
+    # k0 (x0 + 3 length) overflows: the packet check refuses it on every command, before
+    # make_wavepacket's exponentials warn and before anything is written
+    assert _run_quietly(command, {"initial": initial}, tmp_path) == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"k0 = {initial['k0']}" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "c-out").exists()
+
+
+def test_config_naming_an_unknown_command_is_refused():
+    # on the command line the command comes from argv, which main checks first
+    with pytest.raises(cli.ConfigError, match="field 'command': got 'bogus'"):
+        RunConfig.parse('{"command": "bogus"}')
+
+
 def test_a_reference_past_the_term_budget_is_a_package_error(tmp_path, capsys):
     # the flat alpha = 0 sweep cross-validates its reference on a lattice,
     # whose Chebyshev series at m = 1e300 would need ~1e300 terms; the spec
@@ -639,6 +658,9 @@ def test_sweep_records_kappa_range_and_predicted_order(tmp_path, alpha, eps_list
         ({"profile": dict(_WELL, width=0)}, "width must be positive"),
         ({"profile": dict(_BUMP, length=0)}, "length must be positive"),
         ({"alpha": 1.0, "length": 1.0, "initial": {"x0": 0.5, "w": 4.0}}, "at least 2 sites"),
+        ({"min_order": -1}, "field 'min_order': got -1, must be >= 0 or null"),
+        ({"profile": {"name": "bogus"}}, "field 'profile.name': got 'bogus'"),
+        ({"m": 10 ** 400}, "must be a finite real number"),  # an integer no float holds
     ],
     ids=["unknown_reference", "fractional_length", "dirac_momentum_on_bump",
          "dirac_momentum_at_alpha_one", "curved_fine_grid_at_alpha_one",
@@ -646,7 +668,7 @@ def test_sweep_records_kappa_range_and_predicted_order(tmp_path, alpha, eps_list
          "singular_coin",
          "non_periodic_curved_profile",
          "T_budget", "epsilon_list_budget", "zero_w", "zero_well_width", "zero_bump_length",
-         "single_site_ring"],
+         "single_site_ring", "negative_min_order", "unknown_profile", "integer_past_float"],
 )
 def test_sweep_invalid_spec_exits_two(tmp_path, capsys, raw, named):
     path = tmp_path / "bad.json"

@@ -258,6 +258,12 @@ def test_evolve_exact_refuses_non_hermitian_hamiltonian():
         evolve_exact(h, random_field(16, rng), 4.0)
 
 
+def test_evolve_exact_refuses_a_field_on_another_grid():
+    h = lattice_hamiltonian_flat(16, 1.0, 0.2, 0.5)
+    with pytest.raises(DomainError, match="different grids"):
+        evolve_exact(h, random_field(32, np.random.default_rng(15)), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Cayley stepping
 

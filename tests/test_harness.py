@@ -96,6 +96,31 @@ def test_wavepacket_resolution_guard():
         make_wavepacket(64, 1.0, 32.0, 3.9, 0.0)
 
 
+@pytest.mark.parametrize(
+    "n, dx, x0, w, k0",
+    [
+        (64, 1.0, 32.0, 8.0, 1e308),  # k0 s length at s = 2
+        (64, 1.0, 1e308, 8.0, 10.0),  # k0 j length, j = floor(x0 / length)
+        (64, 0.01 / 64, 0.0, 0.002, 1e308),  # k0 s = 3e308 on a ring shorter than 1
+        (64, 0.01 / 64, 1e308, 0.002, 0.0),  # x0 / length overflows, and 0 * inf is NaN
+    ],
+    ids=["k0", "x0_k0", "short_ring_k0", "short_ring_x0"],
+)
+def test_wavepacket_refuses_a_phase_past_the_float_range(n, dx, x0, w, k0):
+    # refused by _check_packet, which every packet passes through, before NumPy overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="k0 = .* phase past the float range"):
+            make_wavepacket(n, dx, x0, w, k0)
+
+
+def test_wavepacket_far_away_with_a_moderate_k0_still_builds():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = make_wavepacket(64, 1.0, 1e308, 8.0, np.pi / 8)
+    assert np.all(np.isfinite(f.data)) and abs(f.norm() - 1.0) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # order estimation
 
@@ -231,6 +256,28 @@ def test_cross_validation_equals_the_flat_formula():
     gap = harness._cross_validate_references(spec, params, row, "dirac_momentum")
     assert gap == float(np.linalg.norm(lattice.data - dirac.data))
     assert run_convergence_sweep(spec).crossval_gap == gap
+
+
+def test_cross_validation_moves_grids_only_through_the_reference_runner(monkeypatch):
+    # the 8x lattice is _reference_evolution's resample to 8 N and back; the gap is the one
+    # test_cross_validation_equals_the_flat_formula pins, and trig_interpolate runs nowhere
+    from plasticwalk import hamiltonians
+
+    def refuse(*args):
+        raise AssertionError("trig_interpolate called")
+
+    spec = _spec(0.0, CProfile.constant(0.5), [0.5, 0.25, 0.125], m=0.2)
+    gap = run_convergence_sweep(spec).crossval_gap
+    for owner in (harness, hamiltonians):
+        monkeypatch.setattr(owner, "trig_interpolate", refuse)
+    report = run_convergence_sweep(spec)
+    assert report.crossval_gap == gap
+    assert all(c["passed"] for c in report.checks)
+
+
+def test_spec_with_no_epsilon_is_refused():
+    with pytest.raises(DomainError, match="epsilon_list must not be empty"):
+        _spec(1.0, CProfile.constant(0.5), [])
 
 
 def test_spec_plans_its_rows_once(monkeypatch):
@@ -491,6 +538,22 @@ def test_curved_rows_propagate_on_the_coarsest_grid_once_its_twin_is_at_the_floo
     assert [r.reference_N for r in report.rows] == [128] * 4
     assert [row["reference_N"] for row in report.to_json_dict()["rows"]] == [128] * 4
     assert "reference_N" not in report.to_csv().splitlines()[0]
+
+
+def test_each_later_row_restricts_its_field_to_the_reference_grid_once(monkeypatch):
+    # _reference_evolution restricts once, then both checks the round trip and propagates that field
+    restrictions = []
+
+    def recording(field, n_sites):
+        if n_sites == 128 and field.n_sites > 128:
+            restrictions.append(field.n_sites)
+        return resample(field, n_sites)
+
+    monkeypatch.setattr(harness, "resample", recording)
+    report = run_convergence_sweep(_curved_5c_spec())
+    assert [r.reference_N for r in report.rows] == [128] * 4
+    # the first row's 2x twin brings its result back from 256 sites; each later row restricts once
+    assert restrictions == [256, 256, 512, 1024]
 
 
 @pytest.mark.parametrize(

@@ -406,6 +406,25 @@ def test_slater_rejects_nonorthonormal():
         slater_evolve(SlaterState(vecs), one_particle_step(1.0, 0.0), 1)
 
 
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: QcaState(np.zeros(4 ** 3 - 1), 3), DomainError, "amplitude vector has length"),
+        (lambda: SlaterState(np.ones(8)), DomainError, r"must form a \(modes, particles\) matrix"),
+        (lambda: slater_determinant_state(SlaterState(np.eye(8, 2)), 3), DomainError,
+         "does not match the cell count"),
+        # both orbitals are mode 0: every minor is exactly 0
+        (lambda: slater_determinant_state(SlaterState(np.eye(8, 1)[:, [0, 0]]), 4), DomainError,
+         "linearly dependent"),
+        (lambda: dense_step_operator(6, 1.0, 0.3), BudgetError, "limited to 5 cells"),
+    ],
+    ids=["qca_state_length", "slater_1d", "slater_cell_count", "slater_dependent", "dense_six_cells"],
+)
+def test_state_constructors_refuse_bad_shapes(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 @pytest.mark.parametrize("steps", [-3, 2.5, True])
 def test_slater_evolve_refuses_a_bad_step_count(steps):
     with pytest.raises(DomainError, match="steps must be a nonnegative integer"):
