@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -231,6 +232,66 @@ def _sublattice_weights(field) -> list[float]:
     return [float(np.sum(np.abs(field.data[parity::2]) ** 2)) for parity in (0, 1)]
 
 
+@contextlib.contextmanager
+def _snapshots(write, out_dir: Path, field):
+    """Write ``field`` as snapshot 0, then yield ``put(idx, fld)``, which writes each later snapshot.
+
+    ``write(path, fld)`` writes one snapshot file. Where ``os.fork`` exists
+    and the process may use at least two CPUs, one forked writer process
+    calls it while the caller steps the walk on: ``put`` sends the step
+    index and the field's C-ordered complex128 data through a pipe. On one
+    CPU the writer would only take turns with the walk, so there ``put``
+    writes in this process. The exit closes the pipe and reaps the writer,
+    so every snapshot is on disk when the context ends; a writer failure is
+    raised then, as a PlasticWalkError naming the file. The writer prints
+    nothing, runs no BLAS and leaves by ``os._exit``.
+    """
+    def path(idx: int) -> Path:
+        return out_dir / f"snapshot_{idx:06d}.csv"
+
+    write(path(0), field)  # in this process, so an unusable out_dir fails here as any other write
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if not hasattr(os, "fork") or cpus < 2:
+        yield lambda idx, fld: write(path(idx), fld)
+        return
+    data_r, data_w = os.pipe()
+    report_r, report_w = os.pipe()
+    with warnings.catch_warnings():
+        # since Python 3.12 fork() warns when the process has threads, as OpenBLAS's helper is; the
+        # writer runs no BLAS, takes no lock a helper thread could hold, and leaves by os._exit
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may "
+                                r"lead to deadlocks in the child", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the writer: it never returns into the caller
+        code, target = 1, None
+        try:
+            os.close(data_w)
+            os.close(report_r)
+            with open(data_r, "rb") as pipe:
+                while header := pipe.read(8):
+                    target = path(int.from_bytes(header, "little"))
+                    data = np.frombuffer(pipe.read(field.data.nbytes), np.complex128)
+                    write(target, field.with_data(data.reshape(field.data.shape)))
+            code = 0
+        except BaseException as exc:
+            os.write(report_w, f"snapshot writer: {target}: {type(exc).__name__}: {exc}".encode())
+        finally:
+            os._exit(code)
+    os.close(data_r)
+    os.close(report_w)
+    try:
+        with open(data_w, "wb") as pipe:
+            yield lambda idx, fld: pipe.write(idx.to_bytes(8, "little") + fld.data.tobytes())
+    except BrokenPipeError:
+        pass  # the writer stopped early; its report follows
+    finally:
+        with open(report_r, "rb") as report:
+            failure = report.read().decode(errors="replace")  # to its end: the writer has exited
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise PlasticWalkError(failure or f"snapshot writer exited with code {os.waitstatus_to_exitcode(status)}")
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     with _building():  # a narrow packet or a coin _grid refuses leaves no snapshot behind
         params, n, steps, t_reach, _ = _grid(
@@ -240,15 +301,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     xs = field.positions()
     x_text = _csv.records(xs[:, None])  # the x column is the same in every snapshot
 
-    def write_snapshot(idx: int, fld) -> None:
+    def write_snapshot(path: Path, fld) -> None:
         cols = np.column_stack((fld.plus.real, fld.plus.imag, fld.minus.real, fld.minus.imag, fld.density()))
         text = "x,re_plus,im_plus,re_minus,im_minus,density\n" + _csv.rows(cols, head=x_text)
-        atomic_write(out_dir / f"snapshot_{idx:06d}.csv", text)
+        atomic_write(path, text)
 
-    write_snapshot(0, field)
     weights0 = _sublattice_weights(field)
-    for done, field in _trajectory(field, params, steps, cfg.snapshot_stride):
-        write_snapshot(done, field)
+    with _snapshots(write_snapshot, out_dir, field) as put:  # every snapshot, then simulate.json
+        for done, field in _trajectory(field, params, steps, cfg.snapshot_stride):
+            put(done, field)
 
     drift = abs(field.norm() - norm0)
     cs = params.cprofile.sample(t_reach, xs)

@@ -279,6 +279,130 @@ def test_simulate_flat_snapshots_equal_evolve_walk(tmp_path):
             assert np.array_equal(cols[:, 3] + 1j * cols[:, 4], walked.minus)
 
 
+def _fork_spy(monkeypatch, cpus=2):
+    """Let the process see ``cpus`` CPUs and count the os.fork calls made in this process."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _simulate_outputs(tmp_path, label, profile):
+    """Every snapshot's bytes, simulate.json less its environment, and stdout of one simulate run."""
+    out = tmp_path / label
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps({"alpha": 0.5, "length": 16.0, "T": 1.0, "epsilon": 0.0625, "snapshot_stride": 3,
+                                "profile": profile, "initial": {"x0": 6.0, "w": 2.0, "k0": 0.5}}))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate.json").read_text())
+    del summary["environment"]
+    assert not list(out.glob("*.tmp"))
+    return {p.name: p.read_bytes() for p in out.glob("snapshot_*.csv")}, summary
+
+
+@pytest.mark.parametrize("profile", [{"name": "flat", "c0": 0.6}, _WELL_16], ids=["flat", "gaussian-well"])
+@pytest.mark.parametrize("serial", ["one_cpu", "no_fork"])
+def test_simulate_writes_the_same_bytes_from_the_writer_process_and_in_process(
+        tmp_path, monkeypatch, capsys, profile, serial):
+    with monkeypatch.context() as patch:
+        forks = _fork_spy(patch)
+        forked = _simulate_outputs(tmp_path, "forked", profile)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    printed = capsys.readouterr().out
+    with monkeypatch.context() as patch:
+        forks = _fork_spy(patch, cpus=1 if serial == "one_cpu" else 2)
+        if serial == "no_fork":
+            patch.delattr(os, "fork")
+        serial_outputs = _simulate_outputs(tmp_path, "serial", profile)
+    assert forks == []
+    assert sorted(forked[0]) == [f"snapshot_{s:06d}.csv" for s in (0, 3, 6, 8)]
+    assert forked == serial_outputs
+    assert capsys.readouterr().out == printed
+
+
+def test_a_snapshot_the_writer_cannot_write_exits_one_naming_its_file(tmp_path, monkeypatch, capsys):
+    _fork_spy(monkeypatch)
+    real_write = cli.atomic_write
+
+    def failing_write(path, text):
+        if path.name == "snapshot_000006.csv":  # the third snapshot
+            raise OSError("disk full")
+        real_write(path, text)
+
+    monkeypatch.setattr(cli, "atomic_write", failing_write)
+    out = tmp_path / "run"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"alpha": 0.5, "length": 16.0, "T": 1.0, "epsilon": 0.0625, "snapshot_stride": 3,
+                                "profile": _WELL_16, "initial": {"x0": 6.0, "w": 2.0}}))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    _assert_no_child_left()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("runtime error:") and "Traceback" not in err
+    assert str(out / "snapshot_000006.csv") in err and "OSError: disk full" in err
+    assert sorted(p.name for p in out.iterdir()) == ["snapshot_000000.csv", "snapshot_000003.csv"]
+
+
+def test_a_walk_that_fails_mid_run_leaves_no_writer_behind(tmp_path, monkeypatch, capsys):
+    forks = _fork_spy(monkeypatch)
+    real_trajectory = cli._trajectory
+
+    def failing_trajectory(*args):
+        walk = real_trajectory(*args)
+        yield next(walk)
+        yield next(walk)
+        raise RuntimeError("walk failed")
+
+    monkeypatch.setattr(cli, "_trajectory", failing_trajectory)
+    out = tmp_path / "run"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"alpha": 0.5, "length": 16.0, "T": 1.0, "epsilon": 0.0625, "snapshot_stride": 3,
+                                "profile": _WELL_16, "initial": {"x0": 6.0, "w": 2.0}}))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == "runtime error: RuntimeError: walk failed\n"
+    # the writer wrote what it was sent, and no simulate.json follows
+    assert sorted(p.name for p in out.iterdir()) == [f"snapshot_{s:06d}.csv" for s in (0, 3, 6)]
+
+
+def test_an_out_that_names_a_file_fails_before_any_fork(tmp_path, monkeypatch, capsys):
+    forks = _fork_spy(monkeypatch)
+    target = tmp_path / "taken"
+    target.write_text("")
+    path, _ = write_config(tmp_path, command="simulate", length=16.0, T=0.5, epsilon=0.25, alpha=1.0,
+                           initial={"x0": 8.0, "w": 4.0})
+    assert main(["simulate", "--config", str(path), "--out", str(target)]) == 1
+    assert forks == []
+    assert capsys.readouterr().err == f"runtime error: FileExistsError: [Errno 17] File exists: '{target}'\n"
+
+
+def test_the_fork_warning_of_python_3_12_is_not_raised(tmp_path, monkeypatch, capsys):
+    # since 3.12 os.fork() warns so whenever the process has more than one thread
+    real_fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+                      "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert _run_quietly("simulate", {"T": 0.5}, tmp_path) == (0, [])
+    _assert_no_child_left()
+
+
 def test_simulate_single_site_ring_exits_two(tmp_path, capsys):
     # alpha = 1 fixes dx = 1, so length 1 snaps to a one-site ring, which the grid refuses
     path, _ = write_config(
