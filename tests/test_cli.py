@@ -298,13 +298,18 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _simulate_outputs(tmp_path, label, profile):
-    """Every snapshot's bytes, simulate.json less its environment, and stdout of one simulate run."""
-    out = tmp_path / label
-    path = tmp_path / f"{label}.json"
+def _simulate(tmp_path, label, profile=_WELL_16):
+    """main on an 8-step simulate run with snapshots at steps 0, 3, 6 and 8; its exit code and out dir."""
+    out, path = tmp_path / label, tmp_path / f"{label}.json"
     path.write_text(json.dumps({"alpha": 0.5, "length": 16.0, "T": 1.0, "epsilon": 0.0625, "snapshot_stride": 3,
                                 "profile": profile, "initial": {"x0": 6.0, "w": 2.0, "k0": 0.5}}))
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    return main(["simulate", "--config", str(path), "--out", str(out)]), out
+
+
+def _simulate_outputs(tmp_path, label, profile):
+    """Every snapshot's bytes and simulate.json less its environment, of one simulate run."""
+    code, out = _simulate(tmp_path, label, profile)
+    assert code == 0
     summary = json.loads((out / "simulate.json").read_text())
     del summary["environment"]
     assert not list(out.glob("*.tmp"))
@@ -342,11 +347,8 @@ def test_a_snapshot_the_writer_cannot_write_exits_one_naming_its_file(tmp_path, 
         real_write(path, text)
 
     monkeypatch.setattr(cli, "atomic_write", failing_write)
-    out = tmp_path / "run"
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"alpha": 0.5, "length": 16.0, "T": 1.0, "epsilon": 0.0625, "snapshot_stride": 3,
-                                "profile": _WELL_16, "initial": {"x0": 6.0, "w": 2.0}}))
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    code, out = _simulate(tmp_path, "run")
+    assert code == 1
     _assert_no_child_left()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("runtime error:") and "Traceback" not in err
@@ -365,11 +367,8 @@ def test_a_walk_that_fails_mid_run_leaves_no_writer_behind(tmp_path, monkeypatch
         raise RuntimeError("walk failed")
 
     monkeypatch.setattr(cli, "_trajectory", failing_trajectory)
-    out = tmp_path / "run"
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"alpha": 0.5, "length": 16.0, "T": 1.0, "epsilon": 0.0625, "snapshot_stride": 3,
-                                "profile": _WELL_16, "initial": {"x0": 6.0, "w": 2.0}}))
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    code, out = _simulate(tmp_path, "run")
+    assert code == 1
     assert len(forks) == 1
     _assert_no_child_left()
     assert capsys.readouterr().err == "runtime error: RuntimeError: walk failed\n"
